@@ -8,18 +8,32 @@ certificates.  Spaces of half-integral weight lam + 1/2 with the r-th
 power of the eta multiplier are realized as eta^r0 * M_w with
 r0 = r mod 24 and w = lam + (1 - r0)/2.
 
-Bases are cached process-wide keyed by (weight, kind, ell, prec); the
-fill is idempotent, so concurrent rebuilds are harmless.
+Every basis is held as a read-only (dim x L) matrix of strand
+coefficients: row i, column m is the coefficient of element i at index
+offset + 24 m, with offset 0 for Miller bases and r0 for eta spaces.
+The dense series (``elements``) are expanded only on first access.
+Rows are cached process-wide, once per (k, kind, ell) for Miller bases
+and once per (w, r0, ell) for eta spaces; a shorter precision is served
+as a prefix of the longest matrix built, which equals a cold build
+because truncation commutes with the convolutions and row operations.
+A repeated call with the same arguments returns the same object.
+Empty spaces are not cached.  The fill is idempotent, so concurrent
+rebuilds are harmless.
+
+Residues are stored as int64 (object for ell >= 2^63).  Every kernel
+checks that its sums of products stay below 2^63 and otherwise runs the
+same numpy operations on Python integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .qseries import QExp24, PrecisionError, eta_series, is_prime
+from .qseries import QExp24, PrecisionError, eta_series, is_prime, kronecker
 
 __all__ = [
     "CertificationError",
@@ -54,26 +68,35 @@ def dims(k: int) -> tuple:
     return (dm, ds)
 
 
-def _sigma(m: int, e: int) -> int:
-    return sum(d**e for d in range(1, m + 1) if m % d == 0)
+def _e4_e6(n: int) -> tuple:
+    """Integer coefficients of E4 and E6 at q^0 .. q^(n-1), from one divisor-sum sieve."""
+    s3 = [0] * n
+    s5 = [0] * n
+    for d in range(1, n):
+        d3 = d**3
+        d5 = d3 * d * d
+        for m in range(d, n, d):
+            s3[m] += d3
+            s5[m] += d5
+    e4 = [1] + [240 * s for s in s3[1:]]
+    e6 = [1] + [-504 * s for s in s5[1:]]
+    return e4, e6
+
+
+def _integer_exponent_series(values: list, prec: int) -> QExp24:
+    coeffs = [0] * prec
+    coeffs[0::24] = values
+    return QExp24(coeffs, prec, None, residue=0)
 
 
 def eisenstein_e4(prec: int) -> QExp24:
     """E4 = 1 + 240 sum sigma_3(n) q^n over Z, in 1/24-unit indexing."""
-    coeffs = [0] * prec
-    coeffs[0] = 1
-    for m in range(1, (prec - 1) // 24 + 1):
-        coeffs[24 * m] = 240 * _sigma(m, 3)
-    return QExp24(coeffs, prec, None, residue=0)
+    return _integer_exponent_series(_e4_e6((prec + 23) // 24)[0], prec)
 
 
 def eisenstein_e6(prec: int) -> QExp24:
     """E6 = 1 - 504 sum sigma_5(n) q^n over Z."""
-    coeffs = [0] * prec
-    coeffs[0] = 1
-    for m in range(1, (prec - 1) // 24 + 1):
-        coeffs[24 * m] = -504 * _sigma(m, 5)
-    return QExp24(coeffs, prec, None, residue=0)
+    return _integer_exponent_series(_e4_e6((prec + 23) // 24)[1], prec)
 
 
 def delta_series(prec: int) -> QExp24:
@@ -81,137 +104,213 @@ def delta_series(prec: int) -> QExp24:
     return eta_series(prec, None) ** 24 if prec >= 2 else QExp24.zero(prec)
 
 
-@dataclass(frozen=True)
-class SpaceBasis:
-    """Reduced echelon basis of M_k or S_k over F_ell.
+# === exact mod-ell kernels on strand matrices ===
 
-    Element i has coefficient 1 at integer exponent pivots[i] and 0 at
-    every other pivot.  kind is "M" (full) or "S" (cuspidal).
-    """
-
-    k: int
-    kind: str
-    ell: int
-    prec: int
-    elements: tuple
-    pivots: tuple
-
-    @property
-    def dim(self) -> int:
-        return len(self.elements)
+# Residues lie in [0, ell), so a sum of n products of two residues stays
+# below n * (ell - 1)^2; int64 numpy is exact while that is below this.
+_INT64_BOUND = 2**63
 
 
-_MILLER_CACHE: dict = {}
-_ETA_CACHE: dict = {}
+def _dtype(ell: int):
+    return np.int64 if ell < 2**63 else object
+
+
+def _exact(a: np.ndarray, n: int, ell: int) -> np.ndarray:
+    """a itself, or a as Python integers when n products mod ell can overflow int64."""
+    return a.astype(object) if n * (ell - 1) ** 2 >= _INT64_BOUND else a
 
 
 def _conv(a: np.ndarray, b: np.ndarray, ell: int, length: int) -> np.ndarray:
-    c = np.convolve(a, b)[:length] % ell
+    """(a * b mod ell) truncated or zero-padded to length."""
+    a, b = a[:length], b[:length]
+    n = min(a.size, b.size)
+    c = np.convolve(_exact(a, n, ell), _exact(b, n, ell))[:length] % ell
+    c = c.astype(_dtype(ell), copy=False)
     if c.size < length:
         c = np.pad(c, (0, length - c.size))
     return c
 
 
 def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
-    # Rows arrive triangular: rows[i][pivots[i]] == 1, zero left of the pivot.
-    for j in range(1, len(pivots)):
-        col = pivots[j]
-        for i in range(j):
-            c = int(rows[i, col])
-            if c:
-                rows[i] = (rows[i] - c * rows[j]) % ell
+    """Clear every pivot column outside its pivot row, by back-substitution.
+
+    Rows arrive triangular: rows[i][pivots[i]] == 1, zero left of the
+    pivot.  From the bottom up, row i subtracts its entries at the later
+    pivots times the later rows, which are already reduced: one
+    vector-matrix product and one reduction mod ell per row.
+    """
+    assert all(rows[i, p] == 1 for i, p in enumerate(pivots)), "leading coefficient"
+    pivots = list(pivots)
+    work = _exact(rows, len(pivots) + 1, ell)
+    for i in range(len(pivots) - 2, -1, -1):
+        p = pivots[i + 1]  # the later rows are zero left of p
+        work[i, p:] = (work[i, p:] - work[i, pivots[i + 1:]] @ work[i + 1:, p:]) % ell
+    return work.astype(_dtype(ell), copy=False)
+
+
+def _combine(coords: list, rows: np.ndarray, ell: int) -> np.ndarray:
+    """sum_i coords[i] * rows[i] mod ell."""
+    n = len(coords)
+    vec = np.array(coords, dtype=_dtype(ell))
+    return (_exact(vec, n, ell) @ _exact(rows, n, ell)) % ell
+
+
+def _one(ell: int, length: int) -> np.ndarray:
+    one = np.zeros(length, dtype=_dtype(ell))
+    one[0] = 1
+    return one
+
+
+def _power(a: np.ndarray, e: int, ell: int, length: int) -> np.ndarray:
+    """a^e mod ell truncated to length, by repeated squaring."""
+    result = _one(ell, length)
+    while e:
+        if e & 1:
+            result = _conv(result, a, ell, length)
+        e >>= 1
+        if e:
+            a = _conv(a, a, ell, length)
+    return result
+
+
+def _inverse(a: np.ndarray, ell: int, length: int) -> np.ndarray:
+    """1/a mod ell truncated to length, for a[0] == 1, by Newton iteration.
+
+    inv -> inv * (2 - a * inv) doubles the number of correct terms.
+    """
+    inv = _one(ell, 1)
+    n = 1
+    while n < length:
+        n = min(2 * n, length)
+        step = -_conv(a, inv, ell, n) % ell
+        step[0] = (step[0] + 2) % ell
+        inv = _conv(inv, step, ell, n)
+    return inv
+
+
+def _generators(ell: int, length: int):
+    """Compressed integer-exponent expansions of E4, E6, E4^3 and Delta mod ell."""
+    e4_int, e6_int = _e4_e6(length)
+    e4 = np.array([c % ell for c in e4_int], dtype=_dtype(ell))
+    e6 = np.array([c % ell for c in e6_int], dtype=_dtype(ell))
+    e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
+    e6sq = _conv(e6, e6, ell, length)
+    delta = _exact(e4cube - e6sq, 1, ell) * pow(1728, -1, ell) % ell
+    return e4, e6, e4cube, delta.astype(_dtype(ell), copy=False)
+
+
+def _spanning_rows(k: int, ell: int, length: int, start: int, factor: np.ndarray) -> np.ndarray:
+    """Rows factor * Delta^j * E4^a * E6^b mod ell for j = start..dim M_k - 1.
+
+    b is 0 or 1 by k mod 4, which makes a = (k - 12j - 6b)/4 integral
+    for every j.  Row j is row 0 times t^j with t = Delta / E4^3, so
+    each row costs one convolution.  Row j has leading term q^j times
+    that of factor, so the rows are triangular when factor starts with 1.
+    """
+    dm = dims(k)[0]
+    e4, e6, e4cube, delta = _generators(ell, length)
+    b = 0 if k % 4 == 0 else 1
+    row = _conv(factor, _power(e4, (k - 6 * b) // 4, ell, length), ell, length)
+    if b:
+        row = _conv(row, e6, ell, length)
+    t = _conv(delta, _inverse(e4cube, ell, length), ell, length)
+    rows = [row]
+    for _ in range(dm - 1):
+        rows.append(_conv(rows[-1], t, ell, length))
+    return np.array(rows[start:])
+
+
+def _cached_view(cache: dict, key, view_key, length: int, build, make):
+    """The object make(rows[:, :length]) for view_key, building rows on demand.
+
+    cache[key] holds [rows, {view_key: object}]: the longest row matrix
+    built so far and every object served from it.  Rows are rebuilt only
+    when a longer prefix is asked for; objects served earlier keep their
+    own (equal) prefix.
+    """
+    entry = cache.setdefault(key, [None, {}])
+    view = entry[1].get(view_key)
+    if view is None:
+        if entry[0] is None or entry[0].shape[1] < length:
+            rows = build(length)
+            rows.flags.writeable = False
+            entry[0] = rows
+        view = entry[1][view_key] = make(entry[0][:, :length])
+    return view
+
+
+def _no_rows(ell: int, length: int) -> np.ndarray:
+    rows = np.zeros((0, length), dtype=_dtype(ell))
+    rows.flags.writeable = False
     return rows
 
 
-def _compact_generators(ell: int, length: int):
-    """Compressed integer-exponent expansions of E4, E6, Delta mod ell."""
-    e4 = np.zeros(length, dtype=np.int64)
-    e6 = np.zeros(length, dtype=np.int64)
-    e4[0] = e6[0] = 1
-    for m in range(1, length):
-        e4[m] = 240 * _sigma(m, 3) % ell
-        e6[m] = -504 * _sigma(m, 5) % ell
-    e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
-    e6sq = _conv(e6, e6, ell, length)
-    delta = (e4cube - e6sq) * pow(1728, -1, ell) % ell
-    return e4, e6, delta
-
-
-def _expand(row: np.ndarray, offset: int, prec: int, ell: int, residue) -> QExp24:
+def _expand(row: np.ndarray, offset: int, prec: int, ell: int) -> QExp24:
     coeffs = [0] * prec
-    for m, c in enumerate(row):
-        idx = offset + 24 * m
-        if idx >= prec:
-            break
-        coeffs[idx] = int(c)
-    return QExp24(coeffs, prec, ell, residue)
+    coeffs[offset::24] = row.tolist()
+    return QExp24(coeffs, prec, ell, offset)
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceBasis:
+    """Reduced echelon basis of M_k or S_k over F_ell.
+
+    rows is the read-only (dim x ceil(prec/24)) matrix of coefficients at
+    integer exponents.  Element i has coefficient 1 at integer exponent
+    pivots[i] and 0 at every other pivot.  kind is "M" (full) or "S"
+    (cuspidal).
+    """
+
+    k: int
+    kind: str
+    ell: int
+    prec: int
+    rows: np.ndarray
+    pivots: tuple
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The basis as dense series, expanded on first access."""
+        return tuple(_expand(row, 0, self.prec, self.ell) for row in self.rows)
+
+
+_MILLER_CACHE: dict = {}
+_ETA_CACHE: dict = {}
 
 
 def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     """Reduced echelon basis of the weight-k space mod ell.
 
-    Spanning set Delta^j * E4^a * E6^b for j = 0..dim-1, with b minimal
-    in {0,..,3} making the complementary weight divisible by 4.  Leading
+    Spanning set Delta^j * E4^a * E6^b for j = 0..dim-1, with b in
+    {0, 1} making the complementary weight divisible by 4.  Leading
     terms are q^j, so the set row-reduces without pivot search.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
     if ell < 5 or not is_prime(ell):
         raise ValueError(f"ell must be a prime >= 5, got {ell}")
-    key = (k, kind, ell, prec)
-    cached = _MILLER_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    dm, ds = dims(k)
-    dim = dm if kind == "M" else ds
+    dm = dims(k)[0]
     length = (prec + 23) // 24
     if dm and length < dm + k // 12 + 1:
         raise PrecisionError(
             f"prec {prec} too small for weight {k}: need pivots plus Sturm depth"
         )
-    if dim == 0:
-        basis = SpaceBasis(k, kind, ell, prec, (), ())
-        _MILLER_CACHE[key] = basis
-        return basis
-
-    e4, e6, delta = _compact_generators(ell, length)
-    a_max = max(
-        (k - 12 * j - 6 * b) // 4
-        for j in range(dm)
-        for b in range(4)
-        if (k - 12 * j - 6 * b) % 4 == 0 and k - 12 * j - 6 * b >= 0
-    )
-    e4pow = [np.zeros(length, dtype=np.int64) for _ in range(a_max + 1)]
-    e4pow[0][0] = 1
-    for i in range(1, a_max + 1):
-        e4pow[i] = _conv(e4pow[i - 1], e4, ell, length)
-    e6pow = [np.zeros(length, dtype=np.int64) for _ in range(4)]
-    e6pow[0][0] = 1
-    for i in range(1, 4):
-        e6pow[i] = _conv(e6pow[i - 1], e6, ell, length)
-    dpow = [np.zeros(length, dtype=np.int64) for _ in range(dm)]
-    dpow[0][0] = 1
-    for j in range(1, dm):
-        dpow[j] = _conv(dpow[j - 1], delta, ell, length)
-
     start = 0 if kind == "M" else 1
     pivots = tuple(range(start, dm))
-    rows = np.zeros((len(pivots), length), dtype=np.int64)
-    for row_i, j in enumerate(pivots):
-        m = k - 12 * j
-        b = next(
-            bb for bb in range(4) if (m - 6 * bb) % 4 == 0 and m - 6 * bb >= 0
-        )
-        a = (m - 6 * b) // 4
-        rows[row_i] = _conv(_conv(e4pow[a], e6pow[b], ell, length), dpow[j], ell, length)
-        assert rows[row_i][j] % ell == 1, "leading coefficient of the spanning set"
-    _rref(rows, pivots, ell)
+    if not pivots:
+        return SpaceBasis(k, kind, ell, prec, _no_rows(ell, length), ())
 
-    elements = tuple(_expand(rows[i], 0, prec, ell, 0) for i in range(len(pivots)))
-    basis = SpaceBasis(k, kind, ell, prec, elements, pivots)
-    _MILLER_CACHE[key] = basis
-    return basis
+    def build(n):
+        return _rref(_spanning_rows(k, ell, n, start, _one(ell, n)), pivots, ell)
+
+    return _cached_view(
+        _MILLER_CACHE, (k, kind, ell), prec, length, build,
+        lambda rows: SpaceBasis(k, kind, ell, prec, rows, pivots),
+    )
 
 
 @dataclass(frozen=True)
@@ -230,6 +329,29 @@ class NotMember:
     witness: int
 
 
+def _solve(f: QExp24, rows: np.ndarray, pivots, offset: int, depth: int, space):
+    """Coordinates of f at the pivots, verified at every index below depth.
+
+    Pivots and the columns of rows are strand positions m, standing for
+    index offset + 24 m.  The witness of a NotMember is the first index
+    below depth where f differs from the combination: an on-strand
+    mismatch or an off-strand nonzero coefficient.
+    """
+    ell = f.modulus
+    coeffs = f.coeffs
+    coords = [coeffs[offset + 24 * p] for p in pivots]
+    n = len(range(offset, depth, 24))
+    combo = _combine(coords, rows[:, :n], ell)
+    target = np.array(coeffs[offset:depth:24], dtype=_dtype(ell))
+    bad = np.flatnonzero(combo != target)
+    limit = offset + 24 * int(bad[0]) if bad.size else depth
+    if f.residue != offset:  # a matching residue tag already rules out off-strand terms
+        limit = next((i for i in range(limit) if coeffs[i] and i % 24 != offset), limit)
+    if limit < depth:
+        return NotMember(limit)
+    return MembershipCertificate(tuple(coords), depth, space)
+
+
 def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
     """Solve f against an echelon basis and verify below depth.
 
@@ -243,22 +365,9 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
         raise ValueError("depth must be positive")
     if depth > f.prec or depth > basis.prec:
         raise PrecisionError("verification depth exceeds available precision")
-    coords = []
-    for pivot in basis.pivots:
-        idx = 24 * pivot
-        if idx >= depth:
-            raise PrecisionError("depth does not reach every pivot")
-        coords.append(f.coeffs[idx])
-    combo = np.zeros(depth, dtype=np.int64)
-    for c, elem in zip(coords, basis.elements):
-        if c:
-            combo = (combo + c * np.array(elem.coeffs[:depth], dtype=np.int64)) % basis.ell
-    target = np.array(f.coeffs[:depth], dtype=np.int64)
-    diff = (target - combo) % basis.ell
-    bad = np.nonzero(diff)[0]
-    if bad.size:
-        return NotMember(int(bad[0]))
-    return MembershipCertificate(tuple(int(c) for c in coords), depth, basis)
+    if any(24 * pivot >= depth for pivot in basis.pivots):
+        raise PrecisionError("depth does not reach every pivot")
+    return _solve(f, basis.rows, basis.pivots, 0, depth, basis)
 
 
 def sturm_check(f: QExp24, g: QExp24, k: int, kind: str = "M") -> bool:
@@ -315,13 +424,15 @@ def filtration(f: QExp24, k: int) -> int:
 # === half-integral-weight realization ===
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaSpaceDescriptor:
     """Realized basis of the weight lam + 1/2 space with eta multiplier power r.
 
     Elements are eta^r0 times a weight-w basis, re-echelonized so element
-    i has pivot 1 at index r0 + 24 i.  Every element vanishes at the cusp
-    (leading index >= r0 > 0).  Empty when w < 0, w is odd, or dim M_w = 0.
+    i has pivot 1 at index r0 + 24 i.  rows is the read-only matrix of
+    their coefficients at the indices r0 + 24 m below prec.  Every element
+    vanishes at the cusp (leading index >= r0 > 0).  Empty when w < 0,
+    w is odd, or dim M_w = 0.
     """
 
     lam: int
@@ -330,12 +441,17 @@ class EtaSpaceDescriptor:
     w: int
     ell: int
     prec: int
-    elements: tuple
+    rows: np.ndarray
     pivots: tuple
 
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return self.rows.shape[0]
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The basis as dense series, expanded on first access."""
+        return tuple(_expand(row, self.r0, self.prec, self.ell) for row in self.rows)
 
 
 def membership_depth(lam: int, r: int) -> tuple:
@@ -352,37 +468,45 @@ def _check_eta_args(lam: int, r: int):
         raise ValueError(f"lam must be nonnegative, got {lam}")
 
 
+def _eta_strand(r0: int, ell: int, length: int) -> np.ndarray:
+    """Coefficients of eta^r0 mod ell at the indices r0 + 24 m, m < length.
+
+    eta = sum (12|n) q^(n^2/24) lives on the strand 1 + 24 m with
+    m = (n^2 - 1)/24, so eta^r0 on its strand is the r0-fold convolution.
+    """
+    eta = np.zeros(length, dtype=_dtype(ell))
+    n = 1
+    while (n * n - 1) // 24 < length:
+        eta[(n * n - 1) // 24] = kronecker(12, n) % ell
+        n += 4 if n % 6 == 1 else 2  # n runs over 1, 5, 7, 11, ... (prime to 6)
+    return _power(eta, r0, ell, length)
+
+
 def eta_space_basis(lam: int, r: int, ell: int, prec: int) -> EtaSpaceDescriptor:
     _check_eta_args(lam, r)
     if ell < 5 or not is_prime(ell):
         raise ValueError(f"ell must be a prime >= 5, got {ell}")
     r0 = r % 24
-    key = (lam, r0, ell, prec)
-    cached = _ETA_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     w = lam + (1 - r0) // 2
+    length = len(range(r0, prec, 24))
     if w < 0 or w % 2 or dims(w)[0] == 0:
-        desc = EtaSpaceDescriptor(lam, r, r0, w, ell, prec, (), ())
-        _ETA_CACHE[key] = desc
-        return desc
+        return EtaSpaceDescriptor(lam, r, r0, w, ell, prec, _no_rows(ell, length), ())
+    dm = dims(w)[0]
+    if (prec + 23) // 24 < dm + w // 12 + 1:
+        raise PrecisionError(
+            f"prec {prec} too small for weight {w}: need pivots plus Sturm depth"
+        )
 
-    mb = miller_basis(w, ell, prec, "M")
-    eta_r0 = eta_series(prec, ell) ** r0
-    eta_r0 = eta_r0.truncate(prec) if eta_r0.prec > prec else eta_r0
-    length = (prec - r0 + 23) // 24 if prec > r0 else 0
-    ec = np.array(eta_r0.coeffs[r0::24], dtype=np.int64)
-    rows = np.zeros((mb.dim, length), dtype=np.int64)
-    for i, elem in enumerate(mb.elements):
-        rows[i] = _conv(ec, np.array(elem.coeffs[0::24], dtype=np.int64), ell, length)
-        assert rows[i][i] % ell == 1
-    _rref(rows, tuple(range(mb.dim)), ell)
-    elements = tuple(_expand(rows[i], r0, prec, ell, r0) for i in range(mb.dim))
-    pivots = tuple(r0 + 24 * i for i in range(mb.dim))
-    desc = EtaSpaceDescriptor(lam, r, r0, w, ell, prec, elements, pivots)
-    _ETA_CACHE[key] = desc
-    return desc
+    def build(n):
+        # eta^r0 has leading coefficient 1, so eta^r0 times the Miller
+        # spanning set stays triangular and one reduction gives the basis.
+        return _rref(_spanning_rows(w, ell, n, 0, _eta_strand(r0, ell, n)), range(dm), ell)
+
+    pivots = tuple(r0 + 24 * i for i in range(dm))
+    return _cached_view(
+        _ETA_CACHE, (w, r0, ell), (r, prec), length, build,
+        lambda rows: EtaSpaceDescriptor(lam, r, r0, w, ell, prec, rows, pivots),
+    )
 
 
 def eta_membership(f: QExp24, lam: int, r: int):
@@ -397,14 +521,14 @@ def eta_membership(f: QExp24, lam: int, r: int):
     if ell is None:
         raise ValueError("membership certification works over a prime field")
     r0 = r % 24
-    for n, c in f.nonzero_items():
-        if n % 24 != r0:
-            return NotMember(n)
+    if f.residue != r0:
+        for n, c in f.nonzero_items():
+            if n % 24 != r0:
+                return NotMember(n)
     w, depth = membership_depth(lam, r)
     if w < 0 or w % 2 or dims(w)[0] == 0:
-        desc = eta_space_basis(lam, r, ell, max(f.prec, 2))
         if f.is_zero():
-            return MembershipCertificate((), f.prec, desc)
+            return MembershipCertificate((), f.prec, eta_space_basis(lam, r, ell, f.prec))
         return NotMember(f.valuation())
     if f.prec < depth:
         raise PrecisionError(
@@ -412,13 +536,4 @@ def eta_membership(f: QExp24, lam: int, r: int):
         )
     basis_prec = max(depth, 24 * (dims(w)[0] + w // 12 + 1)) + 24
     desc = eta_space_basis(lam, r, ell, basis_prec)
-    coords = [f.coeffs[p] for p in desc.pivots]
-    combo = np.zeros(depth, dtype=np.int64)
-    for c, elem in zip(coords, desc.elements):
-        if c:
-            combo = (combo + c * np.array(elem.coeffs[:depth], dtype=np.int64)) % ell
-    diff = (np.array(f.coeffs[:depth], dtype=np.int64) - combo) % ell
-    bad = np.nonzero(diff)[0]
-    if bad.size:
-        return NotMember(int(bad[0]))
-    return MembershipCertificate(tuple(int(c) for c in coords), depth, desc)
+    return _solve(f, desc.rows, range(desc.dim), r0, depth, desc)

@@ -183,6 +183,12 @@ def test_filtration_sweep_small():
     assert filtration_sweep(5, count=3, seed=1) == []
 
 
+def test_filtration_sweep_refuses_wrong_weight_at_full_precision():
+    # one of these forms (weight 34) agrees with a weight-36 form through
+    # q^5; only a solve to the form's full precision refuses weight 36
+    assert filtration_sweep(17, count=40, seed=17) == []
+
+
 # === command surface ===
 
 

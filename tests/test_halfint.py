@@ -291,6 +291,23 @@ def test_eigenvalue_scalar_value():
     assert not lhs.agrees_with(g.series.scale(3), lhs.prec)
 
 
+def test_eigenvalue_check_sees_prefix_perturbation():
+    # the check compares T(p^2) g with scalar * g on ceil(P / p^2) indices;
+    # one changed coefficient inside that prefix must flip the verdict
+    ell, p = 5, 7
+    g = theta_lift(eta_form(24 * 120, ell))
+    assert hecke_eigenvalue_check(g, p)
+    prefix = -(-g.series.prec // (p * p))
+    for n in (1, 25, (prefix - 2) // 24 * 24 + 1):
+        assert n < prefix
+        coeffs = list(g.series.coeffs)
+        coeffs[n] = (coeffs[n] + 1) % ell
+        bent = HalfIntForm(
+            QExp24(coeffs, g.series.prec, ell, g.series.residue), g.lam, g.r, g.certificate
+        )
+        assert not hecke_eigenvalue_check(bent, p), n
+
+
 def test_eigenvalue_validation():
     ell = 5
     g = theta_lift(eta_form(24 * 60, ell))

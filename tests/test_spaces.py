@@ -5,6 +5,7 @@ import random
 import pytest
 from sympy import divisor_sigma
 
+from etakit import spaces
 from etakit.qseries import PrecisionError, QExp24, eta_series, theta_op
 from etakit.spaces import (
     CertificationError,
@@ -405,3 +406,178 @@ def test_eta_membership_precision_gate():
         eta_membership(f, 0, 1)  # needs 25
     with pytest.raises(ValueError):
         eta_membership(eta_series(30), 0, 1)  # integer ring
+
+
+# === row-matrix bases: prefixes, exact kernels, shared verifier ===
+
+
+def _clear_caches(monkeypatch):
+    monkeypatch.setattr(spaces, "_MILLER_CACHE", {})
+    monkeypatch.setattr(spaces, "_ETA_CACHE", {})
+
+
+def test_e4_e6_sieve_matches_divisor_sigma():
+    prec = 24 * 60 + 1
+    e4, e6 = eisenstein_e4(prec), eisenstein_e6(prec)
+    for n in range(1, 61):
+        assert e4.coeff(24 * n) == 240 * divisor_sigma(n, 3)
+        assert e6.coeff(24 * n) == -504 * divisor_sigma(n, 5)
+
+
+def test_basis_rows_are_read_only():
+    b = miller_basis(24, 11, 24 * 8)
+    desc = eta_space_basis(12, 1, 7, 24 * 7 + 1)
+    for rows in (b.rows, desc.rows, miller_basis(24, 11, 24 * 6).rows):
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 2
+
+
+def test_rows_hold_the_strand_of_each_element():
+    b = miller_basis(28, 13, 24 * 7 + 5)
+    desc = eta_space_basis(14, 5, 13, 24 * 9)
+    for rows, elements, offset in ((b.rows, b.elements, 0), (desc.rows, desc.elements, 5)):
+        for row, elem in zip(rows, elements):
+            assert row.tolist() == list(elem.coeffs[offset::24])
+
+
+def test_shorter_precision_is_a_prefix_of_the_cached_rows(monkeypatch):
+    rng = random.Random(2024)
+    for _ in range(12):
+        ell = rng.choice((5, 7, 11, 13, 97, 193))
+        k = rng.choice((0, 4, 12, 14, 22, 36, 50))
+        kind = rng.choice("MS")
+        need = 24 * (dims(k)[0] + k // 12 + 1)
+        prec1 = need + rng.randrange(0, 60)
+        prec2 = prec1 + rng.randrange(1, 200)
+        _clear_caches(monkeypatch)
+        cold = miller_basis(k, ell, prec1, kind).elements
+        _clear_caches(monkeypatch)
+        miller_basis(k, ell, prec2, kind)
+        warm = miller_basis(k, ell, prec1, kind)
+        assert warm.prec == prec1
+        assert warm.elements == cold, (k, ell, kind, prec1, prec2)
+
+        lam = rng.randrange(0, 40)
+        r = rng.choice((1, 5, 7, 11, 13, 17, 19, 23, 25))
+        w = lam + (1 - r % 24) // 2
+        need = 24 * (max(dims(w)[0], 1) + max(w, 0) // 12 + 1)
+        prec1 = need + rng.randrange(0, 60)
+        prec2 = prec1 + rng.randrange(1, 200)
+        _clear_caches(monkeypatch)
+        cold = eta_space_basis(lam, r, ell, prec1).elements
+        _clear_caches(monkeypatch)
+        eta_space_basis(lam, r, ell, prec2)
+        warm = eta_space_basis(lam, r, ell, prec1)
+        assert warm.elements == cold, (lam, r, ell, prec1, prec2)
+
+
+def test_repeated_calls_return_the_same_object():
+    assert eta_space_basis(12, 1, 7, 24 * 9) is eta_space_basis(12, 1, 7, 24 * 9)
+    # r = 1 and r = 25 share rows but not the descriptor
+    assert eta_space_basis(12, 25, 7, 24 * 9).r == 25
+    b = miller_basis(20, 13, 24 * 9)
+    miller_basis(20, 13, 24 * 20)  # a longer build replaces the cached rows
+    assert miller_basis(20, 13, 24 * 9) is b
+
+
+def test_int64_and_exact_paths_give_identical_rows(monkeypatch):
+    ell = 97
+    fast_m = miller_basis(40, ell, 24 * 12).rows
+    fast_s = miller_basis(40, ell, 24 * 12, "S").rows
+    fast_e = eta_space_basis(36, 7, ell, 24 * 10).rows
+    _clear_caches(monkeypatch)
+    monkeypatch.setattr(spaces, "_INT64_BOUND", 0)  # every kernel takes the exact path
+    assert (miller_basis(40, ell, 24 * 12).rows == fast_m).all()
+    assert (miller_basis(40, ell, 24 * 12, "S").rows == fast_s).all()
+    assert (eta_space_basis(36, 7, ell, 24 * 10).rows == fast_e).all()
+
+
+MERSENNE31 = 2**31 - 1
+
+
+def test_delta_certifies_at_mersenne_prime():
+    prec = 193
+    delta = delta_series(prec).truncate(prec).reduce_mod(MERSENNE31)
+    cert = coordinates(delta, miller_basis(12, MERSENNE31, prec, "S"), prec)
+    assert isinstance(cert, MembershipCertificate)
+    assert cert.coordinates == (1,)
+
+
+def test_delta_certifies_above_2_to_32():
+    # the spanning set's leading coefficients used to overflow at this ell
+    ell, prec = 4294967311, 193
+    delta = delta_series(prec).truncate(prec).reduce_mod(ell)
+    cert = coordinates(delta, miller_basis(12, ell, prec, "S"), prec)
+    assert isinstance(cert, MembershipCertificate)
+    assert cert.coordinates == (1,)
+
+
+def test_delta_squared_certifies_at_mersenne_prime():
+    prec = 193
+    d = delta_series(prec).truncate(prec)
+    f = (d * d).truncate(prec).reduce_mod(MERSENNE31)
+    cert = coordinates(f, miller_basis(24, MERSENNE31, prec, "S"), prec)
+    assert isinstance(cert, MembershipCertificate)
+    assert cert.coordinates == (0, 1)
+    bent = QExp24.from_dict({**dict(f.nonzero_items()), 96: 5}, prec, MERSENNE31)
+    assert coordinates(bent, miller_basis(24, MERSENNE31, prec, "S"), prec) == NotMember(96)
+
+
+def _dense_witness(f, elements, coords, depth):
+    # reference: the combination as a dense series, compared index by index
+    ell = f.modulus
+    for n in range(depth):
+        want = sum(c * e.coeffs[n] for c, e in zip(coords, elements)) % ell
+        if f.coeffs[n] != want:
+            return n
+    return None
+
+
+def _perturbed(f, n, delta):
+    coeffs = list(f.coeffs)
+    coeffs[n] = (coeffs[n] + delta) % f.modulus
+    return QExp24(coeffs, f.prec, f.modulus)
+
+
+def _agree(result, witness) -> int:
+    # a perturbation at a pivot only moves the coordinates: still a member
+    if witness is None:
+        assert isinstance(result, MembershipCertificate)
+        return 0
+    assert result == NotMember(witness)
+    return 1
+
+
+def test_verifier_witness_matches_dense_reference():
+    rng = random.Random(97)
+    refusals = 0
+    for _ in range(40):
+        ell = rng.choice((5, 7, 13, 29))
+        k = rng.choice((12, 16, 24, 36))
+        prec = 24 * (dims(k)[0] + k // 12 + 2)
+        b = miller_basis(k, ell, prec)
+        f = QExp24.zero(prec, ell)
+        for e in b.elements:
+            f = f + e.scale(rng.randrange(ell))
+        n = rng.randrange(prec)  # on strand when n % 24 == 0, off it otherwise
+        if rng.random() < 0.5:
+            n -= n % 24
+        g = _perturbed(f, n, rng.randrange(1, ell))
+        coords = [g.coeffs[24 * p] for p in b.pivots]
+        refusals += _agree(coordinates(g, b, prec), _dense_witness(g, b.elements, coords, prec))
+
+        lam, r = rng.choice(((12, 1), (14, 5), (24, 1), (20, 13)))
+        w, depth = membership_depth(lam, r)
+        desc = eta_space_basis(lam, r, ell, 24 * (dims(w)[0] + w // 12 + 2) + r % 24)
+        h = QExp24.zero(depth, ell)
+        for e in desc.elements:
+            h = h + e.truncate(depth).scale(rng.randrange(ell))
+        n = rng.randrange(depth)
+        if rng.random() < 0.5:
+            n = max(r % 24, n - (n - r % 24) % 24)
+        g = _perturbed(h, n, rng.randrange(1, ell))
+        coords = [g.coeffs[p] for p in desc.pivots]
+        want = _dense_witness(g, desc.elements, coords, depth)
+        refusals += _agree(eta_membership(g, lam, r), want)
+    assert refusals > 40
