@@ -127,7 +127,7 @@ def small_lambda_check(g, lam: int | None = None, r: int | None = None):
         return CheckResult(name, False, None), None
     if r % 24 != 1:
         return CheckResult(name, False, None), None
-    c = series.coeffs[1] if series.prec > 1 else 0
+    c = series.coeff(1) if series.prec > 1 else 0
     target = eta_series(series.prec, ell).scale(c)
     bad = series.first_difference(target, series.prec)
     if bad is not None:
@@ -203,8 +203,8 @@ def classify(form: HalfIntForm, ell: int | None = None) -> CaseReport:
     mult_check = check_multiplier(r, ell)
     checks = [cls_check, mult_check]
 
-    a1 = series.coeffs[1] if series.prec > 1 else 0
-    al = series.coeffs[ell] if series.prec > ell else 0
+    a1 = series.coeff(1) if series.prec > 1 else 0
+    al = series.coeff(ell) if series.prec > ell else 0
 
     def report(case: str, congruence: CheckResult) -> CaseReport:
         return CaseReport(

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from .qseries import (
     QExp24,
     PrecisionError,
+    _exact,
+    _legendre,
+    _square_series,
     kronecker,
     is_prime,
     squarefree_part,
@@ -184,6 +187,11 @@ def hecke_tp2(f: QExp24, spec: HeckeSpec) -> QExp24:
     with chi(p) = (12/p) when char12 is set and a(n/p^2) = 0 unless p^2
     divides n.  Output precision is ceil(P / p^2); the residue class is
     preserved since p^2 = 1 mod 24.
+
+    Since p^2 = 1 mod 24, p^2 n lies on the strand of n: with strand
+    indices n = o + s j, index p^2 n sits at entry k0 + p^2 j with
+    k0 = (p^2 - 1) o / s, so a(p^2 n) and a(n / p^2) are strided slices
+    of f's strand.
     """
     ell = f.modulus
     if ell is None:
@@ -197,14 +205,14 @@ def hecke_tp2(f: QExp24, spec: HeckeSpec) -> QExp24:
     parity_sign = kronecker(-1, p) if lam_int % 2 else 1
     c1 = chi * parity_sign * pow(p, lam_int - 1, ell) % ell
     c2 = pow(p, 2 * lam_int - 1, ell)
-    out = [0] * new_prec
-    a = f.coeffs
-    for n in range(new_prec):
-        v = a[p2 * n] + c1 * kronecker(n, p) * a[n]
-        if n % p2 == 0:
-            v += c2 * a[n // p2]
-        out[n] = v % ell
-    return QExp24(out, new_prec, ell, f.residue)
+    a = f.values
+    n = f.indices()[: len(range(f.offset, new_prec, f.step))]
+    k0 = (p2 - 1) * f.offset // f.step
+    # each entry sums three products of residues
+    chi_n = _exact(_legendre(n, p), 3, ell) * c1 % ell
+    out = _exact(a[k0::p2][: n.size], 3, ell) + chi_n * _exact(a[: n.size], 3, ell)
+    out[k0::p2] += c2 * _exact(a[: len(range(k0, n.size, p2))], 3, ell)
+    return QExp24(values=out, prec=new_prec, modulus=ell, residue=f.residue)
 
 
 def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
@@ -238,8 +246,7 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
         * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell))
     ) % ell
     lhs = hecke_tp2(g.series, HeckeSpec(p, g.lam, char12=True, eps_p=eps_p))
-    a = g.series.coeffs
-    return all(c == scalar * a[n] % ell for n, c in enumerate(lhs.coeffs))
+    return lhs == g.series.truncate(lhs.prec).scale(scalar)
 
 
 def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
@@ -259,6 +266,8 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
         raise PrecisionError(
             f"need precision above {t * n_max * n_max}, have {f.prec}"
         )
+    # a(t m^2) for m <= n_max: the only coefficients the sums read
+    a = [f.coeff(t * m * m) for m in range(n_max + 1)]
     out = []
     for n in range(1, n_max + 1):
         total = 0
@@ -270,7 +279,7 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
                 sign
                 * kronecker(12 * t, d)
                 * pow(d, lam - 1, ell)
-                * f.coeffs[t * (n // d) ** 2]
+                * a[n // d]
             )
         out.append(total % ell)
     return out
@@ -284,24 +293,14 @@ def canonical_t1(lam: int, ell: int, prec: int) -> QExp24:
     """
     if prec < 2:
         raise PrecisionError("canonical series need precision >= 2")
-    coeffs = [0] * prec
-    n = 1
-    while n * n < prec:
-        coeffs[n * n] = kronecker(12, n) * pow(n, lam, ell) % ell
-        n += 1
-    return QExp24(coeffs, prec, ell, residue=1)
+    return _square_series(1, prec, ell, lam)
 
 
 def canonical_t2(ell: int, prec: int) -> QExp24:
     """T2 = sum (12/n) q^(ell n^2 / 24) mod ell, residue class ell mod 24."""
     if prec < 2:
         raise PrecisionError("canonical series need precision >= 2")
-    coeffs = [0] * prec
-    n = 1
-    while ell * n * n < prec:
-        coeffs[ell * n * n] = kronecker(12, n) % ell
-        n += 1
-    return QExp24(coeffs, prec, ell, residue=ell % 24)
+    return _square_series(ell, prec, ell)
 
 
 def eta_form(prec: int, ell: int) -> HalfIntForm:

@@ -4,13 +4,28 @@ A series is sum_{0 <= n < prec} a(n) q^(n/24) with exact coefficients:
 arbitrary-precision integers, or elements of F_ell for a prime ell >= 5.
 An optional residue class r0 records the support claim
 a(n) != 0  =>  n = r0 (mod 24).  Integer-exponent forms are the special
-case r0 = 0 with every index divisible by 24.
+case r0 = 0.
+
+Storage is one numpy strand per series.  With the residue tag set, entry
+m of ``values`` is the coefficient at index r0 + 24 m; without it, entry
+m is the coefficient at index m.  Coefficients off the tagged class have
+no slot, so the support claim holds by construction: a dense coefficient
+list given to the constructor is checked once, and every operation
+computes its output strand directly from its input strands.  Residues
+mod ell are stored as int64 below 2^63; integer series and larger ell
+use object arrays of Python integers.  The dense tuple ``coeffs`` is
+built only on first access.
 
 All values are immutable after construction; every operation returns a
 new series.  Precision bookkeeping is pessimistic and certified: an
 operation's output precision is the largest P such that all indices
 n < P of the true result are determined by the known prefixes of the
 inputs.
+
+The exact kernels here (``_exact``, ``_reduce``, ``_conv``) are shared
+with ``spaces`` and ``halfint``: every product of residues is checked to
+keep its sums below 2^63 in int64 and otherwise runs the same numpy
+operations on Python integers.
 """
 
 from __future__ import annotations
@@ -36,28 +51,42 @@ __all__ = [
     "series_from_text",
 ]
 
-# np.convolve on int64 is exact as long as no inner sum overflows; with
-# coefficients reduced to [0, ell) a sum of N products is < N * (ell-1)^2.
-_INT64_SAFE = 2**62
-
 
 class PrecisionError(ValueError):
     """A coefficient index or verification depth lies beyond known precision."""
 
 
-@lru_cache(maxsize=None)
+# The first 13 primes as Miller-Rabin bases decide primality of every n
+# below psi_13, the least strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError for n at or above psi_13 = 3.317e24."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MR_BOUND:
+        raise ValueError(f"is_prime is proven only below {_MR_BOUND}, got {n}")
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -121,22 +150,120 @@ def _validate_modulus(modulus):
         raise ValueError(f"modulus must be a prime >= 5, got {modulus}")
 
 
-class QExp24:
-    """Dense truncated expansion sum a(n) q^(n/24).
+# === exact kernels on strands ===
 
-    coeffs[n] holds the coefficient of q^(n/24) for 0 <= n < prec.
+# Residues lie in [0, ell), so a sum of n products of two residues stays
+# below n * (ell - 1)^2; int64 numpy is exact while that is below this.
+_INT64_BOUND = 2**63
+
+
+def _dtype(ell):
+    """Storage dtype of the ring: int64 for F_ell with ell < 2^63, else Python integers."""
+    return np.int64 if ell is not None and ell < 2**63 else object
+
+
+def _exact(a: np.ndarray, n: int, ell) -> np.ndarray:
+    """a itself, or a as Python integers when n products mod ell can overflow int64."""
+    if ell is not None and n * (ell - 1) ** 2 >= _INT64_BOUND:
+        return a.astype(object)
+    return a
+
+
+def _reduce(a: np.ndarray, ell) -> np.ndarray:
+    """a mod ell in the ring's storage dtype; over Z, a as Python integers."""
+    return (a if ell is None else a % ell).astype(_dtype(ell), copy=False)
+
+
+def _conv(a: np.ndarray, b: np.ndarray, ell, length: int) -> np.ndarray:
+    """(a * b mod ell) truncated or zero-padded to length; exact over Z for ell None."""
+    a, b = a[:length], b[:length]
+    n = min(a.size, b.size)
+    out = np.zeros(length, dtype=_dtype(ell))
+    if n:
+        c = np.convolve(_exact(a, n, ell), _exact(b, n, ell))[:length]
+        out[: c.size] = _reduce(c, ell)
+    return out
+
+
+def _lattice(residue) -> tuple:
+    """(offset, step): entry m of a strand is the coefficient at offset + step m."""
+    return (0, 1) if residue is None else (residue, 24)
+
+
+def _length(prec: int, residue) -> int:
+    """Number of strand entries below prec."""
+    offset, step = _lattice(residue)
+    return len(range(offset, prec, step))
+
+
+def _claim(dense: np.ndarray, residue) -> np.ndarray:
+    """The strand of a dense array for the class residue.
+
+    ValueError names the first index off the class with a nonzero
+    coefficient.
+    """
+    if residue is None:
+        return dense
+    support = np.flatnonzero(dense)
+    off = support[support % 24 != residue]
+    if off.size:
+        raise ValueError(
+            f"coefficient at index {off[0]} violates support class {residue} (mod 24)"
+        )
+    return dense[residue::24].copy()
+
+
+def _legendre(n: np.ndarray, p: int) -> np.ndarray:
+    """(n|p) for an array of nonnegative integers n, from a table over n mod p."""
+    size = min(p, int(n.max()) + 1) if n.size else 0
+    table = np.array([kronecker(j, p) for j in range(size)], dtype=np.int64)
+    return table[n % p if size == p else n]
+
+
+def _square_strand(m: int, length: int, modulus, lam: int = 0) -> np.ndarray:
+    """Strand of sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24).
+
+    m n^2 = m (mod 24) for every such n, so entry j is the coefficient at
+    index m % 24 + 24 j; entries j < length are filled.
+    """
+    out = np.zeros(length, dtype=_dtype(modulus))
+    r = m % 24
+    n = 1
+    while (m * n * n - r) // 24 < length:
+        c = kronecker(12, n) * pow(n, lam, modulus)
+        out[(m * n * n - r) // 24] = c if modulus is None else c % modulus
+        n += 4 if n % 6 == 1 else 2  # n runs over 1, 5, 7, 11, ... (prime to 6)
+    return out
+
+
+class QExp24:
+    """Truncated expansion sum a(n) q^(n/24), stored as one strand.
+
     modulus is None for integer coefficients or a prime ell >= 5 for
     F_ell (stored reduced to [0, ell)).  residue, when set, asserts the
-    support lies in the class residue (mod 24) and is validated.
+    support lies in the class residue (mod 24).
+
+    values is a read-only numpy array: values[m] is the coefficient at
+    index offset + step m below prec, with (offset, step) = (residue, 24)
+    when the residue tag is set and (0, 1) otherwise.  coeffs is the
+    dense tuple a(0), ..., a(prec - 1), built and cached on first access.
+
+    The constructor takes either the dense coefficient list coeffs,
+    whose support is checked against the residue claim, or the strand
+    itself as values= (exactly one entry per index of the lattice below
+    prec), which is taken over and made read-only.  Both are reduced
+    into the ring.
 
     Equality compares ring, precision, and coefficients; the residue
     tag is a support claim, not part of the value.
     """
 
-    __slots__ = ("coeffs", "prec", "modulus", "residue")
+    __slots__ = ("values", "prec", "modulus", "residue", "_coeffs")
 
-    def __init__(self, coeffs, prec=None, modulus=None, residue=None):
+    def __init__(self, coeffs=(), prec=None, modulus=None, residue=None, *, values=None):
         coeffs = list(coeffs)
+        if values is not None and (coeffs or prec is None):
+            raise ValueError("a strand of values needs prec and no dense coefficients")
         if prec is None:
             prec = len(coeffs)
         if prec < 1:
@@ -148,33 +275,32 @@ class QExp24:
             coeffs = [int(c) % modulus for c in coeffs]
         else:
             coeffs = [int(c) for c in coeffs]
-        if len(coeffs) < prec:
-            coeffs.extend([0] * (prec - len(coeffs)))
-        if residue is not None:
-            if not 0 <= residue < 24:
-                raise ValueError("residue must lie in [0, 24)")
-            for n, c in enumerate(coeffs):
-                if c and n % 24 != residue:
-                    raise ValueError(
-                        f"coefficient at index {n} violates support class "
-                        f"{residue} (mod 24)"
-                    )
-        self.coeffs = tuple(coeffs)
+        if residue is not None and not 0 <= residue < 24:
+            raise ValueError("residue must lie in [0, 24)")
+        if values is None:
+            dense = np.zeros(prec, dtype=_dtype(modulus))
+            dense[: len(coeffs)] = coeffs
+            values = _claim(dense, residue)
+        elif np.shape(values) != (_length(prec, residue),):
+            raise ValueError(f"strand of shape {np.shape(values)} does not fit prec {prec}")
+        else:
+            values = _reduce(np.asarray(values), modulus)
+        values.flags.writeable = False
+        self.values = values
         self.prec = prec
         self.modulus = modulus
         self.residue = residue
+        self._coeffs = None
 
     # === constructors ===
 
     @classmethod
     def zero(cls, prec: int, modulus=None, residue=None) -> "QExp24":
-        return cls([0] * prec, prec, modulus, residue)
+        return cls([], prec, modulus, residue)
 
     @classmethod
     def one(cls, prec: int, modulus=None) -> "QExp24":
-        c = [0] * prec
-        c[0] = 1
-        return cls(c, prec, modulus, residue=0)
+        return cls([1], prec, modulus, residue=0)
 
     @classmethod
     def from_dict(cls, terms: dict, prec: int, modulus=None, residue=None) -> "QExp24":
@@ -187,46 +313,85 @@ class QExp24:
 
     # === inspection ===
 
+    @property
+    def offset(self) -> int:
+        return _lattice(self.residue)[0]
+
+    @property
+    def step(self) -> int:
+        return _lattice(self.residue)[1]
+
+    def indices(self) -> np.ndarray:
+        """The index of every strand entry: offset + step m."""
+        return self.offset + self.step * np.arange(self.values.size)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The dense coefficient tuple, built on first access."""
+        if self._coeffs is None:
+            self._coeffs = tuple(self.strand(None).tolist())
+        return self._coeffs
+
+    def strand(self, residue) -> np.ndarray:
+        """Coefficients at the indices residue + 24 m below prec; all of them for None."""
+        if residue == self.residue:
+            return self.values
+        if self.residue is None:
+            return self.values[residue::24]
+        out = np.zeros(_length(self.prec, residue), dtype=self.values.dtype)
+        if residue is None:
+            out[self.residue :: 24] = self.values
+        return out
+
     def coeff(self, n: int) -> int:
         if n < 0:
             raise ValueError("negative index")
         if n >= self.prec:
             raise PrecisionError(f"index {n} beyond precision {self.prec}")
-        return self.coeffs[n]
+        m, off = divmod(n - self.offset, self.step)
+        return 0 if off else int(self.values[m])
 
     __getitem__ = coeff
 
     def valuation(self) -> int:
         """Smallest index with a nonzero coefficient, or prec if none."""
-        for n, c in enumerate(self.coeffs):
-            if c:
-                return n
-        return self.prec
+        nz = np.flatnonzero(self.values)
+        return self.offset + self.step * int(nz[0]) if nz.size else self.prec
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not np.count_nonzero(self.values)
 
     def support(self):
-        return [n for n, c in enumerate(self.coeffs) if c]
+        return (self.offset + self.step * np.flatnonzero(self.values)).tolist()
 
     def nonzero_items(self):
-        return [(n, c) for n, c in enumerate(self.coeffs) if c]
+        nz = np.flatnonzero(self.values)
+        return list(zip((self.offset + self.step * nz).tolist(), self.values[nz].tolist()))
+
+    def first_off_class(self, residue: int, depth: int | None = None):
+        """First index below depth (default prec) with a nonzero coefficient outside residue mod 24."""
+        if self.residue == residue:
+            return None
+        support = self.offset + self.step * np.flatnonzero(self.values)
+        off = support[support % 24 != residue]
+        if off.size and (depth is None or off[0] < depth):
+            return int(off[0])
+        return None
 
     def __eq__(self, other):
         if not isinstance(other, QExp24):
             return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.prec == other.prec
-            and self.coeffs == other.coeffs
-        )
+        if self.modulus != other.modulus or self.prec != other.prec:
+            return False
+        return self.first_difference(other, self.prec) is None
 
     __hash__ = None
 
     def __repr__(self):
         ring = "Z" if self.modulus is None else f"F{self.modulus}"
-        head = ", ".join(f"{n}:{c}" for n, c in self.nonzero_items()[:4])
-        tail = ", ..." if len(self.support()) > 4 else ""
+        items = self.nonzero_items()
+        head = ", ".join(f"{n}:{c}" for n, c in items[:4])
+        tail = ", ..." if len(items) > 4 else ""
         return f"QExp24<{ring}, prec={self.prec}, residue={self.residue}>[{head}{tail}]"
 
     def first_difference(self, other: "QExp24", depth: int):
@@ -234,10 +399,11 @@ class QExp24:
         self._same_ring(other)
         if depth > self.prec or depth > other.prec:
             raise PrecisionError("comparison depth exceeds available precision")
-        for n in range(depth):
-            if self.coeffs[n] != other.coeffs[n]:
-                return n
-        return None
+        residue = self.residue if self.residue == other.residue else None
+        n = _length(depth, residue)
+        bad = np.flatnonzero(self.strand(residue)[:n] != other.strand(residue)[:n])
+        offset, step = _lattice(residue)
+        return offset + step * int(bad[0]) if bad.size else None
 
     def agrees_with(self, other: "QExp24", depth: int) -> bool:
         return self.first_difference(other, depth) is None
@@ -253,7 +419,6 @@ class QExp24:
     def _addsub(self, other, sign):
         self._same_ring(other)
         prec = min(self.prec, other.prec)
-        out = [self.coeffs[n] + sign * other.coeffs[n] for n in range(prec)]
         if self.residue == other.residue:
             residue = self.residue
         elif self.is_zero():
@@ -262,7 +427,11 @@ class QExp24:
             residue = self.residue
         else:
             residue = None
-        return QExp24(out, prec, self.modulus, residue)
+        ell = self.modulus
+        n = _length(prec, residue)
+        a = _exact(self.strand(residue)[:n], 1, ell)
+        b = _exact(other.strand(residue)[:n], 1, ell)
+        return QExp24(values=a + sign * b, prec=prec, modulus=ell, residue=residue)
 
     def __add__(self, other):
         return self._addsub(other, 1)
@@ -274,8 +443,10 @@ class QExp24:
         return self.scale(-1)
 
     def scale(self, c: int) -> "QExp24":
-        out = [c * v for v in self.coeffs]
-        return QExp24(out, self.prec, self.modulus, self.residue)
+        ell = self.modulus
+        c = int(c) if ell is None else int(c) % ell
+        out = _exact(self.values, 1, ell) * c
+        return QExp24(values=out, prec=self.prec, modulus=ell, residue=self.residue)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -284,60 +455,20 @@ class QExp24:
         vf, vg = self.valuation(), other.valuation()
         prec = min(self.prec + vg, other.prec + vf)
         if self.residue is not None and other.residue is not None:
-            residue = (self.residue + other.residue) % 24
+            # index rf + rg + 24 m of the product sits at strand entry
+            # m + 1 when rf + rg >= 24
+            base = self.residue + other.residue
+            residue, shift = base % 24, base // 24
+            a, b = self.values, other.values
         else:
-            residue = None
-        if self.modulus is None:
-            out = self._mul_int(other, prec)
-        else:
-            out = self._mul_mod(other, prec, residue)
-        return QExp24(out, prec, self.modulus, residue)
+            residue, shift = None, 0
+            a, b = self.strand(None), other.strand(None)
+        n = _length(prec, residue)
+        out = np.zeros(n, dtype=self.values.dtype)
+        out[shift:] = _conv(a, b, self.modulus, max(n - shift, 0))
+        return QExp24(values=out, prec=prec, modulus=self.modulus, residue=residue)
 
     __rmul__ = __mul__
-
-    def _mul_int(self, other, prec):
-        # Exact big-integer convolution over the nonzero supports.
-        out = [0] * prec
-        items_g = other.nonzero_items()
-        for n, c in self.nonzero_items():
-            if n >= prec:
-                break
-            for m, d in items_g:
-                k = n + m
-                if k >= prec:
-                    break
-                out[k] += c * d
-        return out
-
-    def _mul_mod(self, other, prec, residue):
-        ell = self.modulus
-        out = [0] * prec
-        if residue is not None:
-            # Both supports sit on arithmetic progressions with gap 24;
-            # convolve the compressed strands and re-place with offset.
-            rf, rg = self.residue, other.residue
-            a = np.array(self.coeffs[rf::24], dtype=np.int64)
-            b = np.array(other.coeffs[rg::24], dtype=np.int64)
-            if a.size == 0 or b.size == 0:
-                return out
-            if min(a.size, b.size) * (ell - 1) ** 2 >= _INT64_SAFE:
-                return self._mul_int(other, prec)  # exact fallback
-            conv = np.convolve(a, b) % ell
-            base = rf + rg
-            limit = min(conv.size, (prec - base + 23) // 24 if prec > base else 0)
-            for m in range(limit):
-                idx = base + 24 * m
-                if idx < prec:
-                    out[idx] = int(conv[m])
-            return out
-        a = np.array(self.coeffs, dtype=np.int64)
-        b = np.array(other.coeffs, dtype=np.int64)
-        if min(a.size, b.size) * (ell - 1) ** 2 >= _INT64_SAFE:
-            return self._mul_int(other, prec)
-        conv = np.convolve(a, b) % ell
-        upto = min(prec, conv.size)
-        out[:upto] = [int(x) for x in conv[:upto]]
-        return out
 
     def __pow__(self, e: int) -> "QExp24":
         if not isinstance(e, int):
@@ -361,33 +492,38 @@ class QExp24:
     def truncate(self, prec: int) -> "QExp24":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision by truncation")
-        return QExp24(self.coeffs[:prec], prec, self.modulus, self.residue)
+        values = self.values[: _length(prec, self.residue)]
+        return QExp24(values=values, prec=prec, modulus=self.modulus, residue=self.residue)
 
     def reduce_mod(self, ell: int) -> "QExp24":
         """Reduction map Z[[q^(1/24)]] -> F_ell[[q^(1/24)]]."""
         if self.modulus is not None:
             raise ValueError("series already has prime-field coefficients")
-        return QExp24(self.coeffs, self.prec, ell, self.residue)
+        return QExp24(values=self.values, prec=self.prec, modulus=ell, residue=self.residue)
 
     def with_residue(self, residue) -> "QExp24":
-        """Attach (and validate) a support-class claim."""
-        return QExp24(self.coeffs, self.prec, self.modulus, residue)
+        """Attach (and validate) a support-class claim; None drops the claim."""
+        if residue is not None and not 0 <= residue < 24:
+            raise ValueError("residue must lie in [0, 24)")
+        values = _claim(self.strand(None), residue)
+        return QExp24(values=values, prec=self.prec, modulus=self.modulus, residue=residue)
 
 
 # === canonical series and operators ===
+
+
+def _square_series(m: int, prec: int, modulus, lam: int = 0) -> QExp24:
+    """sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24), residue class m mod 24."""
+    _validate_modulus(modulus)
+    values = _square_strand(m, _length(prec, m % 24), modulus, lam)
+    return QExp24(values=values, prec=prec, modulus=modulus, residue=m % 24)
 
 
 def eta_series(prec: int, modulus=None) -> QExp24:
     """q^(1/24) prod (1-q^n) in closed form: sum_{n>=1} (12|n) q^(n^2/24)."""
     if prec < 2:
         raise ValueError("prec must be at least 2 to see the leading term")
-    _validate_modulus(modulus)
-    coeffs = [0] * prec
-    n = 1
-    while n * n < prec:
-        coeffs[n * n] = kronecker(12, n)
-        n += 1
-    return QExp24(coeffs, prec, modulus, residue=1)
+    return _square_series(1, prec, modulus)
 
 
 def theta_op(f: QExp24) -> QExp24:
@@ -396,8 +532,9 @@ def theta_op(f: QExp24) -> QExp24:
         raise ValueError("theta_op needs prime-field coefficients")
     ell = f.modulus
     inv24 = pow(24, -1, ell)
-    out = [(n * inv24 % ell) * c % ell for n, c in enumerate(f.coeffs)]
-    return QExp24(out, f.prec, ell, f.residue)
+    weight = _exact(f.indices(), 1, ell) % ell * inv24 % ell
+    out = weight * _exact(f.values, 1, ell)
+    return QExp24(values=out, prec=f.prec, modulus=ell, residue=f.residue)
 
 
 def u_op(f: QExp24, m: int) -> QExp24:
@@ -405,12 +542,15 @@ def u_op(f: QExp24, m: int) -> QExp24:
     if m < 1:
         raise ValueError("U_m needs m >= 1")
     prec = -(-f.prec // m)
-    out = [f.coeffs[m * n] for n in range(prec)]
     if f.residue is not None and math.gcd(m, 24) == 1:
         residue = f.residue * pow(m, -1, 24) % 24
+        # m (residue + 24 j) = f.residue (mod 24) sits at entry start + m j of f
+        start = (m * residue - f.residue) // 24
+        values = f.values[start::m][: _length(prec, residue)].copy()
     else:
         residue = None
-    return QExp24(out, prec, f.modulus, residue)
+        values = f.strand(None)[::m].copy()
+    return QExp24(values=values, prec=prec, modulus=f.modulus, residue=residue)
 
 
 def v_op(f: QExp24, m: int) -> QExp24:
@@ -418,11 +558,12 @@ def v_op(f: QExp24, m: int) -> QExp24:
     if m < 1:
         raise ValueError("V_m needs m >= 1")
     prec = m * f.prec
-    out = [0] * prec
-    for n, c in f.nonzero_items():
-        out[m * n] = c
     residue = None if f.residue is None else (m * f.residue) % 24
-    return QExp24(out, prec, f.modulus, residue)
+    out = np.zeros(_length(prec, residue), dtype=f.values.dtype)
+    # m (offset + step k) sits at entry start + m k of the output strand
+    start = (m * f.offset - _lattice(residue)[0]) // f.step
+    out[start : start + m * f.values.size : m] = f.values
+    return QExp24(values=out, prec=prec, modulus=f.modulus, residue=residue)
 
 
 def twist(f: QExp24, p: int, kind: str = "quadratic") -> QExp24:
@@ -435,19 +576,22 @@ def twist(f: QExp24, p: int, kind: str = "quadratic") -> QExp24:
     """
     if p in (2, 3) or p < 2 or not is_prime(p):
         raise ValueError(f"twist needs a prime p >= 5, got {p}")
+    n = f.indices()
     if kind == "quadratic":
-        out = [kronecker(n, p) * c for n, c in enumerate(f.coeffs)]
+        chi = _legendre(n, p)
     elif kind == "trivial":
-        out = [0 if n % p == 0 else c for n, c in enumerate(f.coeffs)]
+        # p divides no index 0 < n < prec when p >= prec
+        chi = np.where((n % p if p < f.prec else n) != 0, 1, 0)
     else:
         raise ValueError(f"unknown twist kind {kind!r}")
-    return QExp24(out, f.prec, f.modulus, f.residue)
+    out = f.values * chi.astype(f.values.dtype)
+    return QExp24(values=out, prec=f.prec, modulus=f.modulus, residue=f.residue)
 
 
 def support_square_classes(f: QExp24) -> dict:
     """Group the nonzero support by squarefree part: {t: [indices]}."""
     classes: dict = {}
-    for n, _ in f.nonzero_items():
+    for n in f.support():
         classes.setdefault(squarefree_part(n), []).append(n)
     return classes
 

@@ -16,13 +16,16 @@ Rows are cached process-wide, once per (k, kind, ell) for Miller bases
 and once per (w, r0, ell) for eta spaces; a shorter precision is served
 as a prefix of the longest matrix built, which equals a cold build
 because truncation commutes with the convolutions and row operations.
-A repeated call with the same arguments returns the same object.
-Empty spaces are not cached.  The fill is idempotent, so concurrent
-rebuilds are harmless.
+A repeated call with the same arguments returns the same object while
+its rows stay cached.  Each cache drops its least recently used entries
+once its row matrices pass _CACHE_BYTES; a dropped space is rebuilt on
+demand.  Empty spaces are not cached.  The caches are not locked:
+they belong to one thread of one process (``verify --jobs`` runs
+worker processes).
 
-Residues are stored as int64 (object for ell >= 2^63).  Every kernel
-checks that its sums of products stay below 2^63 and otherwise runs the
-same numpy operations on Python integers.
+Residues are stored as int64 (object for ell >= 2^63).  The kernels
+share qseries' exact guards: sums of products stay below 2^63 in int64
+and otherwise run the same numpy operations on Python integers.
 """
 
 from __future__ import annotations
@@ -33,7 +36,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .qseries import QExp24, PrecisionError, eta_series, is_prime, kronecker
+from .qseries import (
+    QExp24,
+    PrecisionError,
+    _conv,
+    _dtype,
+    _exact,
+    _square_strand,
+    eta_series,
+    is_prime,
+)
 
 __all__ = [
     "CertificationError",
@@ -84,9 +96,7 @@ def _e4_e6(n: int) -> tuple:
 
 
 def _integer_exponent_series(values: list, prec: int) -> QExp24:
-    coeffs = [0] * prec
-    coeffs[0::24] = values
-    return QExp24(coeffs, prec, None, residue=0)
+    return QExp24(values=np.array(values, dtype=object), prec=prec, residue=0)
 
 
 def eisenstein_e4(prec: int) -> QExp24:
@@ -105,30 +115,6 @@ def delta_series(prec: int) -> QExp24:
 
 
 # === exact mod-ell kernels on strand matrices ===
-
-# Residues lie in [0, ell), so a sum of n products of two residues stays
-# below n * (ell - 1)^2; int64 numpy is exact while that is below this.
-_INT64_BOUND = 2**63
-
-
-def _dtype(ell: int):
-    return np.int64 if ell < 2**63 else object
-
-
-def _exact(a: np.ndarray, n: int, ell: int) -> np.ndarray:
-    """a itself, or a as Python integers when n products mod ell can overflow int64."""
-    return a.astype(object) if n * (ell - 1) ** 2 >= _INT64_BOUND else a
-
-
-def _conv(a: np.ndarray, b: np.ndarray, ell: int, length: int) -> np.ndarray:
-    """(a * b mod ell) truncated or zero-padded to length."""
-    a, b = a[:length], b[:length]
-    n = min(a.size, b.size)
-    c = np.convolve(_exact(a, n, ell), _exact(b, n, ell))[:length] % ell
-    c = c.astype(_dtype(ell), copy=False)
-    if c.size < length:
-        c = np.pad(c, (0, length - c.size))
-    return c
 
 
 def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
@@ -220,22 +206,45 @@ def _spanning_rows(k: int, ell: int, length: int, start: int, factor: np.ndarray
     return np.array(rows[start:])
 
 
-def _cached_view(cache: dict, key, view_key, length: int, build, make):
+# Bytes of row matrices each cache keeps before it drops its least
+# recently used entries.  Every benchmark workload stays below it (the
+# largest, case 3 at ell = 97, peaks at 6.3 MB); case 3 at ell = 193
+# would otherwise keep about 150 MB of eta-space rows it uses once.
+_CACHE_BYTES = 16 * 2**20
+
+
+class _RowCache:
+    """Cached row matrices by key, in order of last use, and their total bytes."""
+
+    def __init__(self):
+        self.entries = {}
+        self.nbytes = 0
+
+
+def _cached_view(cache: _RowCache, key, view_key, length: int, build, make):
     """The object make(rows[:, :length]) for view_key, building rows on demand.
 
-    cache[key] holds [rows, {view_key: object}]: the longest row matrix
-    built so far and every object served from it.  Rows are rebuilt only
-    when a longer prefix is asked for; objects served earlier keep their
-    own (equal) prefix.
+    cache.entries[key] holds [rows, {view_key: object}]: the longest row
+    matrix built so far and every object served from it.  Rows are
+    rebuilt only when a longer prefix is asked for; objects served
+    earlier keep their own (equal) prefix.  Once the rows of the cache
+    pass _CACHE_BYTES, the least recently used entries are dropped
+    whole, never the one just served.
     """
-    entry = cache.setdefault(key, [None, {}])
+    entry = cache.entries.get(key, [None, {}])
     view = entry[1].get(view_key)
     if view is None:
         if entry[0] is None or entry[0].shape[1] < length:
             rows = build(length)
             rows.flags.writeable = False
+            cache.nbytes += rows.nbytes - (0 if entry[0] is None else entry[0].nbytes)
             entry[0] = rows
         view = entry[1][view_key] = make(entry[0][:, :length])
+    cache.entries.pop(key, None)
+    cache.entries[key] = entry  # most recently used last
+    while cache.nbytes > _CACHE_BYTES and len(cache.entries) > 1:
+        oldest = next(iter(cache.entries))
+        cache.nbytes -= cache.entries.pop(oldest)[0].nbytes
     return view
 
 
@@ -243,12 +252,6 @@ def _no_rows(ell: int, length: int) -> np.ndarray:
     rows = np.zeros((0, length), dtype=_dtype(ell))
     rows.flags.writeable = False
     return rows
-
-
-def _expand(row: np.ndarray, offset: int, prec: int, ell: int) -> QExp24:
-    coeffs = [0] * prec
-    coeffs[offset::24] = row.tolist()
-    return QExp24(coeffs, prec, ell, offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,12 +277,14 @@ class SpaceBasis:
 
     @cached_property
     def elements(self) -> tuple:
-        """The basis as dense series, expanded on first access."""
-        return tuple(_expand(row, 0, self.prec, self.ell) for row in self.rows)
+        """The basis as series, built on first access."""
+        return tuple(
+            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=0) for row in self.rows
+        )
 
 
-_MILLER_CACHE: dict = {}
-_ETA_CACHE: dict = {}
+_MILLER_CACHE = _RowCache()
+_ETA_CACHE = _RowCache()
 
 
 def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
@@ -338,15 +343,14 @@ def _solve(f: QExp24, rows: np.ndarray, pivots, offset: int, depth: int, space):
     mismatch or an off-strand nonzero coefficient.
     """
     ell = f.modulus
-    coeffs = f.coeffs
-    coords = [coeffs[offset + 24 * p] for p in pivots]
     n = len(range(offset, depth, 24))
-    combo = _combine(coords, rows[:, :n], ell)
-    target = np.array(coeffs[offset:depth:24], dtype=_dtype(ell))
-    bad = np.flatnonzero(combo != target)
+    target = f.strand(offset)[:n]
+    coords = target[list(pivots)].tolist()
+    bad = np.flatnonzero(_combine(coords, rows[:, :n], ell) != target)
     limit = offset + 24 * int(bad[0]) if bad.size else depth
-    if f.residue != offset:  # a matching residue tag already rules out off-strand terms
-        limit = next((i for i in range(limit) if coeffs[i] and i % 24 != offset), limit)
+    off = f.first_off_class(offset, limit)
+    if off is not None:
+        return NotMember(off)
     if limit < depth:
         return NotMember(limit)
     return MembershipCertificate(tuple(coords), depth, space)
@@ -384,7 +388,7 @@ def sturm_check(f: QExp24, g: QExp24, k: int, kind: str = "M") -> bool:
     need = 24 * bound + 1
     if f.prec < need or g.prec < need:
         raise PrecisionError(f"Sturm check at weight {k} needs precision {need}")
-    return all(f.coeffs[24 * m] == g.coeffs[24 * m] for m in range(bound + 1))
+    return np.array_equal(f.strand(0)[: bound + 1], g.strand(0)[: bound + 1])
 
 
 def filtration(f: QExp24, k: int) -> int:
@@ -402,9 +406,8 @@ def filtration(f: QExp24, k: int) -> int:
         raise ValueError("the filtration of the zero series is undefined")
     if k < 0 or k % 2:
         raise ValueError(f"weight {k} holds no nonzero level-one forms")
-    for n, _ in f.nonzero_items():
-        if n % 24:
-            raise ValueError("filtration applies to integer-exponent series")
+    if f.first_off_class(0) is not None:
+        raise ValueError("filtration applies to integer-exponent series")
     depth = 24 * (k // 12 + 1) + 1
     if f.prec < depth:
         raise PrecisionError(f"filtration at weight {k} needs precision {depth}")
@@ -450,8 +453,11 @@ class EtaSpaceDescriptor:
 
     @cached_property
     def elements(self) -> tuple:
-        """The basis as dense series, expanded on first access."""
-        return tuple(_expand(row, self.r0, self.prec, self.ell) for row in self.rows)
+        """The basis as series, built on first access."""
+        return tuple(
+            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=self.r0)
+            for row in self.rows
+        )
 
 
 def membership_depth(lam: int, r: int) -> tuple:
@@ -466,20 +472,6 @@ def _check_eta_args(lam: int, r: int):
         raise ValueError(f"multiplier exponent r must be positive with gcd(r,6)=1, got {r}")
     if lam < 0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-
-
-def _eta_strand(r0: int, ell: int, length: int) -> np.ndarray:
-    """Coefficients of eta^r0 mod ell at the indices r0 + 24 m, m < length.
-
-    eta = sum (12|n) q^(n^2/24) lives on the strand 1 + 24 m with
-    m = (n^2 - 1)/24, so eta^r0 on its strand is the r0-fold convolution.
-    """
-    eta = np.zeros(length, dtype=_dtype(ell))
-    n = 1
-    while (n * n - 1) // 24 < length:
-        eta[(n * n - 1) // 24] = kronecker(12, n) % ell
-        n += 4 if n % 6 == 1 else 2  # n runs over 1, 5, 7, 11, ... (prime to 6)
-    return _power(eta, r0, ell, length)
 
 
 def eta_space_basis(lam: int, r: int, ell: int, prec: int) -> EtaSpaceDescriptor:
@@ -500,7 +492,10 @@ def eta_space_basis(lam: int, r: int, ell: int, prec: int) -> EtaSpaceDescriptor
     def build(n):
         # eta^r0 has leading coefficient 1, so eta^r0 times the Miller
         # spanning set stays triangular and one reduction gives the basis.
-        return _rref(_spanning_rows(w, ell, n, 0, _eta_strand(r0, ell, n)), range(dm), ell)
+        # eta lives on the strand 1 + 24 m, so eta^r0 on the strand r0 + 24 m
+        # is the r0-fold convolution of that strand.
+        eta_r0 = _power(_square_strand(1, n, ell), r0, ell, n)
+        return _rref(_spanning_rows(w, ell, n, 0, eta_r0), range(dm), ell)
 
     pivots = tuple(r0 + 24 * i for i in range(dm))
     return _cached_view(
@@ -521,10 +516,9 @@ def eta_membership(f: QExp24, lam: int, r: int):
     if ell is None:
         raise ValueError("membership certification works over a prime field")
     r0 = r % 24
-    if f.residue != r0:
-        for n, c in f.nonzero_items():
-            if n % 24 != r0:
-                return NotMember(n)
+    off = f.first_off_class(r0)
+    if off is not None:
+        return NotMember(off)
     w, depth = membership_depth(lam, r)
     if w < 0 or w % 2 or dims(w)[0] == 0:
         if f.is_zero():

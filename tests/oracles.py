@@ -86,3 +86,112 @@ def shimura_sum_oracle(coeffs, t: int, lam: int, n: int, ell: int) -> int:
 
 def sigma_oracle(n: int, e: int) -> int:
     return int(sympy.divisor_sigma(n, e))
+
+
+class DenseSeries:
+    """Reference q^(1/24)-series: the plain list a(0), ..., a(prec - 1).
+
+    This is how the package stored series before strands, with the same
+    reduction, residue-claim, residue-tag and precision rules, written
+    with Python loops over every index.  The functions below apply the
+    package's operators to it, by their defining formulas.
+    """
+
+    def __init__(self, coeffs, prec, modulus=None, residue=None):
+        coeffs = [int(c) for c in coeffs] + [0] * (prec - len(coeffs))
+        if modulus is not None:
+            coeffs = [c % modulus for c in coeffs]
+        if residue is not None:
+            if not 0 <= residue < 24:
+                raise ValueError("residue must lie in [0, 24)")
+            for n, c in enumerate(coeffs):
+                if c and n % 24 != residue:
+                    raise ValueError(
+                        f"coefficient at index {n} violates support class "
+                        f"{residue} (mod 24)"
+                    )
+        self.coeffs, self.prec, self.modulus, self.residue = coeffs, prec, modulus, residue
+
+    def valuation(self):
+        return next((n for n, c in enumerate(self.coeffs) if c), self.prec)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+
+def dense_add(f, g, sign=1):
+    prec = min(f.prec, g.prec)
+    if f.residue == g.residue:
+        residue = f.residue
+    elif f.is_zero():
+        residue = g.residue
+    elif g.is_zero():
+        residue = f.residue
+    else:
+        residue = None
+    out = [f.coeffs[n] + sign * g.coeffs[n] for n in range(prec)]
+    return DenseSeries(out, prec, f.modulus, residue)
+
+
+def dense_scale(f, c):
+    return DenseSeries([c * a for a in f.coeffs], f.prec, f.modulus, f.residue)
+
+
+def dense_mul(f, g):
+    prec = min(f.prec + g.valuation(), g.prec + f.valuation())
+    out = [0] * prec
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            if i + j < prec:
+                out[i + j] += a * b
+    residue = None
+    if f.residue is not None and g.residue is not None:
+        residue = (f.residue + g.residue) % 24
+    return DenseSeries(out, prec, f.modulus, residue)
+
+
+def dense_theta(f):
+    ell = f.modulus
+    inv24 = pow(24, -1, ell)
+    return DenseSeries([n * inv24 * a for n, a in enumerate(f.coeffs)], f.prec, ell, f.residue)
+
+
+def dense_u(f, m):
+    prec = -(-f.prec // m)
+    residue = None
+    if f.residue is not None and m % 2 and m % 3:
+        residue = f.residue * pow(m, -1, 24) % 24
+    return DenseSeries([f.coeffs[m * n] for n in range(prec)], prec, f.modulus, residue)
+
+
+def dense_v(f, m):
+    out = [0] * (m * f.prec)
+    for n, a in enumerate(f.coeffs):
+        out[m * n] = a
+    residue = None if f.residue is None else m * f.residue % 24
+    return DenseSeries(out, m * f.prec, f.modulus, residue)
+
+
+def dense_twist(f, p, kind):
+    if kind == "quadratic":
+        out = [kronecker_oracle(n, p) * a for n, a in enumerate(f.coeffs)]
+    else:
+        out = [0 if n % p == 0 else a for n, a in enumerate(f.coeffs)]
+    return DenseSeries(out, f.prec, f.modulus, f.residue)
+
+
+def dense_hecke_tp2(f, p, lam_int, char12=True):
+    """b(n) = a(p^2 n) + chi(p) ((-1)^lam n | p) p^(lam-1) a(n) + p^(2 lam - 1) a(n / p^2)."""
+    ell = f.modulus
+    chi = kronecker_oracle(12, p) if char12 else 1
+    sign = kronecker_oracle(-1, p) if lam_int % 2 else 1
+    c1 = chi * sign * pow(p, lam_int - 1, ell)
+    c2 = pow(p, 2 * lam_int - 1, ell)
+    prec = -(-f.prec // (p * p))
+    out = []
+    for n in range(prec):
+        b = f.coeffs[p * p * n] + c1 * kronecker_oracle(n, p) * f.coeffs[n]
+        if n % (p * p) == 0:
+            b += c2 * f.coeffs[n // (p * p)]
+        out.append(b)
+    return DenseSeries(out, prec, ell, f.residue)

@@ -1,8 +1,11 @@
 """Tests for the q^(1/24) expansion layer: arithmetic, operators, text format."""
 
 import random
+import time
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from etakit.qseries import (
     PrecisionError,
@@ -38,6 +41,29 @@ def test_is_prime_larger():
     assert is_prime(2147483647)  # Mersenne 2^31 - 1
     assert not is_prime(2147483649)
     assert is_prime(10**9 + 7)
+
+
+def test_is_prime_agrees_with_sympy_below_1e5():
+    assert [n for n in range(10**5) if is_prime(n)] == list(sympy.primerange(0, 10**5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(2**63, 2**64 - 1), st.integers(2**79, 2**80 - 1)))
+def test_is_prime_agrees_with_sympy_on_64_and_80_bit(n):
+    assert is_prime(n) == sympy.isprime(n)
+    assert is_prime(sympy.nextprime(n))
+    a = sympy.nextprime(n >> (n.bit_length() // 2))
+    assert not is_prime(a * sympy.nextprime(a))  # a semiprime of about the same size
+
+
+def test_is_prime_is_deterministic_up_to_its_bound():
+    start = time.perf_counter()
+    assert is_prime(2**61 - 1)  # took minutes by trial division
+    assert time.perf_counter() - start < 0.5
+    assert not is_prime(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    assert not is_prime(318665857834031151167461)  # ... to the first 12 prime bases
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_kronecker_bottom_values():

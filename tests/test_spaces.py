@@ -5,7 +5,7 @@ import random
 import pytest
 from sympy import divisor_sigma
 
-from etakit import spaces
+from etakit import qseries, spaces
 from etakit.qseries import PrecisionError, QExp24, eta_series, theta_op
 from etakit.spaces import (
     CertificationError,
@@ -412,8 +412,8 @@ def test_eta_membership_precision_gate():
 
 
 def _clear_caches(monkeypatch):
-    monkeypatch.setattr(spaces, "_MILLER_CACHE", {})
-    monkeypatch.setattr(spaces, "_ETA_CACHE", {})
+    monkeypatch.setattr(spaces, "_MILLER_CACHE", spaces._RowCache())
+    monkeypatch.setattr(spaces, "_ETA_CACHE", spaces._RowCache())
 
 
 def test_e4_e6_sieve_matches_divisor_sigma():
@@ -487,10 +487,53 @@ def test_int64_and_exact_paths_give_identical_rows(monkeypatch):
     fast_s = miller_basis(40, ell, 24 * 12, "S").rows
     fast_e = eta_space_basis(36, 7, ell, 24 * 10).rows
     _clear_caches(monkeypatch)
-    monkeypatch.setattr(spaces, "_INT64_BOUND", 0)  # every kernel takes the exact path
+    monkeypatch.setattr(qseries, "_INT64_BOUND", 0)  # every kernel takes the exact path
     assert (miller_basis(40, ell, 24 * 12).rows == fast_m).all()
     assert (miller_basis(40, ell, 24 * 12, "S").rows == fast_s).all()
     assert (eta_space_basis(36, 7, ell, 24 * 10).rows == fast_e).all()
+
+
+def _cached_bytes(cache):
+    return sum(rows.nbytes for rows, _views in cache.entries.values())
+
+
+def test_row_cache_drops_least_recently_used(monkeypatch):
+    _clear_caches(monkeypatch)
+    ell, prec = 13, 24 * 12
+    a = miller_basis(12, ell, prec)
+    b = miller_basis(16, ell, prec)
+    c_rows = miller_basis(20, ell, prec).rows
+    _clear_caches(monkeypatch)
+    budget = a.rows.nbytes + b.rows.nbytes + c_rows.nbytes - 1
+    monkeypatch.setattr(spaces, "_CACHE_BYTES", budget)
+    a = miller_basis(12, ell, prec)
+    b = miller_basis(16, ell, prec)
+    assert miller_basis(12, ell, 24 * 11).rows.base is a.rows.base  # a is now the most recent
+    miller_basis(20, ell, prec)  # passes the budget: b, the least recently used, goes
+    cache = spaces._MILLER_CACHE
+    assert list(cache.entries) == [(12, "M", ell), (20, "M", ell)]
+    assert cache.nbytes == _cached_bytes(cache) <= budget
+    assert miller_basis(12, ell, prec) is a
+    b2 = miller_basis(16, ell, prec)
+    assert b2 is not b and (b2.rows == b.rows).all()
+    assert list(cache.entries) == [(12, "M", ell), (16, "M", ell)]
+    assert cache.nbytes == _cached_bytes(cache) <= budget
+
+
+def test_evicted_space_rebuilds_equal_to_a_cold_build(monkeypatch):
+    ell = 29
+    _clear_caches(monkeypatch)
+    cold = eta_space_basis(30, 1, ell, 24 * 9)
+    _clear_caches(monkeypatch)
+    monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)  # keep only the space just served
+    eta_space_basis(30, 1, ell, 24 * 14)
+    eta_space_basis(26, 1, ell, 24 * 10)
+    assert list(spaces._ETA_CACHE.entries) == [(26, 1, ell)]
+    rebuilt = eta_space_basis(30, 1, ell, 24 * 9)
+    assert list(spaces._ETA_CACHE.entries) == [(30, 1, ell)]
+    assert spaces._ETA_CACHE.nbytes == _cached_bytes(spaces._ETA_CACHE)
+    assert rebuilt.elements == cold.elements
+    assert (rebuilt.rows == cold.rows).all() and rebuilt.pivots == cold.pivots
 
 
 MERSENNE31 = 2**31 - 1
@@ -522,6 +565,16 @@ def test_delta_squared_certifies_at_mersenne_prime():
     assert cert.coordinates == (0, 1)
     bent = QExp24.from_dict({**dict(f.nonzero_items()), 96: 5}, prec, MERSENNE31)
     assert coordinates(bent, miller_basis(24, MERSENNE31, prec, "S"), prec) == NotMember(96)
+
+
+def test_delta_and_its_square_certify_at_2_61_minus_1():
+    # is_prime decides 2^61 - 1 at once, so the object-array path is reachable here
+    ell, prec = 2**61 - 1, 193
+    d = delta_series(prec)
+    cert = coordinates(d.reduce_mod(ell), miller_basis(12, ell, prec, "S"), prec)
+    assert cert.coordinates == (1,)
+    cert = coordinates((d * d).truncate(prec).reduce_mod(ell), miller_basis(24, ell, prec, "S"), prec)
+    assert cert.coordinates == (0, 1)
 
 
 def _dense_witness(f, elements, coords, depth):
