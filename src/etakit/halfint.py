@@ -268,21 +268,14 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
         )
     # a(t m^2) for m <= n_max: the only coefficients the sums read
     a = [f.coeff(t * m * m) for m in range(n_max + 1)]
-    out = []
-    for n in range(1, n_max + 1):
-        total = 0
-        for d in range(1, n + 1):
-            if n % d:
-                continue
-            sign = kronecker(-1, d) if lam % 2 else 1
-            total += (
-                sign
-                * kronecker(12 * t, d)
-                * pow(d, lam - 1, ell)
-                * a[n // d]
-            )
-        out.append(total % ell)
-    return out
+    totals = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        # the weight of divisor d, once, added into every multiple n of d
+        sign = kronecker(-1, d) if lam % 2 else 1
+        weight = sign * kronecker(12 * t, d) * pow(d, lam - 1, ell)
+        for n in range(d, n_max + 1, d):
+            totals[n] += weight * a[n // d]
+    return [total % ell for total in totals[1:]]
 
 
 def canonical_t1(lam: int, ell: int, prec: int) -> QExp24:

@@ -12,16 +12,17 @@ Every basis is held as a read-only (dim x L) matrix of strand
 coefficients: row i, column m is the coefficient of element i at index
 offset + 24 m, with offset 0 for Miller bases and r0 for eta spaces.
 The dense series (``elements``) are expanded only on first access.
-Rows are cached process-wide, once per (k, kind, ell) for Miller bases
-and once per (w, r0, ell) for eta spaces; a shorter precision is served
-as a prefix of the longest matrix built, which equals a cold build
-because truncation commutes with the convolutions and row operations.
-A repeated call with the same arguments returns the same object while
-its rows stay cached.  Each cache drops its least recently used entries
-once its row matrices pass _CACHE_BYTES; a dropped space is rebuilt on
-demand.  Empty spaces are not cached.  The caches are not locked:
-they belong to one thread of one process (``verify --jobs`` runs
-worker processes).
+A Miller basis is the r0 = 0 case of an eta space, so one builder makes
+both and one process-wide cache holds their rows, once per
+(k, start, r0, ell) with start 0 for M_k and 1 for S_k; a shorter
+precision is served as a prefix of the longest matrix built, which
+equals a cold build because truncation commutes with the convolutions
+and row operations.  A repeated call with the same arguments returns
+the same object while its rows stay cached.  The cache drops its least
+recently used entries once the row matrices it keeps reachable pass
+_CACHE_BYTES; a dropped space is rebuilt on demand.  Empty spaces are
+not cached.  The cache is not locked: it belongs to one thread of one
+process (``verify --jobs`` runs worker processes).
 
 Residues are stored as int64 (object for ell >= 2^63).  The kernels
 share qseries' exact guards: sums of products stay below 2^63 in int64
@@ -206,7 +207,7 @@ def _spanning_rows(k: int, ell: int, length: int, start: int, factor: np.ndarray
     return np.array(rows[start:])
 
 
-# Bytes of row matrices each cache keeps before it drops its least
+# Bytes of row matrices the cache keeps before it drops its least
 # recently used entries.  Every benchmark workload stays below it (the
 # largest, case 3 at ell = 97, peaks at 6.3 MB); case 3 at ell = 193
 # would otherwise keep about 150 MB of eta-space rows it uses once.
@@ -221,31 +222,7 @@ class _RowCache:
         self.nbytes = 0
 
 
-def _cached_view(cache: _RowCache, key, view_key, length: int, build, make):
-    """The object make(rows[:, :length]) for view_key, building rows on demand.
-
-    cache.entries[key] holds [rows, {view_key: object}]: the longest row
-    matrix built so far and every object served from it.  Rows are
-    rebuilt only when a longer prefix is asked for; objects served
-    earlier keep their own (equal) prefix.  Once the rows of the cache
-    pass _CACHE_BYTES, the least recently used entries are dropped
-    whole, never the one just served.
-    """
-    entry = cache.entries.get(key, [None, {}])
-    view = entry[1].get(view_key)
-    if view is None:
-        if entry[0] is None or entry[0].shape[1] < length:
-            rows = build(length)
-            rows.flags.writeable = False
-            cache.nbytes += rows.nbytes - (0 if entry[0] is None else entry[0].nbytes)
-            entry[0] = rows
-        view = entry[1][view_key] = make(entry[0][:, :length])
-    cache.entries.pop(key, None)
-    cache.entries[key] = entry  # most recently used last
-    while cache.nbytes > _CACHE_BYTES and len(cache.entries) > 1:
-        oldest = next(iter(cache.entries))
-        cache.nbytes -= cache.entries.pop(oldest)[0].nbytes
-    return view
+_ROW_CACHE = _RowCache()
 
 
 def _no_rows(ell: int, length: int) -> np.ndarray:
@@ -254,8 +231,77 @@ def _no_rows(ell: int, length: int) -> np.ndarray:
     return rows
 
 
+def _basis(k: int, start: int, r0: int, ell: int, prec: int, view_key, make):
+    """make(rows, columns) for the echelon basis of eta^r0 times M_k or S_k mod ell.
+
+    start is 0 for M_k and 1 for S_k; r0 = 0 gives the Miller basis.
+    Row i has pivot 1 at strand column columns[i] (index r0 + 24 m) and
+    0 at the other pivots.  eta lives on the strand 1 + 24 m, so eta^r0
+    on the strand r0 + 24 m is the r0-fold convolution of that strand;
+    its leading coefficient is 1, so eta^r0 times the Miller spanning
+    set stays triangular and one reduction gives the basis.
+
+    _ROW_CACHE.entries[(k, start, r0, ell)] holds [rows, {view_key:
+    object}, nbytes]: the longest row matrix built so far, every object
+    served from a prefix of it, and the bytes of every matrix those
+    objects keep reachable (an object served before a longer build keeps
+    its prefix of the older matrix).  Once the cache passes _CACHE_BYTES,
+    the least recently used entries are dropped whole, never the one
+    just served.  Empty spaces are not cached.
+    """
+    if ell < 5 or not is_prime(ell):
+        raise ValueError(f"ell must be a prime >= 5, got {ell}")
+    dm = dims(k)[0]
+    length = len(range(r0, prec, 24))
+    if dm and (prec + 23) // 24 < dm + k // 12 + 1:
+        raise PrecisionError(
+            f"prec {prec} too small for weight {k}: need pivots plus Sturm depth"
+        )
+    columns = range(start, dm)
+    if not columns:
+        return make(_no_rows(ell, length), columns)
+    cache, key = _ROW_CACHE, (k, start, r0, ell)
+    entry = cache.entries.get(key, [None, {}, 0])
+    view = entry[1].get(view_key)
+    if view is None:
+        if entry[0] is None or entry[0].shape[1] < length:
+            eta_r0 = _one(ell, length)
+            if r0:
+                eta_r0 = _power(_square_strand(1, length, ell), r0, ell, length)
+            rows = _rref(_spanning_rows(k, ell, length, start, eta_r0), columns, ell)
+            rows.flags.writeable = False
+            entry[0] = rows
+            entry[2] += rows.nbytes
+            cache.nbytes += rows.nbytes
+        view = entry[1][view_key] = make(entry[0][:, :length], columns)
+    cache.entries.pop(key, None)
+    cache.entries[key] = entry  # most recently used last
+    while cache.nbytes > _CACHE_BYTES and len(cache.entries) > 1:
+        oldest = next(iter(cache.entries))
+        cache.nbytes -= cache.entries.pop(oldest)[2]
+    return view
+
+
+class _StrandBasis:
+    """dim and elements of a basis whose rows hold the strand at _offset + 24 m."""
+
+    _offset = 0
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The basis as series, built on first access."""
+        return tuple(
+            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=self._offset)
+            for row in self.rows
+        )
+
+
 @dataclass(frozen=True, eq=False)
-class SpaceBasis:
+class SpaceBasis(_StrandBasis):
     """Reduced echelon basis of M_k or S_k over F_ell.
 
     rows is the read-only (dim x ceil(prec/24)) matrix of coefficients at
@@ -271,21 +317,6 @@ class SpaceBasis:
     rows: np.ndarray
     pivots: tuple
 
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The basis as series, built on first access."""
-        return tuple(
-            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=0) for row in self.rows
-        )
-
-
-_MILLER_CACHE = _RowCache()
-_ETA_CACHE = _RowCache()
-
 
 def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     """Reduced echelon basis of the weight-k space mod ell.
@@ -296,25 +327,9 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
-    if ell < 5 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 5, got {ell}")
-    dm = dims(k)[0]
-    length = (prec + 23) // 24
-    if dm and length < dm + k // 12 + 1:
-        raise PrecisionError(
-            f"prec {prec} too small for weight {k}: need pivots plus Sturm depth"
-        )
-    start = 0 if kind == "M" else 1
-    pivots = tuple(range(start, dm))
-    if not pivots:
-        return SpaceBasis(k, kind, ell, prec, _no_rows(ell, length), ())
-
-    def build(n):
-        return _rref(_spanning_rows(k, ell, n, start, _one(ell, n)), pivots, ell)
-
-    return _cached_view(
-        _MILLER_CACHE, (k, kind, ell), prec, length, build,
-        lambda rows: SpaceBasis(k, kind, ell, prec, rows, pivots),
+    return _basis(
+        k, 0 if kind == "M" else 1, 0, ell, prec, prec,
+        lambda rows, columns: SpaceBasis(k, kind, ell, prec, rows, tuple(columns)),
     )
 
 
@@ -412,11 +427,9 @@ def filtration(f: QExp24, k: int) -> int:
     if f.prec < depth:
         raise PrecisionError(f"filtration at weight {k} needs precision {depth}")
     for k2 in range(k % (ell - 1), k + 1, ell - 1):
-        dm = dims(k2)[0]
-        if dm == 0:
+        if dims(k2)[0] == 0:
             continue
-        basis_prec = max(depth, 24 * (dm + k2 // 12 + 1)) + 24
-        basis = miller_basis(k2, ell, basis_prec, "M")
+        basis = miller_basis(k2, ell, _basis_prec(k2, depth), "M")
         if isinstance(coordinates(f, basis, depth), MembershipCertificate):
             return k2
     raise CertificationError(
@@ -428,7 +441,7 @@ def filtration(f: QExp24, k: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class EtaSpaceDescriptor:
+class EtaSpaceDescriptor(_StrandBasis):
     """Realized basis of the weight lam + 1/2 space with eta multiplier power r.
 
     Elements are eta^r0 times a weight-w basis, re-echelonized so element
@@ -448,16 +461,8 @@ class EtaSpaceDescriptor:
     pivots: tuple
 
     @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The basis as series, built on first access."""
-        return tuple(
-            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=self.r0)
-            for row in self.rows
-        )
+    def _offset(self) -> int:
+        return self.r0
 
 
 def membership_depth(lam: int, r: int) -> tuple:
@@ -465,6 +470,11 @@ def membership_depth(lam: int, r: int) -> tuple:
     r0 = r % 24
     w = lam + (1 - r0) // 2
     return w, 24 * (w // 12 + 1) + r0
+
+
+def _basis_prec(k: int, depth: int) -> int:
+    """Basis precision for a weight-k solve to depth: depth, pivots and Sturm depth, plus 24."""
+    return max(depth, 24 * (dims(k)[0] + k // 12 + 1)) + 24
 
 
 def _check_eta_args(lam: int, r: int):
@@ -476,31 +486,13 @@ def _check_eta_args(lam: int, r: int):
 
 def eta_space_basis(lam: int, r: int, ell: int, prec: int) -> EtaSpaceDescriptor:
     _check_eta_args(lam, r)
-    if ell < 5 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 5, got {ell}")
     r0 = r % 24
-    w = lam + (1 - r0) // 2
-    length = len(range(r0, prec, 24))
-    if w < 0 or w % 2 or dims(w)[0] == 0:
-        return EtaSpaceDescriptor(lam, r, r0, w, ell, prec, _no_rows(ell, length), ())
-    dm = dims(w)[0]
-    if (prec + 23) // 24 < dm + w // 12 + 1:
-        raise PrecisionError(
-            f"prec {prec} too small for weight {w}: need pivots plus Sturm depth"
-        )
-
-    def build(n):
-        # eta^r0 has leading coefficient 1, so eta^r0 times the Miller
-        # spanning set stays triangular and one reduction gives the basis.
-        # eta lives on the strand 1 + 24 m, so eta^r0 on the strand r0 + 24 m
-        # is the r0-fold convolution of that strand.
-        eta_r0 = _power(_square_strand(1, n, ell), r0, ell, n)
-        return _rref(_spanning_rows(w, ell, n, 0, eta_r0), range(dm), ell)
-
-    pivots = tuple(r0 + 24 * i for i in range(dm))
-    return _cached_view(
-        _ETA_CACHE, (w, r0, ell), (r, prec), length, build,
-        lambda rows: EtaSpaceDescriptor(lam, r, r0, w, ell, prec, rows, pivots),
+    w = membership_depth(lam, r)[0]
+    return _basis(
+        w, 0, r0, ell, prec, (r, prec),
+        lambda rows, columns: EtaSpaceDescriptor(
+            lam, r, r0, w, ell, prec, rows, tuple(r0 + 24 * m for m in columns)
+        ),
     )
 
 
@@ -520,7 +512,7 @@ def eta_membership(f: QExp24, lam: int, r: int):
     if off is not None:
         return NotMember(off)
     w, depth = membership_depth(lam, r)
-    if w < 0 or w % 2 or dims(w)[0] == 0:
+    if dims(w)[0] == 0:
         if f.is_zero():
             return MembershipCertificate((), f.prec, eta_space_basis(lam, r, ell, f.prec))
         return NotMember(f.valuation())
@@ -528,6 +520,5 @@ def eta_membership(f: QExp24, lam: int, r: int):
         raise PrecisionError(
             f"certifying at lam={lam}, r={r} needs precision {depth}, have {f.prec}"
         )
-    basis_prec = max(depth, 24 * (dims(w)[0] + w // 12 + 1)) + 24
-    desc = eta_space_basis(lam, r, ell, basis_prec)
+    desc = eta_space_basis(lam, r, ell, _basis_prec(w, depth))
     return _solve(f, desc.rows, range(desc.dim), r0, depth, desc)

@@ -329,16 +329,20 @@ def test_eigenvalue_validation():
 
 
 def test_shimura_matches_oracle():
-    ell = 5
-    g = theta_lift(eta_form(24 * 80, ell))
-    for t in (1, 5, 7):
-        n_max = 12 if t == 1 else 8
-        got = shimura_coeffs(g.series, t, g.lam, n_max)
-        want = [
-            shimura_sum_oracle(g.series.coeffs, t, g.lam, n, ell)
-            for n in range(1, n_max + 1)
-        ]
-        assert got == want, t
+    # even lam (theta lift of eta at ell = 5) and odd lam (eta^7 E4 at
+    # lam = 7, ell = 7), where the sign (-1/d)^lam of d = 11 changes A_7(11)
+    lifted = theta_lift(eta_form(24 * 80, 5))
+    prec = 24 * 100
+    odd = certify((eta_series(prec, 7) ** 7) * eisenstein_e4(prec).reduce_mod(7), 7, 7)
+    for g, ts in ((lifted, (1, 5, 7)), (odd, (7, 31))):
+        for t in ts:
+            n_max = 12 if t in (1, 7) else 8
+            got = shimura_coeffs(g.series, t, g.lam, n_max)
+            want = [
+                shimura_sum_oracle(g.series.coeffs, t, g.lam, n, g.ell)
+                for n in range(1, n_max + 1)
+            ]
+            assert got == want, (g.lam, t)
 
 
 def test_shimura_closed_form_for_lifted_eta():

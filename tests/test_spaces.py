@@ -117,20 +117,30 @@ def test_miller_basis_shape():
             assert elem.coeff(24 * j) == (1 if i == j else 0)
 
 
+# 5 and 691 run the int64 kernels; 2^31 - 1 and 4294967311 store int64 but
+# multiply on the exact path; 2^64 + 13 stores Python integers
+DELTA_ELLS = (5, 691, 2**31 - 1, 4294967311, 2**64 + 13)
+
+
+def _delta_mod(prec, ell):
+    return [c % ell for c in delta_product_coeffs(prec)]
+
+
 def test_miller_basis_second_element_is_delta():
     # echelon element with a(0)=0, a(1)=1 in a 2-dimensional weight-12
     # space can only be the discriminant
-    for ell in (5, 691):
+    for ell in DELTA_ELLS:
         prec = 24 * 6
         b = miller_basis(12, ell, prec)
-        assert b.elements[1] == delta_series(prec).truncate(prec).reduce_mod(ell)
+        assert list(b.elements[1].coeffs) == _delta_mod(prec, ell), ell
 
 
 def test_miller_basis_cusp_kind():
-    b = miller_basis(12, 7, 24 * 5, kind="S")
-    assert b.dim == 1
-    assert b.pivots == (1,)
-    assert b.elements[0] == delta_series(24 * 5).truncate(24 * 5).reduce_mod(7)
+    for ell in (7,) + DELTA_ELLS[2:]:
+        b = miller_basis(12, ell, 24 * 5, kind="S")
+        assert b.dim == 1
+        assert b.pivots == (1,)
+        assert list(b.elements[0].coeffs) == _delta_mod(24 * 5, ell), ell
     assert miller_basis(10, 7, 24 * 4, kind="S").dim == 0
 
 
@@ -412,8 +422,7 @@ def test_eta_membership_precision_gate():
 
 
 def _clear_caches(monkeypatch):
-    monkeypatch.setattr(spaces, "_MILLER_CACHE", spaces._RowCache())
-    monkeypatch.setattr(spaces, "_ETA_CACHE", spaces._RowCache())
+    monkeypatch.setattr(spaces, "_ROW_CACHE", spaces._RowCache())
 
 
 def test_e4_e6_sieve_matches_divisor_sigma():
@@ -494,7 +503,16 @@ def test_int64_and_exact_paths_give_identical_rows(monkeypatch):
 
 
 def _cached_bytes(cache):
-    return sum(rows.nbytes for rows, _views in cache.entries.values())
+    """Bytes of the distinct row matrices each entry keeps reachable."""
+    total = 0
+    for entry in cache.entries.values():
+        matrices = {}
+        for rows in [entry[0]] + [view.rows for view in entry[1].values()]:
+            while rows.base is not None:
+                rows = rows.base
+            matrices[id(rows)] = rows
+        total += sum(rows.nbytes for rows in matrices.values())
+    return total
 
 
 def test_row_cache_drops_least_recently_used(monkeypatch):
@@ -510,13 +528,13 @@ def test_row_cache_drops_least_recently_used(monkeypatch):
     b = miller_basis(16, ell, prec)
     assert miller_basis(12, ell, 24 * 11).rows.base is a.rows.base  # a is now the most recent
     miller_basis(20, ell, prec)  # passes the budget: b, the least recently used, goes
-    cache = spaces._MILLER_CACHE
-    assert list(cache.entries) == [(12, "M", ell), (20, "M", ell)]
+    cache = spaces._ROW_CACHE
+    assert list(cache.entries) == [(12, 0, 0, ell), (20, 0, 0, ell)]
     assert cache.nbytes == _cached_bytes(cache) <= budget
     assert miller_basis(12, ell, prec) is a
     b2 = miller_basis(16, ell, prec)
     assert b2 is not b and (b2.rows == b.rows).all()
-    assert list(cache.entries) == [(12, "M", ell), (16, "M", ell)]
+    assert list(cache.entries) == [(12, 0, 0, ell), (16, 0, 0, ell)]
     assert cache.nbytes == _cached_bytes(cache) <= budget
 
 
@@ -528,12 +546,49 @@ def test_evicted_space_rebuilds_equal_to_a_cold_build(monkeypatch):
     monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)  # keep only the space just served
     eta_space_basis(30, 1, ell, 24 * 14)
     eta_space_basis(26, 1, ell, 24 * 10)
-    assert list(spaces._ETA_CACHE.entries) == [(26, 1, ell)]
+    assert list(spaces._ROW_CACHE.entries) == [(26, 0, 1, ell)]
     rebuilt = eta_space_basis(30, 1, ell, 24 * 9)
-    assert list(spaces._ETA_CACHE.entries) == [(30, 1, ell)]
-    assert spaces._ETA_CACHE.nbytes == _cached_bytes(spaces._ETA_CACHE)
+    assert list(spaces._ROW_CACHE.entries) == [(30, 0, 1, ell)]
+    assert spaces._ROW_CACHE.nbytes == _cached_bytes(spaces._ROW_CACHE)
     assert rebuilt.elements == cold.elements
     assert (rebuilt.rows == cold.rows).all() and rebuilt.pivots == cold.pivots
+
+
+def test_miller_and_eta_spaces_share_one_budget(monkeypatch):
+    ell = 17
+    _clear_caches(monkeypatch)
+    cold_m = miller_basis(24, ell, 24 * 10, "S")
+    cold_e = eta_space_basis(22, 5, ell, 24 * 10)
+    _clear_caches(monkeypatch)
+    budget = cold_m.rows.nbytes + cold_e.rows.nbytes
+    monkeypatch.setattr(spaces, "_CACHE_BYTES", budget)
+    m = miller_basis(24, ell, 24 * 10, "S")
+    e = eta_space_basis(22, 5, ell, 24 * 10)
+    cache = spaces._ROW_CACHE
+    assert list(cache.entries) == [(24, 1, 0, ell), (20, 0, 5, ell)]
+    assert miller_basis(24, ell, 24 * 10, "S") is m  # the Miller space is now the most recent
+    miller_basis(16, ell, 24 * 10)  # passes the budget: the eta space goes
+    assert list(cache.entries) == [(24, 1, 0, ell), (16, 0, 0, ell)]
+    assert cache.nbytes == _cached_bytes(cache) <= budget
+    rebuilt = eta_space_basis(22, 5, ell, 24 * 10)
+    assert rebuilt is not e and rebuilt.pivots == cold_e.pivots
+    assert (rebuilt.rows == cold_e.rows).all() and rebuilt.elements == cold_e.elements
+    assert list(cache.entries) == [(16, 0, 0, ell), (20, 0, 5, ell)]
+    assert cache.nbytes == _cached_bytes(cache) <= budget
+
+
+def test_row_cache_counts_the_matrices_its_objects_keep(monkeypatch):
+    # every longer build replaces the entry's rows, but the objects served
+    # from the shorter matrices still hold them
+    _clear_caches(monkeypatch)
+    served = [miller_basis(40, 13, 24 * n) for n in range(8, 32)]
+    cache = spaces._ROW_CACHE
+    assert len({id(basis.rows.base) for basis in served}) == 24
+    assert cache.nbytes == _cached_bytes(cache) == sum(b.rows.base.nbytes for b in served)
+    monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)
+    miller_basis(12, 13, 24 * 5)  # drops the weight-40 entry and all its matrices
+    assert list(cache.entries) == [(12, 0, 0, 13)]
+    assert cache.nbytes == _cached_bytes(cache)
 
 
 MERSENNE31 = 2**31 - 1
