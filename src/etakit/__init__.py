@@ -23,7 +23,6 @@ from .qseries import (
 )
 from .spaces import (
     CertificationError,
-    EtaSpaceDescriptor,
     MembershipCertificate,
     NotMember,
     SpaceBasis,
@@ -33,7 +32,6 @@ from .spaces import (
     eisenstein_e4,
     eisenstein_e6,
     eta_membership,
-    eta_space_basis,
     filtration,
     membership_depth,
     miller_basis,

@@ -19,7 +19,6 @@ import argparse
 import concurrent.futures
 import json
 import math
-import os
 import random
 import sys
 import time
@@ -217,8 +216,7 @@ def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm
     """Evaluate a recipe to a certified form over F_ell.
 
     Base precision is the classification depth of the planned final
-    weight plus margin, raisable by the prec argument and scalable by
-    the ETAKIT_PREC_OVERRIDE environment variable (a float factor).
+    weight plus margin, raisable by the prec argument.
     """
     ast = parse_recipe(text)
     lam, r = _weight_plan(ast, ell)
@@ -226,9 +224,6 @@ def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm
     need = depth + 24
     if prec is not None:
         need = max(need, prec)
-    override = os.environ.get("ETAKIT_PREC_OVERRIDE")
-    if override:
-        need = max(need, int(need * float(override)))
     return _evaluate(ast, ell, need)
 
 

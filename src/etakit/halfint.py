@@ -97,6 +97,11 @@ def certify(series: QExp24, lam: int, r: int, ell: int | None = None) -> HalfInt
     Raises CertificationError when the series is provably outside the
     space (with the witness index), PrecisionError when the series is
     too short to reach the certification depth.
+
+    The certificate's checked field counts the coefficients compared
+    beyond the pivots (see eta_membership).  When checked == 0 the
+    certificate holds only for a series that lies in the space by
+    construction, such as eta^k, a theta lift, or a sum within one space.
     """
     _check_ell(series, ell)
     result = eta_membership(series, lam, r)
@@ -162,20 +167,16 @@ def u_ell_descent(form: HalfIntForm, ell: int | None = None) -> HalfIntForm:
 class HeckeSpec:
     """Parameters of T(p^2) on weight lam_int + 1/2 expansions.
 
-    char12 switches the (12/p) factor on; eps_p is the sign knob of the
-    eigenvalue statement and does not enter the operator itself.
+    char12 switches the (12/p) factor on.
     """
 
     p: int
     lam_int: int
     char12: bool = True
-    eps_p: int = 1
 
     def __post_init__(self):
         if self.p in (2, 3) or not is_prime(self.p):
             raise ValueError(f"p must be a prime >= 5, got {self.p}")
-        if self.eps_p not in (1, -1):
-            raise ValueError(f"eps_p must be +1 or -1, got {self.eps_p}")
 
 
 def hecke_tp2(f: QExp24, spec: HeckeSpec) -> QExp24:
@@ -224,15 +225,17 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
 
         eps_p * (12/p) * (p^(lam_bar+2) + p^(lam_bar+1))  mod ell.
 
-    Requires p >= 5, p != ell, p not congruent to 0 or 1 mod ell.
-    Compares T(p^2) g to scalar * g at every index below the joint
-    precision ceil(P/p^2).
+    Requires p >= 5, p != ell, p not congruent to 0 or 1 mod ell, and
+    eps_p in {+1, -1}.  Compares T(p^2) g to scalar * g at every index
+    below the joint precision ceil(P/p^2).
     """
     ell = g.ell
     if p in (2, 3) or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
     if p % ell in (0, 1):
         raise ValueError(f"p = {p} is 0 or 1 mod ell = {ell}")
+    if eps_p not in (1, -1):
+        raise ValueError(f"eps_p must be +1 or -1, got {eps_p}")
     lam_pre = g.lam - (ell + 1)
     if lam_pre < 0 or lam_pre % 2:
         raise ValueError(
@@ -245,7 +248,7 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
         * kronecker(12, p)
         * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell))
     ) % ell
-    lhs = hecke_tp2(g.series, HeckeSpec(p, g.lam, char12=True, eps_p=eps_p))
+    lhs = hecke_tp2(g.series, HeckeSpec(p, g.lam, char12=True))
     return lhs == g.series.truncate(lhs.prec).scale(scalar)
 
 

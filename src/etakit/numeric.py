@@ -129,10 +129,12 @@ def eta_value(z: complex, eps: float = 1e-16, max_terms: int = 20000) -> complex
     n_max = _term_count(y, _TAU / 24.0, eps, max_terms)
     total = 0.0 + 0.0j
     w = 2j * math.pi * z / 24.0
-    for n in range(1, n_max + 1):
-        chi = kronecker(12, n)
-        if chi:
-            total += chi * cmath.exp(w * n * n)
+    n = 1
+    while n <= n_max:
+        # (12|n) is +1 for n = +-1 (mod 12), -1 for n = +-5 (mod 12)
+        chi = 1 if n % 12 in (1, 11) else -1
+        total += chi * cmath.exp(w * n * n)
+        n += 4 if n % 6 == 1 else 2  # n runs over 1, 5, 7, 11, ... (prime to 6)
     return total
 
 

@@ -4,25 +4,29 @@ Weight-k forms of level one are spanned by monomials Delta^j E4^a E6^b.
 Reducing the integer spanning set mod ell and row-reducing gives an
 echelon basis with pivot j at integer exponent j; reading coordinates
 off the pivots plus a Sturm-depth verification yields membership
-certificates.  Spaces of half-integral weight lam + 1/2 with the r-th
-power of the eta multiplier are realized as eta^r0 * M_w with
-r0 = r mod 24 and w = lam + (1 - r0)/2.
+certificates.  These Miller bases are the only family of bases.
 
-Every basis is held as a read-only (dim x L) matrix of strand
-coefficients: row i, column m is the coefficient of element i at index
-offset + 24 m, with offset 0 for Miller bases and r0 for eta spaces.
-The dense series (``elements``) are expanded only on first access.
-A Miller basis is the r0 = 0 case of an eta space, so one builder makes
-both and one process-wide cache holds their rows, once per
-(k, start, r0, ell) with start 0 for M_k and 1 for S_k; a shorter
-precision is served as a prefix of the longest matrix built, which
-equals a cold build because truncation commutes with the convolutions
-and row operations.  A repeated call with the same arguments returns
-the same object while its rows stay cached.  The cache drops its least
-recently used entries once the row matrices it keeps reachable pass
-_CACHE_BYTES; a dropped space is rebuilt on demand.  Empty spaces are
-not cached.  The cache is not locked: it belongs to one thread of one
-process (``verify --jobs`` runs worker processes).
+Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
+multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
+w = lam + (1 - r0)/2, so f lies in one exactly when f / eta^r0 lies in
+M_w.  Membership reads the coordinates off f's own coefficients at the
+pivot indices; the certification depth reaches one coefficient past
+them only when w = 2 (mod 12), and only there is f divided by eta^r0
+and that coefficient checked against the Miller basis of M_w.
+
+Every basis is held as a read-only (dim x L) matrix of integer-exponent
+coefficients: row i, column m is the coefficient of element i at q^m.
+The dense series (``elements``) are expanded only on first access.  One
+process-wide cache holds the rows once per (k, start, ell), with start
+0 for M_k and 1 for S_k; a shorter precision is served as a prefix of
+the longest matrix built, which equals a cold build because truncation
+commutes with the convolutions and row operations.  A repeated call
+with the same arguments returns the same object while its rows stay
+cached.  The cache drops its least recently used entries once the row
+matrices it keeps reachable pass _CACHE_BYTES; a dropped space is
+rebuilt on demand.  Empty spaces are not cached.  The cache is not
+locked: it belongs to one thread of one process (``verify --jobs`` runs
+worker processes).
 
 Residues are stored as int64 (object for ell >= 2^63).  The kernels
 share qseries' exact guards: sums of products stay below 2^63 in int64
@@ -61,8 +65,6 @@ __all__ = [
     "coordinates",
     "sturm_check",
     "filtration",
-    "EtaSpaceDescriptor",
-    "eta_space_basis",
     "membership_depth",
     "eta_membership",
 ]
@@ -186,18 +188,18 @@ def _generators(ell: int, length: int):
     return e4, e6, e4cube, delta.astype(_dtype(ell), copy=False)
 
 
-def _spanning_rows(k: int, ell: int, length: int, start: int, factor: np.ndarray) -> np.ndarray:
-    """Rows factor * Delta^j * E4^a * E6^b mod ell for j = start..dim M_k - 1.
+def _spanning_rows(k: int, ell: int, length: int, start: int) -> np.ndarray:
+    """Rows Delta^j * E4^a * E6^b mod ell for j = start..dim M_k - 1.
 
     b is 0 or 1 by k mod 4, which makes a = (k - 12j - 6b)/4 integral
     for every j.  Row j is row 0 times t^j with t = Delta / E4^3, so
-    each row costs one convolution.  Row j has leading term q^j times
-    that of factor, so the rows are triangular when factor starts with 1.
+    each row costs one convolution.  Row j has leading term q^j with
+    coefficient 1, so the rows are triangular.
     """
     dm = dims(k)[0]
     e4, e6, e4cube, delta = _generators(ell, length)
     b = 0 if k % 4 == 0 else 1
-    row = _conv(factor, _power(e4, (k - 6 * b) // 4, ell, length), ell, length)
+    row = _power(e4, (k - 6 * b) // 4, ell, length)
     if b:
         row = _conv(row, e6, ell, length)
     t = _conv(delta, _inverse(e4cube, ell, length), ell, length)
@@ -208,9 +210,9 @@ def _spanning_rows(k: int, ell: int, length: int, start: int, factor: np.ndarray
 
 
 # Bytes of row matrices the cache keeps before it drops its least
-# recently used entries.  Every benchmark workload stays below it (the
-# largest, case 3 at ell = 97, peaks at 6.3 MB); case 3 at ell = 193
-# would otherwise keep about 150 MB of eta-space rows it uses once.
+# recently used entries.  No benchmark workload reaches it.  Case 3
+# builds one Miller basis every six theta lifts and uses each once; the
+# bases would reach 21.5 MiB at ell = 193 and 67 MiB at ell = 241.
 _CACHE_BYTES = 16 * 2**20
 
 
@@ -225,83 +227,8 @@ class _RowCache:
 _ROW_CACHE = _RowCache()
 
 
-def _no_rows(ell: int, length: int) -> np.ndarray:
-    rows = np.zeros((0, length), dtype=_dtype(ell))
-    rows.flags.writeable = False
-    return rows
-
-
-def _basis(k: int, start: int, r0: int, ell: int, prec: int, view_key, make):
-    """make(rows, columns) for the echelon basis of eta^r0 times M_k or S_k mod ell.
-
-    start is 0 for M_k and 1 for S_k; r0 = 0 gives the Miller basis.
-    Row i has pivot 1 at strand column columns[i] (index r0 + 24 m) and
-    0 at the other pivots.  eta lives on the strand 1 + 24 m, so eta^r0
-    on the strand r0 + 24 m is the r0-fold convolution of that strand;
-    its leading coefficient is 1, so eta^r0 times the Miller spanning
-    set stays triangular and one reduction gives the basis.
-
-    _ROW_CACHE.entries[(k, start, r0, ell)] holds [rows, {view_key:
-    object}, nbytes]: the longest row matrix built so far, every object
-    served from a prefix of it, and the bytes of every matrix those
-    objects keep reachable (an object served before a longer build keeps
-    its prefix of the older matrix).  Once the cache passes _CACHE_BYTES,
-    the least recently used entries are dropped whole, never the one
-    just served.  Empty spaces are not cached.
-    """
-    if ell < 5 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 5, got {ell}")
-    dm = dims(k)[0]
-    length = len(range(r0, prec, 24))
-    if dm and (prec + 23) // 24 < dm + k // 12 + 1:
-        raise PrecisionError(
-            f"prec {prec} too small for weight {k}: need pivots plus Sturm depth"
-        )
-    columns = range(start, dm)
-    if not columns:
-        return make(_no_rows(ell, length), columns)
-    cache, key = _ROW_CACHE, (k, start, r0, ell)
-    entry = cache.entries.get(key, [None, {}, 0])
-    view = entry[1].get(view_key)
-    if view is None:
-        if entry[0] is None or entry[0].shape[1] < length:
-            eta_r0 = _one(ell, length)
-            if r0:
-                eta_r0 = _power(_square_strand(1, length, ell), r0, ell, length)
-            rows = _rref(_spanning_rows(k, ell, length, start, eta_r0), columns, ell)
-            rows.flags.writeable = False
-            entry[0] = rows
-            entry[2] += rows.nbytes
-            cache.nbytes += rows.nbytes
-        view = entry[1][view_key] = make(entry[0][:, :length], columns)
-    cache.entries.pop(key, None)
-    cache.entries[key] = entry  # most recently used last
-    while cache.nbytes > _CACHE_BYTES and len(cache.entries) > 1:
-        oldest = next(iter(cache.entries))
-        cache.nbytes -= cache.entries.pop(oldest)[2]
-    return view
-
-
-class _StrandBasis:
-    """dim and elements of a basis whose rows hold the strand at _offset + 24 m."""
-
-    _offset = 0
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[0]
-
-    @cached_property
-    def elements(self) -> tuple:
-        """The basis as series, built on first access."""
-        return tuple(
-            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=self._offset)
-            for row in self.rows
-        )
-
-
 @dataclass(frozen=True, eq=False)
-class SpaceBasis(_StrandBasis):
+class SpaceBasis:
     """Reduced echelon basis of M_k or S_k over F_ell.
 
     rows is the read-only (dim x ceil(prec/24)) matrix of coefficients at
@@ -317,6 +244,17 @@ class SpaceBasis(_StrandBasis):
     rows: np.ndarray
     pivots: tuple
 
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[0]
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The basis as series, built on first access."""
+        return tuple(
+            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=0) for row in self.rows
+        )
+
 
 def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     """Reduced echelon basis of the weight-k space mod ell.
@@ -324,22 +262,62 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     Spanning set Delta^j * E4^a * E6^b for j = 0..dim-1, with b in
     {0, 1} making the complementary weight divisible by 4.  Leading
     terms are q^j, so the set row-reduces without pivot search.
+
+    _ROW_CACHE.entries[(k, start, ell)], start 0 for "M" and 1 for "S",
+    holds [rows, {prec: basis}, nbytes]: the longest row matrix built so
+    far, every basis served from a prefix of it, and the bytes of every
+    matrix those bases keep reachable (a basis served before a longer
+    build keeps its prefix of the older matrix).  Once the cache passes
+    _CACHE_BYTES, the least recently used entries are dropped whole,
+    never the one just served.  Empty spaces are not cached.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
-    return _basis(
-        k, 0 if kind == "M" else 1, 0, ell, prec, prec,
-        lambda rows, columns: SpaceBasis(k, kind, ell, prec, rows, tuple(columns)),
-    )
+    if ell < 5 or not is_prime(ell):
+        raise ValueError(f"ell must be a prime >= 5, got {ell}")
+    dm = dims(k)[0]
+    length = (prec + 23) // 24
+    if dm and length < dm + k // 12 + 1:
+        raise PrecisionError(
+            f"prec {prec} too small for weight {k}: need pivots plus Sturm depth"
+        )
+    start = 0 if kind == "M" else 1
+    pivots = tuple(range(start, dm))
+    if not pivots:
+        rows = np.zeros((0, length), dtype=_dtype(ell))
+        rows.flags.writeable = False
+        return SpaceBasis(k, kind, ell, prec, rows, pivots)
+    cache, key = _ROW_CACHE, (k, start, ell)
+    entry = cache.entries.get(key, [None, {}, 0])
+    basis = entry[1].get(prec)
+    if basis is None:
+        if entry[0] is None or entry[0].shape[1] < length:
+            rows = _rref(_spanning_rows(k, ell, length, start), pivots, ell)
+            rows.flags.writeable = False
+            entry[0] = rows
+            entry[2] += rows.nbytes
+            cache.nbytes += rows.nbytes
+        basis = entry[1][prec] = SpaceBasis(k, kind, ell, prec, entry[0][:, :length], pivots)
+    cache.entries.pop(key, None)
+    cache.entries[key] = entry  # most recently used last
+    while cache.nbytes > _CACHE_BYTES and len(cache.entries) > 1:
+        oldest = next(iter(cache.entries))
+        cache.nbytes -= cache.entries.pop(oldest)[2]
+    return basis
 
 
 @dataclass(frozen=True)
 class MembershipCertificate:
-    """Echelon coordinates verified against the input below depth (1/24-units)."""
+    """Echelon coordinates verified against the input below depth (1/24-units).
+
+    checked counts the coefficients on the space's strand below depth
+    that the pivots do not fix, that is, the ones the certificate
+    actually compared.
+    """
 
     coordinates: tuple
     depth: int
-    space: object
+    checked: int
 
 
 @dataclass(frozen=True)
@@ -349,26 +327,26 @@ class NotMember:
     witness: int
 
 
-def _solve(f: QExp24, rows: np.ndarray, pivots, offset: int, depth: int, space):
+def _solve(f: QExp24, rows: np.ndarray, pivots, depth: int):
     """Coordinates of f at the pivots, verified at every index below depth.
 
-    Pivots and the columns of rows are strand positions m, standing for
-    index offset + 24 m.  The witness of a NotMember is the first index
-    below depth where f differs from the combination: an on-strand
-    mismatch or an off-strand nonzero coefficient.
+    Pivots and the columns of rows are integer exponents.  The witness
+    of a NotMember is the first index below depth where f differs from
+    the combination: an integer-exponent mismatch or a nonzero
+    coefficient off the integer exponents.
     """
     ell = f.modulus
-    n = len(range(offset, depth, 24))
-    target = f.strand(offset)[:n]
+    n = len(range(0, depth, 24))
+    target = f.strand(0)[:n]
     coords = target[list(pivots)].tolist()
     bad = np.flatnonzero(_combine(coords, rows[:, :n], ell) != target)
-    limit = offset + 24 * int(bad[0]) if bad.size else depth
-    off = f.first_off_class(offset, limit)
+    limit = 24 * int(bad[0]) if bad.size else depth
+    off = f.first_off_class(0, limit)
     if off is not None:
         return NotMember(off)
     if limit < depth:
         return NotMember(limit)
-    return MembershipCertificate(tuple(coords), depth, space)
+    return MembershipCertificate(tuple(coords), depth, n - len(pivots))
 
 
 def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
@@ -386,7 +364,7 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
         raise PrecisionError("verification depth exceeds available precision")
     if any(24 * pivot >= depth for pivot in basis.pivots):
         raise PrecisionError("depth does not reach every pivot")
-    return _solve(f, basis.rows, basis.pivots, 0, depth, basis)
+    return _solve(f, basis.rows, basis.pivots, depth)
 
 
 def sturm_check(f: QExp24, g: QExp24, k: int, kind: str = "M") -> bool:
@@ -440,31 +418,6 @@ def filtration(f: QExp24, k: int) -> int:
 # === half-integral-weight realization ===
 
 
-@dataclass(frozen=True, eq=False)
-class EtaSpaceDescriptor(_StrandBasis):
-    """Realized basis of the weight lam + 1/2 space with eta multiplier power r.
-
-    Elements are eta^r0 times a weight-w basis, re-echelonized so element
-    i has pivot 1 at index r0 + 24 i.  rows is the read-only matrix of
-    their coefficients at the indices r0 + 24 m below prec.  Every element
-    vanishes at the cusp (leading index >= r0 > 0).  Empty when w < 0,
-    w is odd, or dim M_w = 0.
-    """
-
-    lam: int
-    r: int
-    r0: int
-    w: int
-    ell: int
-    prec: int
-    rows: np.ndarray
-    pivots: tuple
-
-    @property
-    def _offset(self) -> int:
-        return self.r0
-
-
 def membership_depth(lam: int, r: int) -> tuple:
     """(quotient weight w, certification depth in 1/24-units)."""
     r0 = r % 24
@@ -484,24 +437,24 @@ def _check_eta_args(lam: int, r: int):
         raise ValueError(f"lam must be nonnegative, got {lam}")
 
 
-def eta_space_basis(lam: int, r: int, ell: int, prec: int) -> EtaSpaceDescriptor:
-    _check_eta_args(lam, r)
-    r0 = r % 24
-    w = membership_depth(lam, r)[0]
-    return _basis(
-        w, 0, r0, ell, prec, (r, prec),
-        lambda rows, columns: EtaSpaceDescriptor(
-            lam, r, r0, w, ell, prec, rows, tuple(r0 + 24 * m for m in columns)
-        ),
-    )
-
-
 def eta_membership(f: QExp24, lam: int, r: int):
     """Certify f as a member of the realized weight lam + 1/2 space.
 
-    Solves against eta_space_basis(lam, r) with verification depth
-    24*(floor(w/12)+1) + r0.  Membership in an empty space means f = 0
-    to the full known precision.
+    The space is eta^r0 * M_w; membership_depth gives w and the
+    verification depth 24*(floor(w/12)+1) + r0.  The coordinates are f's
+    coefficients at the pivot indices r0 + 24 i, i < dim M_w.  Below the
+    depth lie dim M_w + 1 strand coefficients when w = 2 (mod 12) and
+    dim M_w otherwise, so only when w = 2 (mod 12) is one more checked:
+    f / eta^r0 is solved against the Miller basis of M_w, and a mismatch
+    at q^m is reported at index r0 + 24 m (eta^r0 starts with 1, so f
+    and its quotient first leave the space at the same place).
+
+    checked counts the strand coefficients compared beyond the pivots.
+    With checked == 0 the certificate holds only for a series that lies
+    in the space by construction, such as eta^k, a theta lift, or a sum
+    within one space.  Membership in an empty space means f = 0 to the
+    full known precision, and checked is its number of strand
+    coefficients.
     """
     _check_eta_args(lam, r)
     ell = f.modulus
@@ -512,13 +465,26 @@ def eta_membership(f: QExp24, lam: int, r: int):
     if off is not None:
         return NotMember(off)
     w, depth = membership_depth(lam, r)
-    if dims(w)[0] == 0:
+    dm = dims(w)[0]
+    if dm == 0:
         if f.is_zero():
-            return MembershipCertificate((), f.prec, eta_space_basis(lam, r, ell, f.prec))
+            return MembershipCertificate((), f.prec, len(range(r0, f.prec, 24)))
         return NotMember(f.valuation())
     if f.prec < depth:
         raise PrecisionError(
             f"certifying at lam={lam}, r={r} needs precision {depth}, have {f.prec}"
         )
-    desc = eta_space_basis(lam, r, ell, _basis_prec(w, depth))
-    return _solve(f, desc.rows, range(desc.dim), r0, depth, desc)
+    strand = f.strand(r0)
+    coords = tuple(strand[:dm].tolist())
+    n = len(range(r0, depth, 24))
+    if n <= dm:  # an echelon basis is the identity on these columns
+        return MembershipCertificate(coords, depth, 0)
+    eta_inv = _power(_inverse(_square_strand(1, n, ell), ell, n), r0, ell, n)
+    quotient = QExp24(
+        values=_conv(strand[:n], eta_inv, ell, n), prec=24 * (n - 1) + 1, modulus=ell, residue=0
+    )
+    basis = miller_basis(w, ell, _basis_prec(w, depth))
+    result = _solve(quotient, basis.rows, basis.pivots, quotient.prec)
+    if isinstance(result, NotMember):
+        return NotMember(r0 + result.witness)
+    return MembershipCertificate(coords, depth, result.checked)

@@ -195,3 +195,99 @@ def dense_hecke_tp2(f, p, lam_int, char12=True):
             b += c2 * f.coeffs[n // (p * p)]
         out.append(b)
     return DenseSeries(out, prec, ell, f.residue)
+
+
+def _poly_mul(a, b, ell):
+    """Product of two integer-exponent polynomials mod ell, truncated to len(a) terms."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b[: len(a) - i]):
+                out[i + j] = (out[i + j] + x * y) % ell
+    return out
+
+
+def _euler_power(e, m):
+    """prod_{n >= 1} (1 - x^n)^e up to x^(m-1), over Z."""
+    poly = [1] + [0] * (m - 1)
+    for n in range(1, m):
+        for _ in range(e):
+            for i in range(m - 1, n - 1, -1):
+                poly[i] -= poly[i - n]
+    return poly
+
+
+def eta_space_oracle(lam, r, ell, prec):
+    """Echelon basis of eta^r0 * M_w mod ell, r0 = r mod 24, w = lam + (1 - r0)/2.
+
+    Spans the space by every monomial eta^r0 Delta^j E4^a E6^b with
+    12j + 4a + 6b = w (none when w is negative or odd): eta^r0 and Delta
+    from their product formulas, E4 and E6 from sympy's divisor sums,
+    multiplied as polynomials in q on the strand of indices r0 + 24m.
+    Gauss-Jordan elimination with pivot search gives the reduced basis.
+    Returns (pivot indices, elements as dense lists a(0), ..., a(prec-1)),
+    sorted by pivot.
+    """
+    r0 = r % 24
+    w = lam + (1 - r0) // 2
+    m = len(range(r0, prec, 24))
+    e4 = [1] + [240 * sigma_oracle(n, 3) % ell for n in range(1, m)]
+    e6 = [1] + [-504 * sigma_oracle(n, 5) % ell for n in range(1, m)]
+    delta = ([0] + [c % ell for c in _euler_power(24, m)])[:m]
+    rows = []
+    for j in range(w // 12 + 1):
+        for b in range((w - 12 * j) // 6 + 1):
+            rest = w - 12 * j - 6 * b
+            if rest % 4:
+                continue
+            row = [c % ell for c in _euler_power(r0, m)]
+            for factor, e in ((delta, j), (e4, rest // 4), (e6, b)):
+                for _ in range(e):
+                    row = _poly_mul(row, factor, ell)
+            rows.append(row)
+    pivots, basis = [], []
+    for row in rows:
+        for p, other in zip(pivots, basis):
+            row = [(x - row[p] * y) % ell for x, y in zip(row, other)]
+        lead = next((i for i, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        inv = pow(row[lead], -1, ell)
+        row = [x * inv % ell for x in row]
+        basis = [[(x - other[lead] * y) % ell for x, y in zip(other, row)] for other in basis]
+        pivots.append(lead)
+        basis.append(row)
+    elements = []
+    for p, row in sorted(zip(pivots, basis)):
+        dense = [0] * prec
+        dense[r0::24] = row
+        elements.append(dense)
+    return [r0 + 24 * p for p in sorted(pivots)], elements
+
+
+def eta_membership_oracle(coeffs, lam, r, ell, depth):
+    """Membership of the dense list coeffs (mod ell) in eta^r0 * M_w, solved to depth.
+
+    ("member", coordinates, depth, checked) or ("not", witness).  The
+    witness is the first nonzero index off the class r0 (mod 24) anywhere,
+    else the first index below depth where coeffs differs from the
+    combination of the eta_space_oracle basis with coeffs' values at the
+    pivots.  checked counts the strand indices below depth that are not
+    pivots.  In an empty space only zero is a member, to all of coeffs,
+    and every strand index is checked.
+    """
+    prec, r0 = len(coeffs), r % 24
+    off = next((n for n, c in enumerate(coeffs) if c and n % 24 != r0), None)
+    if off is not None:
+        return ("not", off)
+    pivots, elements = eta_space_oracle(lam, r, ell, prec)
+    if not pivots:
+        nonzero = next((n for n, c in enumerate(coeffs) if c), None)
+        if nonzero is not None:
+            return ("not", nonzero)
+        return ("member", (), prec, len(range(r0, prec, 24)))
+    coords = tuple(coeffs[p] for p in pivots)
+    for n in range(depth):
+        if coeffs[n] != sum(c * e[n] for c, e in zip(coords, elements)) % ell:
+            return ("not", n)
+    return ("member", coords, depth, len(range(r0, depth, 24)) - len(pivots))

@@ -87,13 +87,6 @@ def test_evaluate_prec_argument():
     assert form.series.prec >= 300
 
 
-def test_evaluate_prec_override_env(monkeypatch):
-    base = evaluate_recipe("eta", 5).series.prec
-    monkeypatch.setenv("ETAKIT_PREC_OVERRIDE", "2.0")
-    boosted = evaluate_recipe("eta", 5).series.prec
-    assert boosted >= 2 * base
-
-
 def test_evaluate_rejects_bad_weights():
     with pytest.raises(ValueError):
         evaluate_recipe("eta^2", 5)  # gcd(2, 6) > 1

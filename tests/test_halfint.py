@@ -243,7 +243,7 @@ def test_hecke_validation():
     with pytest.raises(ValueError):
         HeckeSpec(9, 2)
     with pytest.raises(ValueError):
-        HeckeSpec(7, 2, eps_p=0)
+        hecke_eigenvalue_check(theta_lift(eta_form(24 * 60, 5)), 7, eps_p=0)
     f = eta_series(100, 5)
     with pytest.raises(ValueError):
         hecke_tp2(f, HeckeSpec(5, 2))  # p = ell

@@ -8,6 +8,8 @@ import pytest
 
 from etakit.qseries import PrecisionError
 from etakit.numeric import (
+    _TAU,
+    _term_count,
     UnimodularMatrix,
     epsilon_identities,
     eta_multiplier_exponent,
@@ -18,6 +20,8 @@ from etakit.numeric import (
     verify_eta_transform,
     verify_theta_transform,
 )
+
+from oracles import kronecker_oracle
 
 S = UnimodularMatrix(0, -1, 1, 0)
 T = UnimodularMatrix(1, 1, 0, 1)
@@ -94,6 +98,22 @@ def test_eta_at_i():
     got = eta_value(1j)
     assert abs(got - want) < 1e-12
     assert abs(got.imag) < 1e-15
+
+
+def test_eta_value_equals_the_sum_over_every_n():
+    # the terms with (12|n) = 0 add nothing, so skipping them leaves the
+    # floating-point sum bit-identical to the sum over every n
+    rng = random.Random(12)
+    for _ in range(40):
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.02, 3))
+        n_max = _term_count(z.imag, _TAU / 24.0, 1e-16, 20000)
+        w = 2j * math.pi * z / 24.0
+        total = 0.0 + 0.0j
+        for n in range(1, n_max + 1):
+            chi = kronecker_oracle(12, n)
+            if chi:
+                total += chi * cmath.exp(w * n * n)
+        assert eta_value(z) == total, z
 
 
 def test_theta_special_value():

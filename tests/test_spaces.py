@@ -1,11 +1,14 @@
 """Tests for integer-weight spaces, certificates, filtration, eta realization."""
 
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from sympy import divisor_sigma
 
 from etakit import qseries, spaces
+from etakit.halfint import certify, eta_form, theta_lift
 from etakit.qseries import PrecisionError, QExp24, eta_series, theta_op
 from etakit.spaces import (
     CertificationError,
@@ -17,14 +20,19 @@ from etakit.spaces import (
     eisenstein_e4,
     eisenstein_e6,
     eta_membership,
-    eta_space_basis,
     filtration,
     membership_depth,
     miller_basis,
     sturm_check,
 )
 
-from oracles import delta_product_coeffs
+from oracles import (
+    delta_product_coeffs,
+    eta_membership_oracle,
+    eta_product_coeffs,
+    eta_space_oracle,
+    sigma_oracle,
+)
 
 
 # === dimension bookkeeping ===
@@ -192,7 +200,7 @@ def test_coordinates_roundtrip():
     assert isinstance(cert, MembershipCertificate)
     assert cert.coordinates == (3, 7, 10)
     assert cert.depth == prec
-    assert cert.space is b
+    assert cert.checked == 8 - 3  # integer exponents below depth minus pivots
 
 
 def test_coordinates_rejects_outsider():
@@ -320,49 +328,43 @@ def test_membership_depth_values():
     assert membership_depth(2, 25) == (2, 25)
 
 
+def _eta_power(k, prec, ell):
+    return (eta_series(prec + 24 * k, ell) ** k).truncate(prec)
+
+
 def test_eta_space_one_dimensional():
-    ell = 5
-    desc = eta_space_basis(0, 1, ell, 26)
-    assert desc.dim == 1
-    assert desc.pivots == (1,)
-    assert desc.elements[0] == eta_series(26, ell)
-    assert desc.elements[0].residue == 1
+    f = eta_series(26, 5)
+    cert = eta_membership(f, 0, 1)
+    assert cert == MembershipCertificate((1,), 25, 0)
 
 
 def test_eta_space_heavier_multiplier():
     ell = 11
     prec = 24 * 3 + 7
-    desc = eta_space_basis(3, 7, ell, prec)
-    assert desc.w == 0
-    assert desc.dim == 1
-    assert desc.pivots == (7,)
-    assert desc.elements[0] == (eta_series(prec, ell) ** 7).truncate(prec)
+    assert membership_depth(3, 7)[0] == 0
+    assert eta_membership(_eta_power(7, prec, ell), 3, 7) == MembershipCertificate((1,), 31, 0)
 
 
 def test_eta_space_two_dimensional():
+    # w = 12: pivots at indices 1 and 25, and eta^25 = eta * Delta is the second
     ell = 7
     prec = 24 * 7 + 1
-    desc = eta_space_basis(12, 1, ell, prec)
-    assert desc.w == 12
-    assert desc.dim == 2
-    assert desc.pivots == (1, 25)
-    # echelon element with a(1)=0, a(25)=1 must be eta^25 = eta * delta
-    e25 = (eta_series(prec + 24 * 25, ell) ** 25).truncate(prec)
-    assert desc.elements[1] == e25
-    for elem in desc.elements:
-        assert elem.residue == 1
+    assert membership_depth(12, 1)[0] == 12
+    cert = eta_membership(_eta_power(25, prec, ell), 12, 1)
+    assert cert == MembershipCertificate((0, 1), 49, 0)
+    assert eta_membership(_eta_power(25, prec, ell), 12, 25) == cert
 
 
 def test_eta_space_empty_cases():
-    assert eta_space_basis(0, 5, 5, 48).dim == 0  # w = -2
-    assert eta_space_basis(1, 1, 5, 48).dim == 0  # w = 1 odd
-    assert eta_space_basis(1, 5, 5, 48).dim == 0  # w = -1
+    for lam, r in ((0, 5), (1, 1), (1, 5)):  # w = -2, 1 (odd), -1
+        z = QExp24.zero(48, modulus=5, residue=r % 24)
+        assert eta_membership(z, lam, r) == MembershipCertificate((), 48, 2)
     with pytest.raises(ValueError):
-        eta_space_basis(0, 2, 5, 48)  # gcd(r, 6) != 1
+        eta_membership(eta_series(48, 5), 0, 2)  # gcd(r, 6) != 1
     with pytest.raises(ValueError):
-        eta_space_basis(-1, 1, 5, 48)
+        eta_membership(eta_series(48, 5), -1, 1)
     with pytest.raises(ValueError):
-        eta_space_basis(0, 1, 6, 48)
+        eta_membership(QExp24.zero(48, modulus=6), 0, 1)  # no ring F_6
 
 
 def test_eta_membership_eta_powers():
@@ -399,12 +401,21 @@ def test_eta_membership_empty_space():
 
 
 def test_eta_membership_two_dim_coords():
+    # eta E4^3 and eta Delta from product formulas and divisor sums:
+    # 4 eta E4^3 + (6 - 4 c) eta Delta, c = a(25) of eta E4^3, has
+    # coefficients 4 and 6 at the pivot indices 1 and 25
     ell = 7
     lam, r = 12, 1
     w, depth = membership_depth(lam, r)
-    desc = eta_space_basis(lam, r, ell, depth + 24)
-    f = desc.elements[0].scale(4) + desc.elements[1].scale(6)
-    cert = eta_membership(f.truncate(depth), lam, r)
+    prec = depth + 24
+    eta = QExp24(eta_product_coeffs(prec), prec, ell)
+    e4_terms = {24 * n: 240 * sigma_oracle(n, 3) for n in range(1, 4)}
+    e4 = QExp24.from_dict({0: 1, **e4_terms}, prec, ell)
+    delta = QExp24(delta_product_coeffs(prec), prec, ell)
+    eta_e4_cube = (eta * e4 * e4 * e4).truncate(prec)
+    c = eta_e4_cube.coeff(25)
+    f = eta_e4_cube.scale(4) + (eta * delta).truncate(prec).scale(6 - 4 * c)
+    cert = eta_membership(f, lam, r)
     assert isinstance(cert, MembershipCertificate)
     assert cert.coordinates == (4, 6)
 
@@ -435,19 +446,17 @@ def test_e4_e6_sieve_matches_divisor_sigma():
 
 def test_basis_rows_are_read_only():
     b = miller_basis(24, 11, 24 * 8)
-    desc = eta_space_basis(12, 1, 7, 24 * 7 + 1)
-    for rows in (b.rows, desc.rows, miller_basis(24, 11, 24 * 6).rows):
+    cusp = miller_basis(26, 7, 24 * 7 + 1, "S")
+    for rows in (b.rows, miller_basis(24, 11, 24 * 6).rows, cusp.rows):
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 2
 
 
 def test_rows_hold_the_strand_of_each_element():
-    b = miller_basis(28, 13, 24 * 7 + 5)
-    desc = eta_space_basis(14, 5, 13, 24 * 9)
-    for rows, elements, offset in ((b.rows, b.elements, 0), (desc.rows, desc.elements, 5)):
-        for row, elem in zip(rows, elements):
-            assert row.tolist() == list(elem.coeffs[offset::24])
+    for b in (miller_basis(28, 13, 24 * 7 + 5), miller_basis(26, 13, 24 * 9, "S")):
+        for row, elem in zip(b.rows, b.elements):
+            assert row.tolist() == list(elem.coeffs[::24])
 
 
 def test_shorter_precision_is_a_prefix_of_the_cached_rows(monkeypatch):
@@ -467,24 +476,8 @@ def test_shorter_precision_is_a_prefix_of_the_cached_rows(monkeypatch):
         assert warm.prec == prec1
         assert warm.elements == cold, (k, ell, kind, prec1, prec2)
 
-        lam = rng.randrange(0, 40)
-        r = rng.choice((1, 5, 7, 11, 13, 17, 19, 23, 25))
-        w = lam + (1 - r % 24) // 2
-        need = 24 * (max(dims(w)[0], 1) + max(w, 0) // 12 + 1)
-        prec1 = need + rng.randrange(0, 60)
-        prec2 = prec1 + rng.randrange(1, 200)
-        _clear_caches(monkeypatch)
-        cold = eta_space_basis(lam, r, ell, prec1).elements
-        _clear_caches(monkeypatch)
-        eta_space_basis(lam, r, ell, prec2)
-        warm = eta_space_basis(lam, r, ell, prec1)
-        assert warm.elements == cold, (lam, r, ell, prec1, prec2)
-
 
 def test_repeated_calls_return_the_same_object():
-    assert eta_space_basis(12, 1, 7, 24 * 9) is eta_space_basis(12, 1, 7, 24 * 9)
-    # r = 1 and r = 25 share rows but not the descriptor
-    assert eta_space_basis(12, 25, 7, 24 * 9).r == 25
     b = miller_basis(20, 13, 24 * 9)
     miller_basis(20, 13, 24 * 20)  # a longer build replaces the cached rows
     assert miller_basis(20, 13, 24 * 9) is b
@@ -494,12 +487,10 @@ def test_int64_and_exact_paths_give_identical_rows(monkeypatch):
     ell = 97
     fast_m = miller_basis(40, ell, 24 * 12).rows
     fast_s = miller_basis(40, ell, 24 * 12, "S").rows
-    fast_e = eta_space_basis(36, 7, ell, 24 * 10).rows
     _clear_caches(monkeypatch)
     monkeypatch.setattr(qseries, "_INT64_BOUND", 0)  # every kernel takes the exact path
     assert (miller_basis(40, ell, 24 * 12).rows == fast_m).all()
     assert (miller_basis(40, ell, 24 * 12, "S").rows == fast_s).all()
-    assert (eta_space_basis(36, 7, ell, 24 * 10).rows == fast_e).all()
 
 
 def _cached_bytes(cache):
@@ -529,52 +520,29 @@ def test_row_cache_drops_least_recently_used(monkeypatch):
     assert miller_basis(12, ell, 24 * 11).rows.base is a.rows.base  # a is now the most recent
     miller_basis(20, ell, prec)  # passes the budget: b, the least recently used, goes
     cache = spaces._ROW_CACHE
-    assert list(cache.entries) == [(12, 0, 0, ell), (20, 0, 0, ell)]
+    assert list(cache.entries) == [(12, 0, ell), (20, 0, ell)]
     assert cache.nbytes == _cached_bytes(cache) <= budget
     assert miller_basis(12, ell, prec) is a
     b2 = miller_basis(16, ell, prec)
     assert b2 is not b and (b2.rows == b.rows).all()
-    assert list(cache.entries) == [(12, 0, 0, ell), (16, 0, 0, ell)]
+    assert list(cache.entries) == [(12, 0, ell), (16, 0, ell)]
     assert cache.nbytes == _cached_bytes(cache) <= budget
 
 
 def test_evicted_space_rebuilds_equal_to_a_cold_build(monkeypatch):
     ell = 29
     _clear_caches(monkeypatch)
-    cold = eta_space_basis(30, 1, ell, 24 * 9)
+    cold = miller_basis(30, ell, 24 * 9, "S")
     _clear_caches(monkeypatch)
     monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)  # keep only the space just served
-    eta_space_basis(30, 1, ell, 24 * 14)
-    eta_space_basis(26, 1, ell, 24 * 10)
-    assert list(spaces._ROW_CACHE.entries) == [(26, 0, 1, ell)]
-    rebuilt = eta_space_basis(30, 1, ell, 24 * 9)
-    assert list(spaces._ROW_CACHE.entries) == [(30, 0, 1, ell)]
+    miller_basis(30, ell, 24 * 14, "S")
+    miller_basis(26, ell, 24 * 10, "S")
+    assert list(spaces._ROW_CACHE.entries) == [(26, 1, ell)]
+    rebuilt = miller_basis(30, ell, 24 * 9, "S")
+    assert list(spaces._ROW_CACHE.entries) == [(30, 1, ell)]
     assert spaces._ROW_CACHE.nbytes == _cached_bytes(spaces._ROW_CACHE)
     assert rebuilt.elements == cold.elements
     assert (rebuilt.rows == cold.rows).all() and rebuilt.pivots == cold.pivots
-
-
-def test_miller_and_eta_spaces_share_one_budget(monkeypatch):
-    ell = 17
-    _clear_caches(monkeypatch)
-    cold_m = miller_basis(24, ell, 24 * 10, "S")
-    cold_e = eta_space_basis(22, 5, ell, 24 * 10)
-    _clear_caches(monkeypatch)
-    budget = cold_m.rows.nbytes + cold_e.rows.nbytes
-    monkeypatch.setattr(spaces, "_CACHE_BYTES", budget)
-    m = miller_basis(24, ell, 24 * 10, "S")
-    e = eta_space_basis(22, 5, ell, 24 * 10)
-    cache = spaces._ROW_CACHE
-    assert list(cache.entries) == [(24, 1, 0, ell), (20, 0, 5, ell)]
-    assert miller_basis(24, ell, 24 * 10, "S") is m  # the Miller space is now the most recent
-    miller_basis(16, ell, 24 * 10)  # passes the budget: the eta space goes
-    assert list(cache.entries) == [(24, 1, 0, ell), (16, 0, 0, ell)]
-    assert cache.nbytes == _cached_bytes(cache) <= budget
-    rebuilt = eta_space_basis(22, 5, ell, 24 * 10)
-    assert rebuilt is not e and rebuilt.pivots == cold_e.pivots
-    assert (rebuilt.rows == cold_e.rows).all() and rebuilt.elements == cold_e.elements
-    assert list(cache.entries) == [(16, 0, 0, ell), (20, 0, 5, ell)]
-    assert cache.nbytes == _cached_bytes(cache) <= budget
 
 
 def test_row_cache_counts_the_matrices_its_objects_keep(monkeypatch):
@@ -587,7 +555,7 @@ def test_row_cache_counts_the_matrices_its_objects_keep(monkeypatch):
     assert cache.nbytes == _cached_bytes(cache) == sum(b.rows.base.nbytes for b in served)
     monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)
     miller_basis(12, 13, 24 * 5)  # drops the weight-40 entry and all its matrices
-    assert list(cache.entries) == [(12, 0, 0, 13)]
+    assert list(cache.entries) == [(12, 0, 13)]
     assert cache.nbytes == _cached_bytes(cache)
 
 
@@ -677,15 +645,103 @@ def test_verifier_witness_matches_dense_reference():
 
         lam, r = rng.choice(((12, 1), (14, 5), (24, 1), (20, 13)))
         w, depth = membership_depth(lam, r)
-        desc = eta_space_basis(lam, r, ell, 24 * (dims(w)[0] + w // 12 + 2) + r % 24)
+        pivots, dense = eta_space_oracle(lam, r, ell, depth)
+        elements = [QExp24(e, depth, ell) for e in dense]
         h = QExp24.zero(depth, ell)
-        for e in desc.elements:
-            h = h + e.truncate(depth).scale(rng.randrange(ell))
+        for e in elements:
+            h = h + e.scale(rng.randrange(ell))
         n = rng.randrange(depth)
         if rng.random() < 0.5:
             n = max(r % 24, n - (n - r % 24) % 24)
         g = _perturbed(h, n, rng.randrange(1, ell))
-        coords = [g.coeffs[p] for p in desc.pivots]
-        want = _dense_witness(g, desc.elements, coords, depth)
+        coords = [g.coeffs[p] for p in pivots]
+        want = _dense_witness(g, elements, coords, depth)
         refusals += _agree(eta_membership(g, lam, r), want)
     assert refusals > 40
+
+
+# === eta-multiplier membership against an independent reference ===
+
+ORACLE_ELLS = (5, 7, 11, 13, 17, 29, 97, MERSENNE31)
+PRIME_TO_6 = [r for r in range(1, 100) if math.gcd(r, 6) == 1]
+
+
+@st.composite
+def eta_membership_cases(draw):
+    """(coeffs, prec, ell, lam, r, tag): an input series and the space it is tested in.
+
+    The quotient weight w is drawn from w = 2 (mod 12) with dim M_w > 0,
+    where one coefficient past the pivots is checked, from the even
+    weights, and from every weight, including the empty spaces (w < 0,
+    w odd or w = 2).
+    """
+    ell = draw(st.sampled_from(ORACLE_ELLS))
+    r = draw(st.sampled_from(PRIME_TO_6))
+    r0 = r % 24
+    w = draw(st.one_of(
+        st.integers(1, 6).map(lambda j: 12 * j + 2),
+        st.integers(0, 40).map(lambda j: 2 * j),
+        st.integers(-6, 80),
+    ))
+    lam = w - (1 - r0) // 2
+    assume(lam >= 0)
+    depth = membership_depth(lam, r)[1]
+    prec = max(depth, 1) + draw(st.integers(0, 60))
+    kind = draw(st.sampled_from(("on-strand", "perturbed member", "off-class", "zero")))
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = [0] * prec
+    if kind == "on-strand" or kind == "off-class":
+        coeffs[r0::24] = [rng.randrange(ell) for _ in range(r0, prec, 24)]
+    if kind == "off-class":
+        n = draw(st.integers(0, prec - 1).filter(lambda n: n % 24 != r0))
+        coeffs[n] = rng.randrange(1, ell)
+    if kind == "perturbed member":
+        for e in eta_space_oracle(lam, r, ell, prec)[1]:
+            c = rng.randrange(ell)
+            coeffs = [(a + c * b) % ell for a, b in zip(coeffs, e)]
+        n = draw(st.integers(0, prec - 1))
+        if draw(st.booleans()):  # half of them on the strand, where the space constrains it
+            n = r0 + 24 * (n // 24) if r0 + 24 * (n // 24) < prec else r0
+        coeffs[n] = (coeffs[n] + draw(st.integers(0, ell - 1))) % ell
+    on_class = all(c == 0 for n, c in enumerate(coeffs) if n % 24 != r0)
+    tag = r0 if on_class and draw(st.booleans()) else None
+    return coeffs, prec, ell, lam, r, tag
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eta_membership_cases())
+def test_eta_membership_matches_oracle(case):
+    coeffs, prec, ell, lam, r, tag = case
+    depth = membership_depth(lam, r)[1]
+    got = eta_membership(QExp24(coeffs, prec, ell, tag), lam, r)
+    want = eta_membership_oracle(coeffs, lam, r, ell, depth)
+    if want[0] == "not":
+        assert got == NotMember(want[1])
+    else:
+        assert got == MembershipCertificate(*want[1:])
+
+
+def test_certifying_without_a_checked_coefficient_builds_no_basis(monkeypatch):
+    # w = 0, 0, 12 for eta, eta^7, eta^25; theta lifts of eta at ell = 5, 7, 11 have w = 6, 8, 12
+    _clear_caches(monkeypatch)
+    for k, ell in ((1, 5), (7, 11), (25, 7)):
+        lam = (k - 1) // 2
+        prec = membership_depth(lam, k)[1] + 24
+        cert = certify(_eta_power(k, prec, ell), lam, k).certificate
+        assert cert.checked == 0
+    for ell in (5, 7, 11):
+        lifted = theta_lift(eta_form(24 * 8, ell))
+        assert membership_depth(lifted.lam, 1)[0] % 12 != 2
+        assert lifted.certificate.checked == 0
+    assert spaces._ROW_CACHE.entries == {} and spaces._ROW_CACHE.nbytes == 0
+
+
+def test_the_checked_coefficient_is_solved_against_the_miller_basis(monkeypatch):
+    # theta of eta at ell = 13 lies at lam = 14, w = 14 = 2 (mod 12): one
+    # coefficient past the pivots is checked, against the Miller basis of M_14
+    _clear_caches(monkeypatch)
+    lifted = theta_lift(eta_form(24 * 8, 13))
+    assert lifted.certificate.checked == 1
+    assert list(spaces._ROW_CACHE.entries) == [(14, 0, 13)]
+    bent = QExp24.from_dict({**dict(lifted.series.nonzero_items()), 25: 1}, lifted.series.prec, 13)
+    assert eta_membership(bent, lifted.lam, 1) == NotMember(25)
