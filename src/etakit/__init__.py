@@ -39,7 +39,6 @@ from .spaces import (
 )
 from .halfint import (
     HalfIntForm,
-    HeckeSpec,
     canonical_t1,
     canonical_t2,
     certify,

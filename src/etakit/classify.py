@@ -56,7 +56,7 @@ def _series_of(f) -> QExp24:
     return f.series if isinstance(f, HalfIntForm) else f
 
 
-def check_two_classes(f, ell: int | None = None):
+def check_two_classes(f):
     """Observed square classes and the verdict classes subset of {1, ell}.
 
     Returns (classes, CheckResult).  The scan covers the known prefix;
@@ -64,8 +64,7 @@ def check_two_classes(f, ell: int | None = None):
     statement about the whole expansion.
     """
     series = _series_of(f)
-    if ell is None:
-        ell = series.modulus
+    ell = series.modulus
     classes = support_square_classes(series)
     bad = sorted(t for t in classes if t not in (1, ell))
     witness = None
@@ -168,7 +167,7 @@ class CaseReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def classify(form: HalfIntForm, ell: int | None = None) -> CaseReport:
+def classify(form: HalfIntForm) -> CaseReport:
     """Assign a certified form to one of the three cases, or explain why not.
 
     Reads a1 and al (indices 1 and ell), builds the candidate target
@@ -182,10 +181,7 @@ def classify(form: HalfIntForm, ell: int | None = None) -> CaseReport:
     if not isinstance(form, HalfIntForm):
         raise TypeError("classify takes a certified form; use certify() first")
     series = form.series
-    if ell is None:
-        ell = form.ell
-    elif ell != form.ell:
-        raise ValueError(f"ell={ell} does not match the form's modulus {form.ell}")
+    ell = form.ell
     lam, r = form.lam, form.r
     r0 = r % 24
     lam_mod = lam % (ell - 1)
@@ -199,7 +195,7 @@ def classify(form: HalfIntForm, ell: int | None = None) -> CaseReport:
             f"series has {series.prec}"
         )
 
-    _classes, cls_check = check_two_classes(series, ell)
+    _classes, cls_check = check_two_classes(series)
     mult_check = check_multiplier(r, ell)
     checks = [cls_check, mult_check]
 

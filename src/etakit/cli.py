@@ -16,7 +16,6 @@ key=value (name, ell, recipe, optional prec, expect.* fields).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import random
@@ -300,17 +299,18 @@ def run_scenario(sc: dict) -> dict:
 # === verification sweeps ===
 
 
-def _random_unimodular(rng: random.Random, bound: int = 50) -> UnimodularMatrix:
-    # pick a coprime bottom row, complete it by the extended euclid identity
+def _random_unimodular(rng: random.Random) -> UnimodularMatrix:
+    # pick a coprime bottom row with entries in [-50, 50], complete it by
+    # the extended euclid identity
     while True:
-        c = rng.randint(-bound, bound)
-        d = rng.randint(-bound, bound)
+        c = rng.randint(-50, 50)
+        d = rng.randint(-50, 50)
         if (c, d) == (0, 0) or math.gcd(c, d) != 1:
             continue
         a, b = _complete_row(c, d)
         t = rng.randint(-2, 2)
         a, b = a + t * c, b + t * d
-        if abs(a) <= bound and abs(b) <= bound:
+        if abs(a) <= 50 and abs(b) <= 50:
             return UnimodularMatrix(a, b, c, d)
 
 
@@ -329,12 +329,12 @@ def _complete_row(c: int, d: int):
     return old_s, -old_t
 
 
-def multiplier_sweep(count: int = 100, seed: int = 2024, bound: int = 50) -> dict:
+def multiplier_sweep(count: int = 100, seed: int = 2024) -> dict:
     """Numeric verification of the eta transformation law at z = i."""
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(count):
-        gamma = _random_unimodular(rng, bound)
+        gamma = _random_unimodular(rng)
         dev = verify_eta_transform(gamma, 1j)
         worst = max(worst, dev)
         if eta_multiplier_exponent(gamma) not in range(24):
@@ -472,11 +472,7 @@ def _cmd_verify(args) -> int:
         scenarios = load_scenarios()
         if ells:
             scenarios = [sc for sc in scenarios if sc["ell"] in ells]
-        if args.jobs and args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(run_scenario, scenarios))
-        else:
-            rows = [run_scenario(sc) for sc in scenarios]
+        rows = [run_scenario(sc) for sc in scenarios]
         failed = 0
         width = max((len(r["name"]) for r in rows), default=4)
         for row in rows:
@@ -516,7 +512,7 @@ def _cmd_verify_multiplier(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etakit",
         description="level-one modular forms mod ell: bases, lifts, classification",
@@ -545,13 +541,15 @@ def main(argv=None) -> int:
         choices=("paper-examples", "multiplier-numeric", "filtration-laws"),
     )
     p_ver.add_argument("--ell", default=None, help="comma-separated primes")
-    p_ver.add_argument("--jobs", type=int, default=None)
 
     p_vm = sub.add_parser("verify-multiplier", help="numeric multiplier sweep, JSON")
     p_vm.add_argument("--count", type=int, default=100)
     p_vm.add_argument("--seed", type=int, default=2024)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "basis":
         return _cmd_basis(args)
     if args.command == "classify":

@@ -38,7 +38,6 @@ __all__ = [
     "certify",
     "theta_lift",
     "u_ell_descent",
-    "HeckeSpec",
     "hecke_tp2",
     "hecke_eigenvalue_check",
     "shimura_coeffs",
@@ -82,16 +81,7 @@ class HalfIntForm:
         return self.series.is_zero()
 
 
-def _check_ell(series: QExp24, ell) -> int:
-    got = series.modulus
-    if got is None:
-        raise ValueError("expected prime-field coefficients")
-    if ell is not None and ell != got:
-        raise ValueError(f"ell={ell} does not match series modulus {got}")
-    return got
-
-
-def certify(series: QExp24, lam: int, r: int, ell: int | None = None) -> HalfIntForm:
+def certify(series: QExp24, lam: int, r: int) -> HalfIntForm:
     """Certify series in the weight lam + 1/2 space with multiplier power r.
 
     Raises CertificationError when the series is provably outside the
@@ -103,7 +93,6 @@ def certify(series: QExp24, lam: int, r: int, ell: int | None = None) -> HalfInt
     certificate holds only for a series that lies in the space by
     construction, such as eta^k, a theta lift, or a sum within one space.
     """
-    _check_ell(series, ell)
     result = eta_membership(series, lam, r)
     if isinstance(result, NotMember):
         raise CertificationError(
@@ -115,27 +104,34 @@ def certify(series: QExp24, lam: int, r: int, ell: int | None = None) -> HalfInt
     return HalfIntForm(series, lam, r, result)
 
 
-def theta_lift(form: HalfIntForm, ell: int | None = None) -> HalfIntForm:
+def theta_lift(form: HalfIntForm) -> HalfIntForm:
     """Apply the theta operator and re-certify at weight lam + ell + 1 + 1/2.
 
     The lifted series keeps the multiplier power r.  Failure to certify
     is a CertificationError: the lift of a certified form must land in
     the predicted space.
     """
-    ell = _check_ell(form.series, ell)
-    return certify(theta_op(form.series), form.lam + ell + 1, form.r)
+    return certify(theta_op(form.series), form.lam + form.ell + 1, form.r)
 
 
-def u_ell_descent(form: HalfIntForm, ell: int | None = None) -> HalfIntForm:
+def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
     """Descend a form supported on indices divisible by ell through U_ell.
 
-    Searches weights lam* = 0, 1, 2, ... for the first certificate on
-    h = U_ell(series), with multiplier power r' = r*ell mod 24, while
-    lam* + 1/2 <= (lam + 1/2)/ell.  The bound exhausting without a
-    certificate is a CertificationError.  The zero form descends to the
-    zero form at lam* = 0.
+    h = U_ell(series) has multiplier power r' = r*ell mod 24 and a weight
+    lam* + 1/2 <= (lam + 1/2)/ell, and only one class of lam* is possible.
+    The series is V_ell(h) = h^ell (mod ell), and h^ell has multiplier
+    power r*ell^2 = r (mod 24).  Multiplying both by eta^s with
+    r + s = 0 (mod 24) gives two congruent nonzero level-one forms of
+    weights lam + 1/2 + s/2 and ell*(lam* + 1/2) + s/2.  By Serre's
+    weight congruence (Sem. Bourbaki 416, 1972) these agree mod ell - 1,
+    so lam - lam* = (ell - 1)/2 (mod ell - 1).
+
+    The candidates lam* in that class are tried from the lowest, and the
+    first certificate wins.  Under lam + 1/2 < ell^2/2 there is at most
+    one candidate.  No candidate certifying is a CertificationError.  The
+    zero form descends to the zero form at lam* = 0.
     """
-    ell = _check_ell(form.series, ell)
+    ell = form.ell
     for n, _ in form.series.nonzero_items():
         if n % ell:
             raise ValueError(
@@ -146,47 +142,30 @@ def u_ell_descent(form: HalfIntForm, ell: int | None = None) -> HalfIntForm:
     r2 = form.r * ell % 24
     if h.is_zero():
         return certify(h, 0, r2)
-    lam_star = 0
-    while 2 * ell * lam_star + ell <= 2 * form.lam + 1:
+    half = (ell - 1) // 2
+    top = (2 * form.lam + 1 - ell) // (2 * ell)
+    for lam_star in range((form.lam - half) % (ell - 1), top + 1, ell - 1):
         result = eta_membership(h, lam_star, r2)
         if isinstance(result, MembershipCertificate):
             if h.residue is None:
                 h = h.with_residue(r2 % 24)
             return HalfIntForm(h, lam_star, r2, result)
-        lam_star += 1
     raise CertificationError(
-        f"no weight lam* with 2*{ell}*lam* + {ell} <= {2 * form.lam + 1} "
-        f"certifies the descended series"
+        f"no lam* = {form.lam} - {half} (mod {ell - 1}) up to {top} certifies the descended series"
     )
 
 
 # === Hecke action on 1/24-indexed expansions ===
 
 
-@dataclass(frozen=True)
-class HeckeSpec:
-    """Parameters of T(p^2) on weight lam_int + 1/2 expansions.
+def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
+    """T(p^2) on a mod-ell series of weight lam_int + 1/2, 1/24-unit indexing.
 
-    char12 switches the (12/p) factor on.
-    """
-
-    p: int
-    lam_int: int
-    char12: bool = True
-
-    def __post_init__(self):
-        if self.p in (2, 3) or not is_prime(self.p):
-            raise ValueError(f"p must be a prime >= 5, got {self.p}")
-
-
-def hecke_tp2(f: QExp24, spec: HeckeSpec) -> QExp24:
-    """T(p^2) on a mod-ell series in 1/24-unit indexing.
-
-    b(n) = a(p^2 n) + chi(p) * ((-1)^lam_int * n / p) * p^(lam_int-1) * a(n)
+    b(n) = a(p^2 n) + (12/p) * ((-1)^lam_int * n / p) * p^(lam_int-1) * a(n)
          + p^(2 lam_int - 1) * a(n / p^2)
 
-    with chi(p) = (12/p) when char12 is set and a(n/p^2) = 0 unless p^2
-    divides n.  Output precision is ceil(P / p^2); the residue class is
+    with a(n/p^2) = 0 unless p^2 divides n.  p must be a prime >= 5 other
+    than ell.  Output precision is ceil(P / p^2); the residue class is
     preserved since p^2 = 1 mod 24.
 
     Since p^2 = 1 mod 24, p^2 n lies on the strand of n: with strand
@@ -194,17 +173,17 @@ def hecke_tp2(f: QExp24, spec: HeckeSpec) -> QExp24:
     k0 = (p^2 - 1) o / s, so a(p^2 n) and a(n / p^2) are strided slices
     of f's strand.
     """
+    if p in (2, 3) or not is_prime(p):
+        raise ValueError(f"p must be a prime >= 5, got {p}")
     ell = f.modulus
     if ell is None:
         raise ValueError("hecke_tp2 works over a prime field")
-    if spec.p == ell:
+    if p == ell:
         raise ValueError(f"p = ell = {ell} is outside the operator's domain")
-    p, lam_int = spec.p, spec.lam_int
     p2 = p * p
     new_prec = -(-f.prec // p2)
-    chi = kronecker(12, p) if spec.char12 else 1
     parity_sign = kronecker(-1, p) if lam_int % 2 else 1
-    c1 = chi * parity_sign * pow(p, lam_int - 1, ell) % ell
+    c1 = kronecker(12, p) * parity_sign * pow(p, lam_int - 1, ell) % ell
     c2 = pow(p, 2 * lam_int - 1, ell)
     a = f.values
     n = f.indices()[: len(range(f.offset, new_prec, f.step))]
@@ -248,7 +227,7 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
         * kronecker(12, p)
         * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell))
     ) % ell
-    lhs = hecke_tp2(g.series, HeckeSpec(p, g.lam, char12=True))
+    lhs = hecke_tp2(g.series, p, g.lam)
     return lhs == g.series.truncate(lhs.prec).scale(scalar)
 
 

@@ -107,26 +107,25 @@ def theta_multiplier(gamma: UnimodularMatrix) -> complex:
     return kronecker(c, d) / eps
 
 
-def _term_count(y: float, decay: float, eps: float, max_terms: int) -> int:
-    # smallest n with exp(-decay * n^2 * y) < eps, plus slack
-    n = int(math.sqrt(-math.log(eps) / (decay * y))) + 2
-    if n > max_terms:
-        raise PrecisionError(
-            f"needs {n} terms for convergence, max_terms is {max_terms}"
-        )
+def _term_count(y: float, decay: float) -> int:
+    # smallest n with exp(-decay * n^2 * y) < 1e-16, plus slack
+    n = int(math.sqrt(-math.log(1e-16) / (decay * y))) + 2
+    if n > 20000:
+        raise PrecisionError(f"needs {n} terms for convergence, the cap is 20000")
     return n
 
 
-def eta_value(z: complex, eps: float = 1e-16, max_terms: int = 20000) -> complex:
+def eta_value(z: complex) -> complex:
     """eta(z) summed as sum (12/n) e(n^2 z / 24) over n >= 1.
 
     The sum is sparse (only n coprime to 6 contribute) and converges for
-    any z in the upper half plane; small Im(z) costs more terms.
+    any z in the upper half plane; small Im(z) costs more terms, and
+    needing more than 20000 is a PrecisionError.
     """
     y = z.imag
     if y <= 0:
         raise ValueError("eta is defined on the upper half plane")
-    n_max = _term_count(y, _TAU / 24.0, eps, max_terms)
+    n_max = _term_count(y, _TAU / 24.0)
     total = 0.0 + 0.0j
     w = 2j * math.pi * z / 24.0
     n = 1
@@ -138,12 +137,12 @@ def eta_value(z: complex, eps: float = 1e-16, max_terms: int = 20000) -> complex
     return total
 
 
-def theta_value(z: complex, eps: float = 1e-16, max_terms: int = 20000) -> complex:
+def theta_value(z: complex) -> complex:
     """theta(z) = 1 + 2 sum e(n^2 z) over n >= 1."""
     y = z.imag
     if y <= 0:
         raise ValueError("theta is defined on the upper half plane")
-    n_max = _term_count(y, _TAU, eps, max_terms)
+    n_max = _term_count(y, _TAU)
     total = 1.0 + 0.0j
     w = 2j * math.pi * z
     for n in range(1, n_max + 1):
@@ -151,28 +150,24 @@ def theta_value(z: complex, eps: float = 1e-16, max_terms: int = 20000) -> compl
     return total
 
 
-def verify_eta_transform(
-    gamma: UnimodularMatrix, z: complex, max_terms: int = 20000
-) -> float:
+def verify_eta_transform(gamma: UnimodularMatrix, z: complex) -> float:
     """|eta(gamma z) - nu (cz+d)^(1/2) eta(z)| in double precision.
 
     cmath.sqrt is the principal branch, matching the multiplier's
     conventions.  Raises PrecisionError when Im(gamma z) is too small
-    for the truncated sum to converge within max_terms.
+    for the truncated sum to converge within 20000 terms.
     """
-    lhs = eta_value(gamma.act(z), max_terms=max_terms)
+    lhs = eta_value(gamma.act(z))
     jac = cmath.sqrt(gamma.c * z + gamma.d)
-    rhs = eta_multiplier_value(gamma) * jac * eta_value(z, max_terms=max_terms)
+    rhs = eta_multiplier_value(gamma) * jac * eta_value(z)
     return abs(lhs - rhs)
 
 
-def verify_theta_transform(
-    gamma: UnimodularMatrix, z: complex, max_terms: int = 20000
-) -> float:
+def verify_theta_transform(gamma: UnimodularMatrix, z: complex) -> float:
     """|theta(gamma z) - (c/d) eps_d^(-1) (cz+d)^(1/2) theta(z)|."""
-    lhs = theta_value(gamma.act(z), max_terms=max_terms)
+    lhs = theta_value(gamma.act(z))
     jac = cmath.sqrt(gamma.c * z + gamma.d)
-    rhs = theta_multiplier(gamma) * jac * theta_value(z, max_terms=max_terms)
+    rhs = theta_multiplier(gamma) * jac * theta_value(z)
     return abs(lhs - rhs)
 
 

@@ -25,8 +25,7 @@ with the same arguments returns the same object while its rows stay
 cached.  The cache drops its least recently used entries once the row
 matrices it keeps reachable pass _CACHE_BYTES; a dropped space is
 rebuilt on demand.  Empty spaces are not cached.  The cache is not
-locked: it belongs to one thread of one process (``verify --jobs`` runs
-worker processes).
+locked: it belongs to one thread of one process.
 
 Residues are stored as int64 (object for ell >= 2^63).  The kernels
 share qseries' exact guards: sums of products stay below 2^63 in int64

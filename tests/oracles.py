@@ -180,10 +180,10 @@ def dense_twist(f, p, kind):
     return DenseSeries(out, f.prec, f.modulus, f.residue)
 
 
-def dense_hecke_tp2(f, p, lam_int, char12=True):
+def dense_hecke_tp2(f, p, lam_int):
     """b(n) = a(p^2 n) + chi(p) ((-1)^lam n | p) p^(lam-1) a(n) + p^(2 lam - 1) a(n / p^2)."""
     ell = f.modulus
-    chi = kronecker_oracle(12, p) if char12 else 1
+    chi = kronecker_oracle(12, p)
     sign = kronecker_oracle(-1, p) if lam_int % 2 else 1
     c1 = chi * sign * pow(p, lam_int - 1, ell)
     c2 = pow(p, 2 * lam_int - 1, ell)

@@ -202,7 +202,7 @@ def test_criterion_09_shimura_oracle():
 
 def test_criterion_10_multiplier_numerics():
     t0 = time.perf_counter()
-    result = multiplier_sweep(count=100, seed=2024, bound=50)
+    result = multiplier_sweep(count=100, seed=2024)
     assert result["count"] == 100
     assert result["eta_max_deviation"] < 1e-8
     assert result["epsilon_identities"] == "pass"

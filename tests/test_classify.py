@@ -210,8 +210,6 @@ def test_classify_validation():
     with pytest.raises(TypeError):
         classify(eta_series(60, ell))
     g = eta_form(60, ell)
-    with pytest.raises(ValueError):
-        classify(g, ell=7)
     # precision below the comparison depth is an error, not a verdict
     short = HalfIntForm(g.series.truncate(20), 0, 1, g.certificate)
     with pytest.raises(PrecisionError):

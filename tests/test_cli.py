@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -14,6 +16,7 @@ from etakit.qseries import eta_series, series_from_text
 from etakit.spaces import miller_basis
 from etakit.cli import (
     _exit_for_case,
+    _parser,
     evaluate_recipe,
     filtration_sweep,
     load_scenarios,
@@ -335,6 +338,23 @@ def test_cli_verify_multiplier_json(capsys):
 def test_cli_rejects_unknown_suite():
     with pytest.raises(SystemExit):
         main(["verify", "--suite", "nonsense"])
+
+
+def test_readme_commands_parse():
+    # a flag the parser no longer has must not survive in the docs
+    readme = (REPO / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["etakit"]:
+                commands.append(words[1:])
+    assert commands
+    for argv in commands:
+        try:
+            _parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: etakit {shlex.join(argv)}")
 
 
 def test_console_script_wired(tmp_path):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import divisor_sigma
 
 from etakit.qseries import (
@@ -15,12 +16,13 @@ from etakit.qseries import (
 )
 from etakit.spaces import (
     CertificationError,
+    delta_series,
     eisenstein_e4,
+    eisenstein_e6,
     membership_depth,
 )
 from etakit.halfint import (
     HalfIntForm,
-    HeckeSpec,
     canonical_t1,
     canonical_t2,
     certify,
@@ -70,8 +72,6 @@ def test_certify_precision_gate():
 
 
 def test_certify_ell_crosscheck():
-    with pytest.raises(ValueError):
-        certify(eta_series(60, 5), 0, 1, ell=7)
     with pytest.raises(ValueError):
         certify(eta_series(60), 0, 1)  # integer ring
 
@@ -166,8 +166,9 @@ def test_descent_zero_form():
 
 
 def test_descent_skips_empty_weights():
-    # eta^35 = V_5(eta^7) mod 5 descends to eta^7; weights 0..2 give empty
-    # spaces for multiplier power 11, so the search must land on lam* = 3
+    # eta^35 = V_5(eta^7) mod 5 descends to eta^7; lam* = 3 is the only
+    # weight in the class 17 - 2 (mod 4) under the bound, and the lower
+    # weights 0..2 give empty spaces for multiplier power 7
     ell = 5
     lam, r = 17, 35
     w, depth = membership_depth(lam, r)
@@ -180,6 +181,51 @@ def test_descent_skips_empty_weights():
     assert d.lam == 3
     assert d.r == 35 * 5 % 24 == 7
     assert d.series == (eta_series(24 * 10, ell) ** 7).truncate(d.series.prec)
+
+
+def test_descent_of_eta_e4_mod_13():
+    # V_13(eta*E4) = (eta*E4)^13 has lam = 13*4 + 6 = 58, so the descent
+    # lies in the class lam* = 58 - 6 (mod 12); lam* = 0, where nothing
+    # beyond the pivot is compared, is outside it
+    ell = 13
+    h = eta_series(24 * 4, ell) * eisenstein_e4(24 * 4).reduce_mod(ell)
+    d = u_ell_descent(certify(v_op(h, ell), 58, 13))
+    assert (d.lam, d.r) == (4, 1)
+    assert d.series == h
+
+
+def test_descent_past_the_weight_hypothesis():
+    # eta^7*E4^2 mod 7 has lam = 11; V_7 of it has lam = 7*11 + 3 = 80,
+    # past lam + 1/2 < 49/2, where lam* = 5 and 11 are both in the class
+    ell = 7
+    h = (eta_series(24 * 6, ell) ** 7).truncate(24 * 6) * eisenstein_e4(24 * 6).reduce_mod(ell) ** 2
+    d = u_ell_descent(certify(v_op(h, ell), 80, 49))
+    assert (d.lam, d.r) == (11, 7)
+    assert d.series == h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((5, 7, 11, 13)),
+    st.sampled_from((1, 5, 7, 11, 13, 17, 19, 23)),
+    st.integers(0, 1),
+    st.integers(0, 2),
+    st.integers(0, 1),
+)
+def test_descent_weight_class(ell, r, j, a, b):
+    # h = eta^r Delta^j E4^a E6^b has lam = (r-1)/2 + 12j + 4a + 6b, and
+    # V_ell(h) = h^ell has lam_f = ell*lam + (ell-1)/2; Serre's weight
+    # congruence puts the descended lam* in the class of lam mod ell - 1
+    lam = (r - 1) // 2 + 12 * j + 4 * a + 6 * b
+    prec = 24 * 8
+    h = (eta_series(prec, ell) ** r).truncate(prec)
+    for g, k in ((delta_series(prec), j), (eisenstein_e4(prec), a), (eisenstein_e6(prec), b)):
+        for _ in range(k):
+            h = h * g.reduce_mod(ell)
+    lam_f = ell * lam + (ell - 1) // 2
+    d = u_ell_descent(certify(v_op(h, ell), lam_f, r * ell))
+    assert (d.lam - lam) % (ell - 1) == 0
+    assert d.series == h
 
 
 # === Hecke operator ===
@@ -213,7 +259,7 @@ def test_hecke_matches_reference():
             terms[n - n % 24 + 1] = rng.randrange(1, ell)
         f = QExp24.from_dict(terms, prec=prec, modulus=ell)
         for lam_int in (2, 6, 7):
-            got = hecke_tp2(f, HeckeSpec(p, lam_int))
+            got = hecke_tp2(f, p, lam_int)
             want = _tp2_reference(f, p, lam_int, ell)
             assert list(got.coeffs) == want, (ell, p, lam_int)
 
@@ -221,7 +267,7 @@ def test_hecke_matches_reference():
 def test_hecke_prec_and_residue():
     ell = 5
     f = eta_series(24 * 50, ell)
-    g = hecke_tp2(f, HeckeSpec(7, 6))
+    g = hecke_tp2(f, 7, 6)
     assert g.prec == -(-f.prec // 49)
     assert g.residue == 1
 
@@ -229,40 +275,25 @@ def test_hecke_prec_and_residue():
 def test_hecke_linearity():
     ell = 7
     prec = 24 * 30
-    spec = HeckeSpec(5, 8)
     f = eta_series(prec, ell)
     g = (eta_series(prec + 24 * 24, ell) ** 25).truncate(prec)
-    lhs = hecke_tp2(f + g, spec)
-    rhs = hecke_tp2(f, spec) + hecke_tp2(g, spec)
+    lhs = hecke_tp2(f + g, 5, 8)
+    rhs = hecke_tp2(f, 5, 8) + hecke_tp2(g, 5, 8)
     assert lhs == rhs
 
 
 def test_hecke_validation():
-    with pytest.raises(ValueError):
-        HeckeSpec(3, 2)
-    with pytest.raises(ValueError):
-        HeckeSpec(9, 2)
-    with pytest.raises(ValueError):
-        hecke_eigenvalue_check(theta_lift(eta_form(24 * 60, 5)), 7, eps_p=0)
     f = eta_series(100, 5)
     with pytest.raises(ValueError):
-        hecke_tp2(f, HeckeSpec(5, 2))  # p = ell
+        hecke_tp2(f, 3, 2)
     with pytest.raises(ValueError):
-        hecke_tp2(eta_series(100), HeckeSpec(7, 2))
-
-
-def test_char12_toggle():
-    ell = 11
-    f = eta_series(24 * 30, ell)
-    p = 5
-    with_char = hecke_tp2(f, HeckeSpec(p, 6))
-    without = hecke_tp2(f, HeckeSpec(p, 6, char12=False))
-    assert with_char != without  # (12/5) = -1 flips the middle term
-    # the pure a(p^2 n) and a(n/p^2) parts are unaffected: difference is
-    # supported where (n/p) is nonzero
-    diff = with_char - without
-    for n, _ in diff.nonzero_items():
-        assert n % p != 0
+        hecke_tp2(f, 9, 2)
+    with pytest.raises(ValueError):
+        hecke_eigenvalue_check(theta_lift(eta_form(24 * 60, 5)), 7, eps_p=0)
+    with pytest.raises(ValueError):
+        hecke_tp2(f, 5, 2)  # p = ell
+    with pytest.raises(ValueError):
+        hecke_tp2(eta_series(100), 7, 2)
 
 
 # === eigenvalue statement ===
@@ -286,7 +317,7 @@ def test_eigenvalue_scalar_value():
     # frozen: ell = 5, p = 7, lam_bar = 0 gives (12/7)(49 + 7) = -56 = 4 mod 5
     ell = 5
     g = theta_lift(eta_form(24 * 120, ell))
-    lhs = hecke_tp2(g.series, HeckeSpec(7, g.lam))
+    lhs = hecke_tp2(g.series, 7, g.lam)
     assert lhs.agrees_with(g.series.scale(4), lhs.prec)
     assert not lhs.agrees_with(g.series.scale(3), lhs.prec)
 

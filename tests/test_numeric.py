@@ -106,7 +106,7 @@ def test_eta_value_equals_the_sum_over_every_n():
     rng = random.Random(12)
     for _ in range(40):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.02, 3))
-        n_max = _term_count(z.imag, _TAU / 24.0, 1e-16, 20000)
+        n_max = _term_count(z.imag, _TAU / 24.0)
         w = 2j * math.pi * z / 24.0
         total = 0.0 + 0.0j
         for n in range(1, n_max + 1):
@@ -133,8 +133,9 @@ def test_eta_in_lower_half_plane():
 
 
 def test_term_budget():
+    # Im(z) = 1e-9 needs about 3.7e5 terms, past the 20000-term cap
     with pytest.raises(PrecisionError):
-        eta_value(1e-9j + 0.1, max_terms=50)
+        eta_value(1e-9j + 0.1)
 
 
 # === transformation laws ===

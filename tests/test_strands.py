@@ -13,7 +13,7 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit.halfint import HeckeSpec, hecke_tp2
+from etakit.halfint import hecke_tp2
 from etakit.qseries import QExp24, theta_op, twist, u_op, v_op
 
 from oracles import (
@@ -127,14 +127,14 @@ def test_u_v_truncate_and_residue_tags(fs, m, cut):
 
 
 @SETTINGS
-@given(pairs(rings=MOD_RINGS, count=1, max_prec=400), st.sampled_from((5, 7, 11)), st.integers(0, 6), st.booleans())
-def test_theta_twist_and_hecke(fs, p, lam_int, char12):
+@given(pairs(rings=MOD_RINGS, count=1, max_prec=400), st.sampled_from((5, 7, 11)), st.integers(0, 6))
+def test_theta_twist_and_hecke(fs, p, lam_int):
     [(f, rf)] = fs
     same(theta_op(f), dense_theta(rf))
     for kind in ("quadratic", "trivial"):
         same(twist(f, p, kind), dense_twist(rf, p, kind))
     if p != f.modulus:
-        same(hecke_tp2(f, HeckeSpec(p, lam_int, char12)), dense_hecke_tp2(rf, p, lam_int, char12))
+        same(hecke_tp2(f, p, lam_int), dense_hecke_tp2(rf, p, lam_int))
 
 
 @SETTINGS
