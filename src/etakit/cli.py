@@ -16,7 +16,6 @@ key=value (name, ell, recipe, optional prec, expect.* fields).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import random
 import sys
@@ -24,7 +23,6 @@ import time
 
 from .qseries import (
     QExp24,
-    PrecisionError,
     eta_series,
     series_from_text,
     series_to_text,
@@ -399,11 +397,7 @@ def _cmd_basis(args) -> int:
     if prec is None:
         dm = dims(args.weight)[0]
         prec = 24 * (dm + args.weight // 12 + 2) + 1
-    try:
-        basis = miller_basis(args.weight, args.ell, prec, args.kind)
-    except (ValueError, PrecisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    basis = miller_basis(args.weight, args.ell, prec, args.kind)
     blocks = []
     for i, elem in enumerate(basis.elements):
         extra = {"weight": args.weight, "kind": args.kind, "index": i}
@@ -419,49 +413,34 @@ def _load_series_file(path: str) -> QExp24:
 
 def _cmd_classify(args) -> int:
     if args.recipe is None and args.series is None:
-        print("error: need --recipe or --series", file=sys.stderr)
-        return 2
-    try:
-        if args.recipe is not None:
-            with open(args.recipe, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            if "recipe=" in text:
-                sc = parse_scenario(text)
-                if args.ell is not None and args.ell != sc["ell"]:
-                    print(
-                        f"error: --ell {args.ell} conflicts with scenario "
-                        f"ell={sc['ell']}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                form = evaluate_recipe(sc["recipe"], sc["ell"], args.prec or sc.get("prec"))
-            else:
-                if args.ell is None:
-                    print("error: --ell is required with a bare recipe", file=sys.stderr)
-                    return 2
-                form = evaluate_recipe(text.strip(), args.ell, args.prec)
+        raise ValueError("need --recipe or --series")
+    if args.recipe is not None:
+        with open(args.recipe, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if "recipe=" in text:
+            sc = parse_scenario(text)
+            if args.ell is not None and args.ell != sc["ell"]:
+                raise ValueError(f"--ell {args.ell} conflicts with scenario ell={sc['ell']}")
+            form = evaluate_recipe(sc["recipe"], sc["ell"], args.prec or sc.get("prec"))
         else:
-            if not args.assert_member:
-                print(
-                    "error: refusing to classify an uncertified series; "
-                    "pass --assert-member to attempt certification",
-                    file=sys.stderr,
-                )
-                return 2
-            if args.ell is None or args.lam is None or args.r is None:
-                print("error: --series needs --ell, --lambda and --r", file=sys.stderr)
-                return 2
-            series = _load_series_file(args.series)
-            if series.modulus is None:
-                series = series.reduce_mod(args.ell)
-            elif series.modulus != args.ell:
-                print("error: series modulus disagrees with --ell", file=sys.stderr)
-                return 2
-            form = certify(series, args.lam, args.r)
-        report = classify(form)
-    except (ValueError, PrecisionError, CertificationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            if args.ell is None:
+                raise ValueError("--ell is required with a bare recipe")
+            form = evaluate_recipe(text.strip(), args.ell, args.prec)
+    else:
+        if not args.assert_member:
+            raise ValueError(
+                "refusing to classify an uncertified series; "
+                "pass --assert-member to attempt certification"
+            )
+        if args.ell is None or args.lam is None or args.r is None:
+            raise ValueError("--series needs --ell, --lambda and --r")
+        series = _load_series_file(args.series)
+        if series.modulus is None:
+            series = series.reduce_mod(args.ell)
+        elif series.modulus != args.ell:
+            raise ValueError("series modulus disagrees with --ell")
+        form = certify(series, args.lam, args.r)
+    report = classify(form)
     print(report.to_json())
     return _exit_for_case(report.case)
 
@@ -501,15 +480,7 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {failure}")
         print(f"filtration-laws: {'ok' if not failures else f'{len(failures)} failures'}")
         return 0 if not failures else 1
-    print(f"error: unknown suite {args.suite!r}", file=sys.stderr)
-    return 2
-
-
-def _cmd_verify_multiplier(args) -> int:
-    result = multiplier_sweep(count=args.count, seed=args.seed)
-    print(json.dumps(result, indent=2))
-    ok = result["eta_max_deviation"] < 1e-8 and result["epsilon_identities"] == "pass"
-    return 0 if ok else 1
+    raise ValueError(f"unknown suite {args.suite!r}")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -541,24 +512,18 @@ def _parser() -> argparse.ArgumentParser:
         choices=("paper-examples", "multiplier-numeric", "filtration-laws"),
     )
     p_ver.add_argument("--ell", default=None, help="comma-separated primes")
-
-    p_vm = sub.add_parser("verify-multiplier", help="numeric multiplier sweep, JSON")
-    p_vm.add_argument("--count", type=int, default=100)
-    p_vm.add_argument("--seed", type=int, default=2024)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; a usage or input error prints one line and exits 2."""
     args = _parser().parse_args(argv)
-    if args.command == "basis":
-        return _cmd_basis(args)
-    if args.command == "classify":
-        return _cmd_classify(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "verify-multiplier":
-        return _cmd_verify_multiplier(args)
-    return 2
+    commands = {"basis": _cmd_basis, "classify": _cmd_classify, "verify": _cmd_verify}
+    try:
+        return commands[args.command](args)
+    except (ValueError, CertificationError, OSError) as exc:  # PrecisionError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -10,22 +10,20 @@ Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
 multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
 w = lam + (1 - r0)/2, so f lies in one exactly when f / eta^r0 lies in
 M_w.  Membership reads the coordinates off f's own coefficients at the
-pivot indices; the certification depth reaches one coefficient past
-them only when w = 2 (mod 12), and only there is f divided by eta^r0
-and that coefficient checked against the Miller basis of M_w.
+pivot indices and builds no basis; the certification depth reaches one
+coefficient past them only when w = 2 (mod 12), and that one is checked
+by a single linear functional, the constant term of a weight-2 quotient.
 
 Every basis is held as a read-only (dim x L) matrix of integer-exponent
 coefficients: row i, column m is the coefficient of element i at q^m.
 The dense series (``elements``) are expanded only on first access.  One
-process-wide cache holds the rows once per (k, start, ell), with start
-0 for M_k and 1 for S_k; a shorter precision is served as a prefix of
+process-wide dict holds the rows of M_k once per (k, ell), and S_k is
+served as its rows 1..; a shorter precision is served as a prefix of
 the longest matrix built, which equals a cold build because truncation
 commutes with the convolutions and row operations.  A repeated call
-with the same arguments returns the same object while its rows stay
-cached.  The cache drops its least recently used entries once the row
-matrices it keeps reachable pass _CACHE_BYTES; a dropped space is
-rebuilt on demand.  Empty spaces are not cached.  The cache is not
-locked: it belongs to one thread of one process.
+with the same arguments returns the same object.  Empty spaces are not
+cached.  The cache is not locked: it belongs to one thread of one
+process.
 
 Residues are stored as int64 (object for ell >= 2^63).  The kernels
 share qseries' exact guards: sums of products stay below 2^63 in int64
@@ -136,13 +134,6 @@ def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
     return work.astype(_dtype(ell), copy=False)
 
 
-def _combine(coords: list, rows: np.ndarray, ell: int) -> np.ndarray:
-    """sum_i coords[i] * rows[i] mod ell."""
-    n = len(coords)
-    vec = np.array(coords, dtype=_dtype(ell))
-    return (_exact(vec, n, ell) @ _exact(rows, n, ell)) % ell
-
-
 def _one(ell: int, length: int) -> np.ndarray:
     one = np.zeros(length, dtype=_dtype(ell))
     one[0] = 1
@@ -187,13 +178,14 @@ def _generators(ell: int, length: int):
     return e4, e6, e4cube, delta.astype(_dtype(ell), copy=False)
 
 
-def _spanning_rows(k: int, ell: int, length: int, start: int) -> np.ndarray:
-    """Rows Delta^j * E4^a * E6^b mod ell for j = start..dim M_k - 1.
+def _spanning_rows(k: int, ell: int, length: int) -> np.ndarray:
+    """Rows Delta^j * E4^a * E6^b mod ell for j = 0..dim M_k - 1.
 
     b is 0 or 1 by k mod 4, which makes a = (k - 12j - 6b)/4 integral
     for every j.  Row j is row 0 times t^j with t = Delta / E4^3, so
     each row costs one convolution.  Row j has leading term q^j with
-    coefficient 1, so the rows are triangular.
+    coefficient 1, so the rows are triangular, and rows j >= 1 are cusp
+    forms.
     """
     dm = dims(k)[0]
     e4, e6, e4cube, delta = _generators(ell, length)
@@ -205,25 +197,11 @@ def _spanning_rows(k: int, ell: int, length: int, start: int) -> np.ndarray:
     rows = [row]
     for _ in range(dm - 1):
         rows.append(_conv(rows[-1], t, ell, length))
-    return np.array(rows[start:])
+    return np.array(rows)
 
 
-# Bytes of row matrices the cache keeps before it drops its least
-# recently used entries.  No benchmark workload reaches it.  Case 3
-# builds one Miller basis every six theta lifts and uses each once; the
-# bases would reach 21.5 MiB at ell = 193 and 67 MiB at ell = 241.
-_CACHE_BYTES = 16 * 2**20
-
-
-class _RowCache:
-    """Cached row matrices by key, in order of last use, and their total bytes."""
-
-    def __init__(self):
-        self.entries = {}
-        self.nbytes = 0
-
-
-_ROW_CACHE = _RowCache()
+# (k, ell) -> [rows of M_k, {(prec, kind): basis}]
+_ROW_CACHE = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,13 +240,11 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     {0, 1} making the complementary weight divisible by 4.  Leading
     terms are q^j, so the set row-reduces without pivot search.
 
-    _ROW_CACHE.entries[(k, start, ell)], start 0 for "M" and 1 for "S",
-    holds [rows, {prec: basis}, nbytes]: the longest row matrix built so
-    far, every basis served from a prefix of it, and the bytes of every
-    matrix those bases keep reachable (a basis served before a longer
-    build keeps its prefix of the older matrix).  Once the cache passes
-    _CACHE_BYTES, the least recently used entries are dropped whole,
-    never the one just served.  Empty spaces are not cached.
+    S_k is rows 1.. of the reduced M_k: back-substitution only subtracts
+    later rows, and the spanning rows from j = 1 on are cusp forms.
+    _ROW_CACHE[(k, ell)] holds [rows, {(prec, kind): basis}]: the longest
+    reduced M_k built so far and every basis served from a prefix of it.
+    Empty spaces are not cached.
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
@@ -286,22 +262,15 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
         rows = np.zeros((0, length), dtype=_dtype(ell))
         rows.flags.writeable = False
         return SpaceBasis(k, kind, ell, prec, rows, pivots)
-    cache, key = _ROW_CACHE, (k, start, ell)
-    entry = cache.entries.get(key, [None, {}, 0])
-    basis = entry[1].get(prec)
+    entry = _ROW_CACHE.setdefault((k, ell), [None, {}])
+    basis = entry[1].get((prec, kind))
     if basis is None:
         if entry[0] is None or entry[0].shape[1] < length:
-            rows = _rref(_spanning_rows(k, ell, length, start), pivots, ell)
+            rows = _rref(_spanning_rows(k, ell, length), range(dm), ell)
             rows.flags.writeable = False
             entry[0] = rows
-            entry[2] += rows.nbytes
-            cache.nbytes += rows.nbytes
-        basis = entry[1][prec] = SpaceBasis(k, kind, ell, prec, entry[0][:, :length], pivots)
-    cache.entries.pop(key, None)
-    cache.entries[key] = entry  # most recently used last
-    while cache.nbytes > _CACHE_BYTES and len(cache.entries) > 1:
-        oldest = next(iter(cache.entries))
-        cache.nbytes -= cache.entries.pop(oldest)[2]
+        basis = SpaceBasis(k, kind, ell, prec, entry[0][start:, :length], pivots)
+        entry[1][(prec, kind)] = basis
     return basis
 
 
@@ -326,34 +295,15 @@ class NotMember:
     witness: int
 
 
-def _solve(f: QExp24, rows: np.ndarray, pivots, depth: int):
-    """Coordinates of f at the pivots, verified at every index below depth.
-
-    Pivots and the columns of rows are integer exponents.  The witness
-    of a NotMember is the first index below depth where f differs from
-    the combination: an integer-exponent mismatch or a nonzero
-    coefficient off the integer exponents.
-    """
-    ell = f.modulus
-    n = len(range(0, depth, 24))
-    target = f.strand(0)[:n]
-    coords = target[list(pivots)].tolist()
-    bad = np.flatnonzero(_combine(coords, rows[:, :n], ell) != target)
-    limit = 24 * int(bad[0]) if bad.size else depth
-    off = f.first_off_class(0, limit)
-    if off is not None:
-        return NotMember(off)
-    if limit < depth:
-        return NotMember(limit)
-    return MembershipCertificate(tuple(coords), depth, n - len(pivots))
-
-
 def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
     """Solve f against an echelon basis and verify below depth.
 
     Coordinates are read off the pivots; the combination must then
     reproduce f at every index < depth (depth in 1/24-units).  Returns
-    a MembershipCertificate or a NotMember carrying the first mismatch.
+    a MembershipCertificate, or a NotMember whose witness is the first
+    index below depth where f differs from the combination: an
+    integer-exponent mismatch or a nonzero coefficient off the integer
+    exponents.
     """
     if f.modulus != basis.ell:
         raise ValueError("series ring does not match basis ring")
@@ -363,7 +313,19 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
         raise PrecisionError("verification depth exceeds available precision")
     if any(24 * pivot >= depth for pivot in basis.pivots):
         raise PrecisionError("depth does not reach every pivot")
-    return _solve(f, basis.rows, basis.pivots, depth)
+    ell, dim = basis.ell, basis.dim
+    n = len(range(0, depth, 24))
+    target = f.strand(0)[:n]
+    coords = target[list(basis.pivots)]
+    combined = (_exact(coords, dim, ell) @ _exact(basis.rows[:, :n], dim, ell)) % ell
+    bad = np.flatnonzero(combined != target)
+    limit = 24 * int(bad[0]) if bad.size else depth
+    off = f.first_off_class(0, limit)
+    if off is not None:
+        return NotMember(off)
+    if limit < depth:
+        return NotMember(limit)
+    return MembershipCertificate(tuple(coords.tolist()), depth, n - dim)
 
 
 def sturm_check(f: QExp24, g: QExp24, k: int, kind: str = "M") -> bool:
@@ -443,10 +405,22 @@ def eta_membership(f: QExp24, lam: int, r: int):
     verification depth 24*(floor(w/12)+1) + r0.  The coordinates are f's
     coefficients at the pivot indices r0 + 24 i, i < dim M_w.  Below the
     depth lie dim M_w + 1 strand coefficients when w = 2 (mod 12) and
-    dim M_w otherwise, so only when w = 2 (mod 12) is one more checked:
-    f / eta^r0 is solved against the Miller basis of M_w, and a mismatch
-    at q^m is reported at index r0 + 24 m (eta^r0 starts with 1, so f
-    and its quotient first leave the space at the same place).
+    dim M_w otherwise, so only when w = 2 (mod 12) is one more checked.
+
+    Lemma.  Let w = 12m + 2, N = r0 + 24m, f_i the coefficient of f at
+    r0 + 24i, and c_i that of q^i in prod_{n>=1} (1 - q^n)^(-N).  A
+    series on the strand agrees with a member of eta^r0 * M_w at every
+    index r0 + 24i, i <= m, exactly when sum_{i<=m} f_i c_(m-i) = 0
+    (mod ell).  Proof: for f = eta^r0 g with g in M_w, the quotient
+    f / eta^N = g / Delta^m has weight 2, trivial multiplier and no pole
+    on H, so its constant term, which is the sum, vanishes (pair M_w
+    with M^!_(2-w) by constant term, Bruinier-Funke 2004, or take the
+    residue of g / Delta^m dtau at the cusp of X(1)).  The sum has
+    integer coefficients and c_0 = 1, so mod every prime ell it is a
+    nonzero functional on these m + 1 coefficients that kills the
+    m-dimensional image of M_w; its kernel is exactly that image.  A
+    nonzero sum is reported at index r0 + 24m, the one coefficient no
+    pivot fixes.
 
     checked counts the strand coefficients compared beyond the pivots.
     With checked == 0 the certificate holds only for a series that lies
@@ -478,12 +452,7 @@ def eta_membership(f: QExp24, lam: int, r: int):
     n = len(range(r0, depth, 24))
     if n <= dm:  # an echelon basis is the identity on these columns
         return MembershipCertificate(coords, depth, 0)
-    eta_inv = _power(_inverse(_square_strand(1, n, ell), ell, n), r0, ell, n)
-    quotient = QExp24(
-        values=_conv(strand[:n], eta_inv, ell, n), prec=24 * (n - 1) + 1, modulus=ell, residue=0
-    )
-    basis = miller_basis(w, ell, _basis_prec(w, depth))
-    result = _solve(quotient, basis.rows, basis.pivots, quotient.prec)
-    if isinstance(result, NotMember):
-        return NotMember(r0 + result.witness)
-    return MembershipCertificate(coords, depth, result.checked)
+    c = _power(_inverse(_square_strand(1, n, ell), ell, n), r0 + 24 * dm, ell, n)
+    if (_exact(strand[:n], n, ell) @ _exact(c[::-1], n, ell)) % ell:
+        return NotMember(r0 + 24 * dm)
+    return MembershipCertificate(coords, depth, 1)

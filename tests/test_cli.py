@@ -326,13 +326,18 @@ def test_cli_verify_multiplier_numeric(capsys):
     assert "multiplier-numeric: ok" in out
 
 
-def test_cli_verify_multiplier_json(capsys):
-    code = main(["verify-multiplier", "--count", "30", "--seed", "9"])
-    out = capsys.readouterr().out
-    assert code == 0
-    result = json.loads(out)
-    assert result["count"] == 30
-    assert result["eta_max_deviation"] < 1e-8
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "paper-examples", "--ell", "x"],
+        ["verify", "--suite", "filtration-laws", "--ell", "4"],
+    ],
+)
+def test_cli_verify_bad_ell_is_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_rejects_unknown_suite():

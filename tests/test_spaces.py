@@ -9,7 +9,7 @@ from sympy import divisor_sigma
 
 from etakit import qseries, spaces
 from etakit.halfint import certify, eta_form, theta_lift
-from etakit.qseries import PrecisionError, QExp24, eta_series, theta_op
+from etakit.qseries import PrecisionError, QExp24, _square_strand, eta_series, theta_op
 from etakit.spaces import (
     CertificationError,
     MembershipCertificate,
@@ -27,6 +27,8 @@ from etakit.spaces import (
 )
 
 from oracles import (
+    _euler_power,
+    _poly_mul,
     delta_product_coeffs,
     eta_membership_oracle,
     eta_product_coeffs,
@@ -431,9 +433,11 @@ def test_eta_membership_precision_gate():
 
 # === row-matrix bases: prefixes, exact kernels, shared verifier ===
 
+MERSENNE31 = 2**31 - 1
+
 
 def _clear_caches(monkeypatch):
-    monkeypatch.setattr(spaces, "_ROW_CACHE", spaces._RowCache())
+    monkeypatch.setattr(spaces, "_ROW_CACHE", {})
 
 
 def test_e4_e6_sieve_matches_divisor_sigma():
@@ -493,73 +497,22 @@ def test_int64_and_exact_paths_give_identical_rows(monkeypatch):
     assert (miller_basis(40, ell, 24 * 12, "S").rows == fast_s).all()
 
 
-def _cached_bytes(cache):
-    """Bytes of the distinct row matrices each entry keeps reachable."""
-    total = 0
-    for entry in cache.entries.values():
-        matrices = {}
-        for rows in [entry[0]] + [view.rows for view in entry[1].values()]:
-            while rows.base is not None:
-                rows = rows.base
-            matrices[id(rows)] = rows
-        total += sum(rows.nbytes for rows in matrices.values())
-    return total
-
-
-def test_row_cache_drops_least_recently_used(monkeypatch):
-    _clear_caches(monkeypatch)
-    ell, prec = 13, 24 * 12
-    a = miller_basis(12, ell, prec)
-    b = miller_basis(16, ell, prec)
-    c_rows = miller_basis(20, ell, prec).rows
-    _clear_caches(monkeypatch)
-    budget = a.rows.nbytes + b.rows.nbytes + c_rows.nbytes - 1
-    monkeypatch.setattr(spaces, "_CACHE_BYTES", budget)
-    a = miller_basis(12, ell, prec)
-    b = miller_basis(16, ell, prec)
-    assert miller_basis(12, ell, 24 * 11).rows.base is a.rows.base  # a is now the most recent
-    miller_basis(20, ell, prec)  # passes the budget: b, the least recently used, goes
-    cache = spaces._ROW_CACHE
-    assert list(cache.entries) == [(12, 0, ell), (20, 0, ell)]
-    assert cache.nbytes == _cached_bytes(cache) <= budget
-    assert miller_basis(12, ell, prec) is a
-    b2 = miller_basis(16, ell, prec)
-    assert b2 is not b and (b2.rows == b.rows).all()
-    assert list(cache.entries) == [(12, 0, ell), (16, 0, ell)]
-    assert cache.nbytes == _cached_bytes(cache) <= budget
-
-
-def test_evicted_space_rebuilds_equal_to_a_cold_build(monkeypatch):
-    ell = 29
-    _clear_caches(monkeypatch)
-    cold = miller_basis(30, ell, 24 * 9, "S")
-    _clear_caches(monkeypatch)
-    monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)  # keep only the space just served
-    miller_basis(30, ell, 24 * 14, "S")
-    miller_basis(26, ell, 24 * 10, "S")
-    assert list(spaces._ROW_CACHE.entries) == [(26, 1, ell)]
-    rebuilt = miller_basis(30, ell, 24 * 9, "S")
-    assert list(spaces._ROW_CACHE.entries) == [(30, 1, ell)]
-    assert spaces._ROW_CACHE.nbytes == _cached_bytes(spaces._ROW_CACHE)
-    assert rebuilt.elements == cold.elements
-    assert (rebuilt.rows == cold.rows).all() and rebuilt.pivots == cold.pivots
-
-
-def test_row_cache_counts_the_matrices_its_objects_keep(monkeypatch):
-    # every longer build replaces the entry's rows, but the objects served
-    # from the shorter matrices still hold them
-    _clear_caches(monkeypatch)
-    served = [miller_basis(40, 13, 24 * n) for n in range(8, 32)]
-    cache = spaces._ROW_CACHE
-    assert len({id(basis.rows.base) for basis in served}) == 24
-    assert cache.nbytes == _cached_bytes(cache) == sum(b.rows.base.nbytes for b in served)
-    monkeypatch.setattr(spaces, "_CACHE_BYTES", 0)
-    miller_basis(12, 13, 24 * 5)  # drops the weight-40 entry and all its matrices
-    assert list(cache.entries) == [(12, 0, 13)]
-    assert cache.nbytes == _cached_bytes(cache)
-
-
-MERSENNE31 = 2**31 - 1
+def test_cusp_rows_are_rows_of_the_full_space(monkeypatch):
+    rng = random.Random(8)
+    for _ in range(10):
+        ell = rng.choice((5, 7, 13, 97, 10007, MERSENNE31))
+        k = rng.choice((12, 16, 24, 26, 38, 50))
+        prec = 24 * (dims(k)[0] + k // 12 + 1) + rng.randrange(0, 50)
+        _clear_caches(monkeypatch)
+        full = miller_basis(k, ell, prec)
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "_spanning_rows", None)  # a build would call it
+            cusp = miller_basis(k, ell, prec, "S")
+        assert (cusp.rows == full.rows[1:]).all() and cusp.pivots == full.pivots[1:]
+        assert list(spaces._ROW_CACHE) == [(k, ell)]
+        # the reduced echelon form is unique: r = 24 makes the oracle span M_k
+        oracle_rows = [row[::24] for row in eta_space_oracle(k, 24, ell, prec)[1]]
+        assert cusp.rows.tolist() == oracle_rows[1:], (k, ell)
 
 
 def test_delta_certifies_at_mersenne_prime():
@@ -722,26 +675,70 @@ def test_eta_membership_matches_oracle(case):
 
 
 def test_certifying_without_a_checked_coefficient_builds_no_basis(monkeypatch):
-    # w = 0, 0, 12 for eta, eta^7, eta^25; theta lifts of eta at ell = 5, 7, 11 have w = 6, 8, 12
+    # w = 0, 0, 12 for eta, eta^7, eta^25; theta lifts of eta at ell = 5, 7, 11 have
+    # w = 6, 8, 12 and compare nothing; at ell = 13, 37 they have w = 14, 38 and
+    # check one coefficient
     _clear_caches(monkeypatch)
     for k, ell in ((1, 5), (7, 11), (25, 7)):
         lam = (k - 1) // 2
         prec = membership_depth(lam, k)[1] + 24
         cert = certify(_eta_power(k, prec, ell), lam, k).certificate
         assert cert.checked == 0
-    for ell in (5, 7, 11):
+    for ell in (5, 7, 11, 13, 37):
         lifted = theta_lift(eta_form(24 * 8, ell))
-        assert membership_depth(lifted.lam, 1)[0] % 12 != 2
-        assert lifted.certificate.checked == 0
-    assert spaces._ROW_CACHE.entries == {} and spaces._ROW_CACHE.nbytes == 0
+        w = membership_depth(lifted.lam, 1)[0]
+        assert lifted.certificate.checked == (1 if w % 12 == 2 else 0), ell
+    assert spaces._ROW_CACHE == {}
 
 
-def test_the_checked_coefficient_is_solved_against_the_miller_basis(monkeypatch):
+def test_the_checked_coefficient_is_a_constant_term(monkeypatch):
     # theta of eta at ell = 13 lies at lam = 14, w = 14 = 2 (mod 12): one
-    # coefficient past the pivots is checked, against the Miller basis of M_14
+    # coefficient past the pivots is checked.  The constant term pairs it
+    # with the pivot, so a change at either is refused at index 25.
     _clear_caches(monkeypatch)
     lifted = theta_lift(eta_form(24 * 8, 13))
-    assert lifted.certificate.checked == 1
-    assert list(spaces._ROW_CACHE.entries) == [(14, 0, 13)]
-    bent = QExp24.from_dict({**dict(lifted.series.nonzero_items()), 25: 1}, lifted.series.prec, 13)
-    assert eta_membership(bent, lifted.lam, 1) == NotMember(25)
+    assert lifted.certificate == MembershipCertificate((6,), 49, 1)
+    series = dict(lifted.series.nonzero_items())
+    for n in (1, 25):
+        bent = QExp24.from_dict({**series, n: series.get(n, 0) + 1}, lifted.series.prec, 13)
+        assert eta_membership(bent, lifted.lam, 1) == NotMember(25), n
+    assert spaces._ROW_CACHE == {}
+
+
+def test_constant_term_of_weight_two_quotients_over_z():
+    # c = prod (1 - q^j)^(-N) from the spaces kernels, checked against the
+    # oracle's product formula; every eta^r0 Delta^j E4^a E6 of weight
+    # w = 12m + 2 is built by the oracle and must pair to 0 with c.  Mod a
+    # prime far above every coefficient, that is the identity over Z.
+    big = 2**127 - 1
+    for m in range(1, 12):
+        n = m + 1
+        e4 = [1] + [240 * sigma_oracle(i, 3) % big for i in range(1, n)]
+        e6 = [1] + [-504 * sigma_oracle(i, 5) % big for i in range(1, n)]
+        for r0 in (0, 1, 5, 7, 11, 13, 23):
+            N = r0 + 24 * m
+            c = spaces._power(spaces._inverse(_square_strand(1, n, big), big, n), N, big, n)
+            assert c[0] == 1
+            assert _poly_mul([int(x) for x in c], _euler_power(N, n), big) == [1] + [0] * m
+            for j in range(m):
+                f = [0] * j + [x % big for x in _euler_power(r0 + 24 * j, n - j)]
+                for factor, e in ((e4, 3 * (m - j) - 1), (e6, 1)):
+                    for _ in range(e):
+                        f = _poly_mul(f, factor, big)
+                assert sum(f[i] * int(c[m - i]) for i in range(n)) % big == 0, (m, r0, j)
+
+
+def test_checked_coefficient_refusal_above_2_to_64():
+    # eta^5 E4^5 E6 at r = 5 lies at lam = 28, w = 26 = 12 * 2 + 2: the
+    # coefficient at r0 + 24 m = 53 is checked, and a change there is refused
+    ell, lam, r = 2**64 + 13, 28, 5
+    w, depth = membership_depth(lam, r)
+    assert (w, depth) == (26, 77)
+    prec = depth + 24
+    f = _eta_power(5, prec, ell)
+    for series in (eisenstein_e4(prec),) * 5 + (eisenstein_e6(prec),):
+        f = (f * series.reduce_mod(ell)).truncate(prec)
+    cert = eta_membership(f, lam, r)
+    assert isinstance(cert, MembershipCertificate) and cert.checked == 1
+    bent = QExp24.from_dict({**dict(f.nonzero_items()), 53: f.coeff(53) + 1}, prec, ell)
+    assert eta_membership(bent, lam, r) == NotMember(53)
