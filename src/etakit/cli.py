@@ -31,14 +31,13 @@ from .qseries import (
 from .spaces import (
     CertificationError,
     MembershipCertificate,
-    NotMember,
     coordinates,
     dims,
     filtration,
     membership_depth,
     miller_basis,
 )
-from .halfint import HalfIntForm, certify, theta_lift, u_ell_descent
+from .halfint import HalfIntForm, certify, descent_weight, theta_lift, u_ell_descent
 from .classify import classify
 from .numeric import (
     UnimodularMatrix,
@@ -147,7 +146,7 @@ def parse_recipe(text: str):
 
 
 def _weight_plan(node, ell: int):
-    """Static (lam, r) of a recipe node; udesc uses its weight bound."""
+    """Static (lam, r) of a recipe node, equal to that of its evaluated form."""
     kind = node[0]
     if kind == "eta":
         k = node[1]
@@ -158,11 +157,7 @@ def _weight_plan(node, ell: int):
         lam, r = _weight_plan(node[2], ell)
         return lam + node[1] * (ell + 1), r
     if kind == "udesc":
-        lam, r = _weight_plan(node[1], ell)
-        bound = (2 * lam + 1 - ell) // (2 * ell)
-        if bound < 0:
-            raise ValueError("descent bound is empty at this weight")
-        return bound, r * ell % 24
+        return descent_weight(*_weight_plan(node[1], ell), ell)
     if kind == "scale":
         return _weight_plan(node[3], ell)
     if kind == "sum":
@@ -182,10 +177,7 @@ def _evaluate(node, ell: int, need: int) -> HalfIntForm:
         lam, r = (k - 1) // 2, k
         _, depth = membership_depth(lam, r)
         prec = max(need, depth + 24)
-        series = eta_series(prec, ell) ** k
-        if series.prec > prec:
-            series = series.truncate(prec)
-        return certify(series, lam, r)
+        return certify((eta_series(prec, ell) ** k).truncate(prec), lam, r)
     if kind == "theta":
         form = _evaluate(node[2], ell, need)
         for _ in range(node[1]):
@@ -451,6 +443,8 @@ def _cmd_verify(args) -> int:
         scenarios = load_scenarios()
         if ells:
             scenarios = [sc for sc in scenarios if sc["ell"] in ells]
+            if {sc["ell"] for sc in scenarios} != set(ells):
+                raise ValueError(f"--ell {args.ell} names an ell that no scenario has")
         rows = [run_scenario(sc) for sc in scenarios]
         failed = 0
         width = max((len(r["name"]) for r in rows), default=4)
@@ -466,6 +460,8 @@ def _cmd_verify(args) -> int:
         print(f"{len(rows)} scenarios, {failed} failed")
         return 1 if failed else 0
     if args.suite == "multiplier-numeric":
+        if ells:
+            raise ValueError("--ell does not apply to the multiplier-numeric suite")
         result = multiplier_sweep()
         for key, value in result.items():
             print(f"{key}: {value}")

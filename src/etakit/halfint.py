@@ -30,7 +30,6 @@ from .spaces import (
     MembershipCertificate,
     NotMember,
     eta_membership,
-    membership_depth,
 )
 
 __all__ = [
@@ -114,22 +113,35 @@ def theta_lift(form: HalfIntForm) -> HalfIntForm:
     return certify(theta_op(form.series), form.lam + form.ell + 1, form.r)
 
 
+def descent_weight(lam: int, r: int, ell: int) -> tuple:
+    """Weight data (lam*, r*) of U_ell(f) for f of weight lam + 1/2, power r.
+
+    f = V_ell(h) = h^ell (mod ell) with h = U_ell(f); h^ell has power
+    r* ell = r (mod 24) and lam* + 1/2 <= (lam + 1/2)/ell.  Times eta^s with
+    r + s = 0 (mod 24), f and h^ell are congruent level-one forms of weights
+    lam + 1/2 + s/2 and ell*(lam* + 1/2) + s/2, which by Serre's weight
+    congruence (Sem. Bourbaki 416, 1972) agree mod ell - 1: the class is
+    lam - lam* = (ell - 1)/2 (mod ell - 1).  Its spaces are nested mod ell,
+    since eta^r0 * M_w * E_(ell-1) lies in eta^r0 * M_(w + ell - 1) and
+    E_(ell-1) = 1 (mod ell); so the top lam* of the class under the bound,
+    returned here, holds h whichever weight h has.  Under
+    lam + 1/2 < ell^2/2 it is the only one.  ValueError when none is >= 0.
+    """
+    top = (2 * lam + 1 - ell) // (2 * ell)
+    lam_star = top - (top - lam + (ell - 1) // 2) % (ell - 1)
+    if lam_star < 0:
+        raise ValueError(f"no weight is left for the U_{ell} descent of lam = {lam}")
+    return lam_star, r * ell % 24
+
+
 def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
     """Descend a form supported on indices divisible by ell through U_ell.
 
-    h = U_ell(series) has multiplier power r' = r*ell mod 24 and a weight
-    lam* + 1/2 <= (lam + 1/2)/ell, and only one class of lam* is possible.
-    The series is V_ell(h) = h^ell (mod ell), and h^ell has multiplier
-    power r*ell^2 = r (mod 24).  Multiplying both by eta^s with
-    r + s = 0 (mod 24) gives two congruent nonzero level-one forms of
-    weights lam + 1/2 + s/2 and ell*(lam* + 1/2) + s/2.  By Serre's
-    weight congruence (Sem. Bourbaki 416, 1972) these agree mod ell - 1,
-    so lam - lam* = (ell - 1)/2 (mod ell - 1).
-
-    The candidates lam* in that class are tried from the lowest, and the
-    first certificate wins.  Under lam + 1/2 < ell^2/2 there is at most
-    one candidate.  No candidate certifying is a CertificationError.  The
-    zero form descends to the zero form at lam* = 0.
+    h = U_ell(series) is certified at descent_weight(lam, r, ell), the top
+    of its class, not at the lowest weight whose check passes: past
+    lam + 1/2 < ell^2/2 that check can compare nothing.  A failed check is
+    a CertificationError with its witness, a series too short for the
+    depth a PrecisionError.  Zero descends to zero at lam* = 0.
     """
     ell = form.ell
     for n, _ in form.series.nonzero_items():
@@ -139,20 +151,9 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
                 f"{ell}; index {n} is not"
             )
     h = u_op(form.series, ell)
-    r2 = form.r * ell % 24
     if h.is_zero():
-        return certify(h, 0, r2)
-    half = (ell - 1) // 2
-    top = (2 * form.lam + 1 - ell) // (2 * ell)
-    for lam_star in range((form.lam - half) % (ell - 1), top + 1, ell - 1):
-        result = eta_membership(h, lam_star, r2)
-        if isinstance(result, MembershipCertificate):
-            if h.residue is None:
-                h = h.with_residue(r2 % 24)
-            return HalfIntForm(h, lam_star, r2, result)
-    raise CertificationError(
-        f"no lam* = {form.lam} - {half} (mod {ell - 1}) up to {top} certifies the descended series"
-    )
+        return certify(h, 0, form.r * ell % 24)
+    return certify(h, *descent_weight(form.lam, form.r, ell))
 
 
 # === Hecke action on 1/24-indexed expansions ===

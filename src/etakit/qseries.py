@@ -185,6 +185,35 @@ def _conv(a: np.ndarray, b: np.ndarray, ell, length: int) -> np.ndarray:
     return out
 
 
+def _one(ell, length: int) -> np.ndarray:
+    one = np.zeros(length, dtype=_dtype(ell))
+    one[:1] = 1
+    return one
+
+
+def _power(a: np.ndarray, e: int, ell, length: int) -> np.ndarray:
+    """a^e mod ell truncated or zero-padded to length, by repeated squaring."""
+    if e < 2:  # a^1 is a itself, fitted to length in one pass, not a product with 1
+        return _conv(a, _one(ell, 1), ell, length) if e else _one(ell, length)
+    square = _power(_conv(a, a, ell, length), e // 2, ell, length)
+    return _conv(square, a, ell, length) if e % 2 else square
+
+
+def _inverse(a: np.ndarray, ell: int, length: int) -> np.ndarray:
+    """1/a mod ell truncated to length, for a[0] == 1, by Newton iteration.
+
+    inv -> inv * (2 - a * inv) doubles the number of correct terms.
+    """
+    inv = _one(ell, 1)
+    n = 1
+    while n < length:
+        n = min(2 * n, length)
+        step = -_conv(a, inv, ell, n) % ell
+        step[0] = (step[0] + 2) % ell
+        inv = _conv(inv, step, ell, n)
+    return inv
+
+
 def _lattice(residue) -> tuple:
     """(offset, step): entry m of a strand is the coefficient at offset + step m."""
     return (0, 1) if residue is None else (residue, 24)
@@ -477,15 +506,15 @@ class QExp24:
             raise ValueError("negative powers are not defined for q-expansions")
         if e == 0:
             return QExp24.one(self.prec, self.modulus)
-        result = None
-        base = self
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        # the precision, residue and shift of e - 1 products
+        prec = self.prec + (e - 1) * self.valuation()
+        residue, shift = None, 0
+        if self.residue is not None:
+            shift, residue = divmod(self.residue * e, 24)
+        n = _length(prec, residue)
+        out = np.zeros(n, dtype=self.values.dtype)
+        out[shift:] = _power(self.values, e, self.modulus, max(n - shift, 0))
+        return QExp24(values=out, prec=prec, modulus=self.modulus, residue=residue)
 
     # === precision / ring management ===
 

@@ -44,6 +44,8 @@ from .qseries import (
     _conv,
     _dtype,
     _exact,
+    _inverse,
+    _power,
     _square_strand,
     eta_series,
     is_prime,
@@ -132,39 +134,6 @@ def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
         p = pivots[i + 1]  # the later rows are zero left of p
         work[i, p:] = (work[i, p:] - work[i, pivots[i + 1:]] @ work[i + 1:, p:]) % ell
     return work.astype(_dtype(ell), copy=False)
-
-
-def _one(ell: int, length: int) -> np.ndarray:
-    one = np.zeros(length, dtype=_dtype(ell))
-    one[0] = 1
-    return one
-
-
-def _power(a: np.ndarray, e: int, ell: int, length: int) -> np.ndarray:
-    """a^e mod ell truncated to length, by repeated squaring."""
-    result = _one(ell, length)
-    while e:
-        if e & 1:
-            result = _conv(result, a, ell, length)
-        e >>= 1
-        if e:
-            a = _conv(a, a, ell, length)
-    return result
-
-
-def _inverse(a: np.ndarray, ell: int, length: int) -> np.ndarray:
-    """1/a mod ell truncated to length, for a[0] == 1, by Newton iteration.
-
-    inv -> inv * (2 - a * inv) doubles the number of correct terms.
-    """
-    inv = _one(ell, 1)
-    n = 1
-    while n < length:
-        n = min(2 * n, length)
-        step = -_conv(a, inv, ell, n) % ell
-        step[0] = (step[0] + 2) % ell
-        inv = _conv(inv, step, ell, n)
-    return inv
 
 
 def _generators(ell: int, length: int):
@@ -328,14 +297,12 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
     return MembershipCertificate(tuple(coords.tolist()), depth, n - dim)
 
 
-def sturm_check(f: QExp24, g: QExp24, k: int, kind: str = "M") -> bool:
+def sturm_check(f: QExp24, g: QExp24, k: int) -> bool:
     """Congruence of two certified weight-k members up to the Sturm bound.
 
     Agreement at every integer exponent <= floor(k/12) + 1 pins the
     difference past the bound weight/12, which forces it to vanish.
     """
-    if kind not in ("M", "S"):
-        raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
     if f.modulus != g.modulus:
         raise ValueError("ring mismatch")
     bound = k // 12 + 1

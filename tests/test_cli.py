@@ -11,12 +11,14 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from etakit.qseries import eta_series, series_from_text
 from etakit.spaces import miller_basis
 from etakit.cli import (
     _exit_for_case,
     _parser,
+    _weight_plan,
     evaluate_recipe,
     filtration_sweep,
     load_scenarios,
@@ -76,6 +78,28 @@ def test_evaluate_descent():
     form = evaluate_recipe("udesc(eta^5)", 5)
     assert form.lam == 0 and form.r == 1
     assert form.series == eta_series(form.series.prec, 5)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((5, 7, 11, 13)),
+    st.sampled_from((1, 5, 7, 11, 13, 17, 19, 23, 25)),
+    st.integers(1, 4),
+)
+def test_descent_plan_is_the_evaluated_weight(ell, k, c):
+    # eta^(ell*k) = V_ell(eta^k) (mod ell); for k > ell the weight class
+    # holds lower candidates too, such as lam* = 0 for k = 25 at ell = 5
+    text = f"udesc({c}*eta^{ell * k})"
+    form = evaluate_recipe(text, ell)
+    assert _weight_plan(parse_recipe(text), ell) == (form.lam, form.r) == ((k - 1) // 2, k % 24)
+    prec = form.series.prec
+    assert form.series == (eta_series(prec, ell) ** k).truncate(prec).scale(c)
+
+
+def test_corpus_plans_are_the_evaluated_weights():
+    for sc in load_scenarios():
+        form = evaluate_recipe(sc["recipe"], sc["ell"], sc["prec"])
+        assert _weight_plan(parse_recipe(sc["recipe"]), sc["ell"]) == (form.lam, form.r), sc["name"]
 
 
 def test_evaluate_scale_and_sum():
@@ -319,6 +343,11 @@ def test_cli_verify_paper_examples_one_ell(capsys):
         assert "case=" in line and "depth=" in line
 
 
+def test_cli_verify_paper_examples_whole_corpus(capsys):
+    assert main(["verify", "--suite", "paper-examples"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "22 scenarios, 0 failed"
+
+
 def test_cli_verify_multiplier_numeric(capsys):
     code = main(["verify", "--suite", "multiplier-numeric"])
     out = capsys.readouterr().out
@@ -331,6 +360,8 @@ def test_cli_verify_multiplier_numeric(capsys):
     [
         ["verify", "--suite", "paper-examples", "--ell", "x"],
         ["verify", "--suite", "filtration-laws", "--ell", "4"],
+        ["verify", "--suite", "paper-examples", "--ell", "4"],
+        ["verify", "--suite", "multiplier-numeric", "--ell", "4"],
     ],
 )
 def test_cli_verify_bad_ell_is_one_line(capsys, argv):

@@ -204,6 +204,18 @@ def test_descent_past_the_weight_hypothesis():
     assert d.series == h
 
 
+def test_descent_of_eta_delta_mod_5():
+    # V_5(eta*Delta) has lam = 5*12 + 2 = 62, where the class 62 - 2
+    # (mod 4) holds lam* = 0, 4, 8 and 12; lam* = 0 compares nothing
+    # beyond the pivot and would read eta*Delta as 0*eta
+    ell = 5
+    h = eta_series(24 * 4, ell) * delta_series(24 * 4).reduce_mod(ell)
+    d = u_ell_descent(certify(v_op(h, ell), 62, 5))
+    assert (d.lam, d.r) == (12, 1)
+    assert d.certificate.coordinates == (0, 1)
+    assert d.series == h
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.sampled_from((5, 7, 11, 13)),

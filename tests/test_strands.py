@@ -107,6 +107,19 @@ def test_ring_operations_and_precision_rule(fs, c, e):
 
 
 @SETTINGS
+@given(pairs(count=1), st.integers(1, 12))
+def test_power_equals_repeated_products(fs, e):
+    # the dense check above stops at e = 3; repeated squaring past it
+    # must keep the precision, residue and shift that e - 1 products give
+    [(f, _)] = fs
+    product = f
+    for _ in range(e - 1):
+        product = product * f
+    power = f**e
+    assert power == product and power.residue == product.residue
+
+
+@SETTINGS
 @given(pairs(count=1), st.integers(1, 30), st.integers(0, 24))
 def test_u_v_truncate_and_residue_tags(fs, m, cut):
     [(f, rf)] = fs
