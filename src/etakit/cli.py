@@ -7,10 +7,12 @@ stay data:
     term   := [INT('^'INT)? '*'] factor
     factor := 'eta'('^'INT)? | 'theta'('^'INT)?'(' expr ')' | 'udesc(' expr ')'
 
-Every node of a recipe evaluates to a certified form; precision is
-planned top-down from the final classification depth, so a recipe never
-under-builds its eta leaves.  Scenario files are line-oriented
-key=value (name, ell, recipe, optional prec, expect.* fields).
+One walk over a recipe gives each node's weight (lam, r) and a builder
+of its certified form.  The leaf precision is planned once, from the
+classification depth of the root's weight; a udesc node scales it by
+ell and lifts it to its input's own depth, so no node is under-built.
+Scenario files are line-oriented key=value (name, ell, recipe,
+optional prec, expect.* fields).
 """
 
 from __future__ import annotations
@@ -145,75 +147,61 @@ def parse_recipe(text: str):
     return ast
 
 
-def _weight_plan(node, ell: int):
-    """Static (lam, r) of a recipe node, equal to that of its evaluated form."""
+def _walk(node, ell: int):
+    """(lam, r, build) of a recipe node; build(need) returns its certified form.
+
+    Each node kind states its weight, its checks and its construction here
+    once, so the weight computed for a node is the weight of the form it
+    builds.  need, the precision of the eta leaves, is at least the node's
+    certification depth plus 24; only udesc must raise it for its input.
+    """
     kind = node[0]
     if kind == "eta":
         k = node[1]
         if k < 1 or math.gcd(k, 6) != 1:
             raise ValueError(f"eta power must be positive and prime to 6, got {k}")
-        return (k - 1) // 2, k
+        lam = (k - 1) // 2
+        return lam, k, lambda need: certify((eta_series(need, ell) ** k).truncate(need), lam, k)
     if kind == "theta":
-        lam, r = _weight_plan(node[2], ell)
-        return lam + node[1] * (ell + 1), r
-    if kind == "udesc":
-        return descent_weight(*_weight_plan(node[1], ell), ell)
-    if kind == "scale":
-        return _weight_plan(node[3], ell)
-    if kind == "sum":
-        plans = [_weight_plan(sub, ell) for sub in node[1]]
-        lam0, r0 = plans[0]
-        for lam, r in plans[1:]:
-            if (lam - lam0) % (ell - 1) or (r - r0) % 24:
-                raise ValueError("sum terms live in incompatible spaces")
-        return max(p[0] for p in plans), max(plans, key=lambda p: p[0])[1]
-    raise ValueError(f"unknown recipe node {kind!r}")
+        lam, r, inner = _walk(node[2], ell)
 
-
-def _evaluate(node, ell: int, need: int) -> HalfIntForm:
-    kind = node[0]
-    if kind == "eta":
-        k = node[1]
-        lam, r = (k - 1) // 2, k
-        _, depth = membership_depth(lam, r)
-        prec = max(need, depth + 24)
-        return certify((eta_series(prec, ell) ** k).truncate(prec), lam, r)
-    if kind == "theta":
-        form = _evaluate(node[2], ell, need)
-        for _ in range(node[1]):
-            form = theta_lift(form)
-        return form
+        def build(need):
+            form = inner(need)
+            for _ in range(node[1]):
+                form = theta_lift(form)
+            return form
+        return lam + node[1] * (ell + 1), r, build
     if kind == "udesc":
-        return u_ell_descent(_evaluate(node[1], ell, ell * need + ell))
+        lam, r, inner = _walk(node[1], ell)
+        least = membership_depth(lam, r)[1] + 24
+        lam_star, r_star = descent_weight(lam, r, ell)
+        return lam_star, r_star, lambda need: u_ell_descent(inner(max(ell * need + ell, least)))
     if kind == "scale":
-        form = _evaluate(node[3], ell, need)
+        lam, r, inner = _walk(node[3], ell)
         c = pow(node[1], node[2], ell)
-        return certify(form.series.scale(c), form.lam, form.r)
+        return lam, r, lambda need: certify(inner(need).series.scale(c), lam, r)
     if kind == "sum":
-        forms = [_evaluate(sub, ell, need) for sub in node[1]]
-        top = max(forms, key=lambda f: f.lam)
-        prec = min(f.series.prec for f in forms)
-        total = QExp24.zero(prec, ell, top.r % 24)
-        for f in forms:
-            s = f.series
-            total = total + (s.truncate(prec) if s.prec > prec else s)
-        return certify(total, top.lam, top.r)
+        walks = [_walk(sub, ell) for sub in node[1]]
+        lam, r, _ = max(walks, key=lambda w: w[0])
+        if any((w[0] - lam) % (ell - 1) or (w[1] - r) % 24 for w in walks):
+            raise ValueError("sum terms live in incompatible spaces")
+
+        def build(need):
+            first, *rest = (w[2](need).series for w in walks)
+            return certify(sum(rest, first), lam, r)  # a sum keeps the smaller precision
+        return lam, r, build
     raise ValueError(f"unknown recipe node {kind!r}")
 
 
 def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm:
     """Evaluate a recipe to a certified form over F_ell.
 
-    Base precision is the classification depth of the planned final
-    weight plus margin, raisable by the prec argument.
+    One walk gives the root's weight and its builder.  The leaf precision
+    is planned once, as the root's certification depth plus 24 (raisable
+    by the prec argument); only a udesc node raises it below itself.
     """
-    ast = parse_recipe(text)
-    lam, r = _weight_plan(ast, ell)
-    _, depth = membership_depth(lam, r)
-    need = depth + 24
-    if prec is not None:
-        need = max(need, prec)
-    return _evaluate(ast, ell, need)
+    lam, r, build = _walk(parse_recipe(text), ell)
+    return build(max(membership_depth(lam, r)[1] + 24, prec or 0))
 
 
 # === scenario files ===
@@ -235,6 +223,8 @@ def parse_scenario(text: str) -> dict:
             if field in ("case",):
                 sc["expect"][field] = value
             elif field == "hypothesis_ok":
+                if value not in ("true", "false"):
+                    raise ValueError(f"expect.hypothesis_ok must be true or false, got {value!r}")
                 sc["expect"][field] = value == "true"
             else:
                 sc["expect"][field] = int(value)

@@ -141,7 +141,7 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
     of its class, not at the lowest weight whose check passes: past
     lam + 1/2 < ell^2/2 that check can compare nothing.  A failed check is
     a CertificationError with its witness, a series too short for the
-    depth a PrecisionError.  Zero descends to zero at lam* = 0.
+    depth a PrecisionError.  A zero h is certified at that weight too.
     """
     ell = form.ell
     for n, _ in form.series.nonzero_items():
@@ -150,10 +150,7 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
                 f"descent input must be supported on indices divisible by "
                 f"{ell}; index {n} is not"
             )
-    h = u_op(form.series, ell)
-    if h.is_zero():
-        return certify(h, 0, form.r * ell % 24)
-    return certify(h, *descent_weight(form.lam, form.r, ell))
+    return certify(u_op(form.series, ell), *descent_weight(form.lam, form.r, ell))
 
 
 # === Hecke action on 1/24-indexed expansions ===

@@ -659,6 +659,8 @@ def series_from_text(text: str) -> QExp24:
         if len(parts) != 2:
             raise ValueError(f"malformed series line: {raw!r}")
         n, c = int(parts[0]), int(parts[1])
+        if n in terms:
+            raise ValueError(f"series index {n} appears on more than one line")
         terms[n] = c
     if header is None:
         raise ValueError("missing series header line")

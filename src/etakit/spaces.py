@@ -20,9 +20,10 @@ The dense series (``elements``) are expanded only on first access.  One
 process-wide dict holds the rows of M_k once per (k, ell), and S_k is
 served as its rows 1..; a shorter precision is served as a prefix of
 the longest matrix built, which equals a cold build because truncation
-commutes with the convolutions and row operations.  A repeated call
+commutes with the convolutions and row operations.  The generators E4,
+E6 and t = Delta/E4^3 are kept per ell the same way.  A repeated call
 with the same arguments returns the same object.  Empty spaces are not
-cached.  The cache is not locked: it belongs to one thread of one
+cached.  The caches are not locked: they belong to one thread of one
 process.
 
 Residues are stored as int64 (object for ell >= 2^63).  The kernels
@@ -136,15 +137,24 @@ def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
     return work.astype(_dtype(ell), copy=False)
 
 
-def _generators(ell: int, length: int):
-    """Compressed integer-exponent expansions of E4, E6, E4^3 and Delta mod ell."""
-    e4_int, e6_int = _e4_e6(length)
-    e4 = np.array([c % ell for c in e4_int], dtype=_dtype(ell))
-    e6 = np.array([c % ell for c in e6_int], dtype=_dtype(ell))
-    e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
-    e6sq = _conv(e6, e6, ell, length)
-    delta = _exact(e4cube - e6sq, 1, ell) * pow(1728, -1, ell) % ell
-    return e4, e6, e4cube, delta.astype(_dtype(ell), copy=False)
+_GENERATOR_CACHE = {}
+
+
+def _generators(ell: int, length: int) -> tuple:
+    """E4, E6 and t = Delta / E4^3 mod ell at integer exponents 0 .. length - 1.
+
+    _GENERATOR_CACHE[ell] holds the longest ones built; shorter are prefixes.
+    """
+    cached = _GENERATOR_CACHE.get(ell)
+    if cached is None or cached[0].size < length:
+        e4_int, e6_int = _e4_e6(length)
+        e4 = np.array([c % ell for c in e4_int], dtype=_dtype(ell))
+        e6 = np.array([c % ell for c in e6_int], dtype=_dtype(ell))
+        e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
+        delta = _exact(e4cube - _conv(e6, e6, ell, length), 1, ell) * pow(1728, -1, ell) % ell
+        t = _conv(delta, _inverse(e4cube, ell, length), ell, length)
+        cached = _GENERATOR_CACHE[ell] = (e4, e6, t)
+    return tuple(strand[:length] for strand in cached)
 
 
 def _spanning_rows(k: int, ell: int, length: int) -> np.ndarray:
@@ -157,12 +167,11 @@ def _spanning_rows(k: int, ell: int, length: int) -> np.ndarray:
     forms.
     """
     dm = dims(k)[0]
-    e4, e6, e4cube, delta = _generators(ell, length)
+    e4, e6, t = _generators(ell, length)
     b = 0 if k % 4 == 0 else 1
     row = _power(e4, (k - 6 * b) // 4, ell, length)
     if b:
         row = _conv(row, e6, ell, length)
-    t = _conv(delta, _inverse(e4cube, ell, length), ell, length)
     rows = [row]
     for _ in range(dm - 1):
         rows.append(_conv(rows[-1], t, ell, length))

@@ -18,7 +18,7 @@ from etakit.spaces import miller_basis
 from etakit.cli import (
     _exit_for_case,
     _parser,
-    _weight_plan,
+    _walk,
     evaluate_recipe,
     filtration_sweep,
     load_scenarios,
@@ -91,7 +91,7 @@ def test_descent_plan_is_the_evaluated_weight(ell, k, c):
     # holds lower candidates too, such as lam* = 0 for k = 25 at ell = 5
     text = f"udesc({c}*eta^{ell * k})"
     form = evaluate_recipe(text, ell)
-    assert _weight_plan(parse_recipe(text), ell) == (form.lam, form.r) == ((k - 1) // 2, k % 24)
+    assert _walk(parse_recipe(text), ell)[:2] == (form.lam, form.r) == ((k - 1) // 2, k % 24)
     prec = form.series.prec
     assert form.series == (eta_series(prec, ell) ** k).truncate(prec).scale(c)
 
@@ -99,7 +99,64 @@ def test_descent_plan_is_the_evaluated_weight(ell, k, c):
 def test_corpus_plans_are_the_evaluated_weights():
     for sc in load_scenarios():
         form = evaluate_recipe(sc["recipe"], sc["ell"], sc["prec"])
-        assert _weight_plan(parse_recipe(sc["recipe"]), sc["ell"]) == (form.lam, form.r), sc["name"]
+        assert _walk(parse_recipe(sc["recipe"]), sc["ell"])[:2] == (form.lam, form.r), sc["name"]
+
+
+@pytest.mark.parametrize(
+    "text, ell, weight",
+    [
+        # 5 = 0 (mod 5): the zero descent is certified at the top of its
+        # class like any other descent, not at lam* = 0
+        ("udesc(5*eta^35)", 5, (3, 7)),
+        # theta kills V_29(eta^53); the theta node certifies to depth 1609,
+        # deeper than the 870 = 29 * 29 + 29 the root's precision gives it
+        ("udesc(theta(eta^1537))", 29, (0, 5)),
+    ],
+)
+def test_zero_descent_keeps_the_walked_weight(text, ell, weight):
+    form = evaluate_recipe(text, ell)
+    assert form.is_zero()
+    assert (form.lam, form.r) == _walk(parse_recipe(text), ell)[:2] == weight
+
+
+@st.composite
+def _recipes(draw, ell: int, depth: int, sums: bool = True):
+    """A recipe over F_ell, and whether its form is supported on indices
+    divisible by ell, which udesc needs.  A scalar binds to one factor, so
+    it is put only in front of a recipe drawn with sums=False."""
+    k = draw(st.sampled_from((1, 5, 7, 11, 25, 35)))
+    shapes = ("eta", "eta_ell") + (("udesc", "udesc", "scale", "theta") if depth else ())
+    shape = draw(st.sampled_from(shapes + (("sum", "sum_theta") if depth and sums else ())))
+    if shape == "eta":
+        return f"eta^{k}", False
+    if shape == "eta_ell":  # eta^(ell k) = V_ell(eta^k) (mod ell)
+        return f"eta^{ell * k}", True
+    c = draw(st.sampled_from((1, 2, ell, 2 * ell, ell + 3)))  # ell and 2 ell are 0 (mod ell)
+    x, divisible = draw(_recipes(ell, depth - 1, sums=shape not in ("scale", "udesc")))
+    if shape == "udesc":
+        return f"udesc({c if divisible or c % ell == 0 else ell}*{x})", False
+    if shape == "scale":
+        return f"{c}*{x}", divisible or c % ell == 0
+    if shape == "theta":  # theta kills a form supported on multiples of ell
+        return f"theta^{draw(st.integers(1, 2))}({x})", divisible
+    if shape == "sum":
+        return f"{x} + {c}*{x}", divisible
+    # (ell - 1)/2 lifts add (ell^2 - 1)/2 = 0 (mod ell - 1) to lam: one weight class
+    return f"{x} + {c}*theta^{(ell - 1) // 2}({x})", divisible
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from((5, 7, 11, 13)).flatmap(lambda ell: st.tuples(st.just(ell), _recipes(ell, 2))))
+def test_walked_weight_is_the_evaluated_weight(ell_recipe):
+    ell, (text, _) = ell_recipe
+    try:
+        lam, r, _ = _walk(parse_recipe(text), ell)
+    except ValueError:  # no weight is left for some descent
+        with pytest.raises(ValueError):
+            evaluate_recipe(text, ell)
+        return
+    form = evaluate_recipe(text, ell)
+    assert (form.lam, form.r) == (lam, r), text
 
 
 def test_evaluate_scale_and_sum():
@@ -153,6 +210,9 @@ def test_parse_scenario_errors():
         parse_scenario("name = x\nell = 5\n")  # no recipe
     with pytest.raises(ValueError):
         parse_scenario("just some words\n")
+    for flag in ("True", "yes", "1", ""):
+        with pytest.raises(ValueError, match=f"got {flag!r}"):
+            parse_scenario(f"name=x\nell=5\nrecipe=eta\nexpect.hypothesis_ok={flag}\n")
 
 
 def test_shipped_scenarios_load():
@@ -277,6 +337,14 @@ def test_cli_classify_scenario_file(tmp_path, capsys):
     assert report["case"] == "2"
     # conflicting --ell is refused
     assert main(["classify", "--recipe", str(path), "--ell", "7"]) == 2
+
+
+def test_cli_classify_scenario_bad_flag_is_one_line(tmp_path, capsys):
+    path = tmp_path / "s.scenario"
+    path.write_text("name=demo\nell=5\nrecipe=eta^5\nexpect.hypothesis_ok=True\n")
+    assert main(["classify", "--recipe", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'True'" in err and err.count("\n") == 1
 
 
 def test_cli_classify_sharpness_scenario_exits_3(capsys):

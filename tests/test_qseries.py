@@ -554,6 +554,8 @@ def test_series_text_rejects_garbage():
         series_from_text("no header\n1 1\n")
     with pytest.raises(ValueError):
         series_from_text("# ring=F7 prec=2 residue=none\n5 1\n")  # index >= prec
+    with pytest.raises(ValueError, match="index 1 "):
+        series_from_text("# ring=Fp:7 prec=9 residue=none\n1 1\n1 3\n")
 
 
 def test_series_text_random_roundtrip():

@@ -438,6 +438,7 @@ MERSENNE31 = 2**31 - 1
 
 def _clear_caches(monkeypatch):
     monkeypatch.setattr(spaces, "_ROW_CACHE", {})
+    monkeypatch.setattr(spaces, "_GENERATOR_CACHE", {})
 
 
 def test_e4_e6_sieve_matches_divisor_sigma():
@@ -479,6 +480,22 @@ def test_shorter_precision_is_a_prefix_of_the_cached_rows(monkeypatch):
         warm = miller_basis(k, ell, prec1, kind)
         assert warm.prec == prec1
         assert warm.elements == cold, (k, ell, kind, prec1, prec2)
+
+
+def test_generators_are_built_once_per_ell(monkeypatch):
+    _clear_caches(monkeypatch)
+    sieve, lengths = spaces._e4_e6, []
+    monkeypatch.setattr(spaces, "_e4_e6", lambda n: lengths.append(n) or sieve(n))
+    miller_basis(24, 13, 24 * 10)
+    warm = miller_basis(28, 13, 24 * 10, "S")
+    assert lengths == [10]
+    miller_basis(32, 13, 24 * 20)
+    assert lengths == [10, 20]
+    served = miller_basis(36, 13, 24 * 10)  # from a prefix of the longer generators
+    _clear_caches(monkeypatch)
+    assert (miller_basis(36, 13, 24 * 10).rows == served.rows).all()
+    assert (miller_basis(28, 13, 24 * 10, "S").rows == warm.rows).all()
+    assert lengths == [10, 20, 10]
 
 
 def test_repeated_calls_return_the_same_object():
