@@ -8,9 +8,9 @@ stay data:
     factor := 'eta'('^'INT)? | 'theta'('^'INT)?'(' expr ')' | 'udesc(' expr ')'
 
 One walk over a recipe gives each node's weight (lam, r) and a builder
-of its certified form.  The leaf precision is planned once, from the
-classification depth of the root's weight; a udesc node scales it by
-ell and lifts it to its input's own depth, so no node is under-built.
+of its series, certified only at the root and around each udesc.  Leaf
+precision comes from the root's classification depth; a udesc node
+scales it by ell and lifts it to its input's depth: none is under-built.
 Scenario files are line-oriented key=value (name, ell, recipe,
 optional prec, expect.* fields).
 """
@@ -39,7 +39,7 @@ from .spaces import (
     membership_depth,
     miller_basis,
 )
-from .halfint import HalfIntForm, certify, descent_weight, theta_lift, u_ell_descent
+from .halfint import HalfIntForm, certify, descent_weight, u_ell_descent
 from .classify import classify
 from .numeric import (
     UnimodularMatrix,
@@ -148,38 +148,38 @@ def parse_recipe(text: str):
 
 
 def _walk(node, ell: int):
-    """(lam, r, build) of a recipe node; build(need) returns its certified form.
+    """(lam, r, build) of a recipe node; build(need) returns its series.
 
     Each node kind states its weight, its checks and its construction here
-    once, so the weight computed for a node is the weight of the form it
-    builds.  need, the precision of the eta leaves, is at least the node's
-    certification depth plus 24; only udesc must raise it for its input.
+    once; the series built lies in the space of the weight computed, by
+    construction.  need, the eta leaves' precision, is at least the node's
+    depth plus 24; only udesc raises it, for its input, which it certifies.
     """
     kind = node[0]
     if kind == "eta":
         k = node[1]
         if k < 1 or math.gcd(k, 6) != 1:
             raise ValueError(f"eta power must be positive and prime to 6, got {k}")
-        lam = (k - 1) // 2
-        return lam, k, lambda need: certify((eta_series(need, ell) ** k).truncate(need), lam, k)
+        return (k - 1) // 2, k, lambda need: (eta_series(need, ell) ** k).truncate(need)
     if kind == "theta":
         lam, r, inner = _walk(node[2], ell)
 
         def build(need):
-            form = inner(need)
+            series = inner(need)
             for _ in range(node[1]):
-                form = theta_lift(form)
-            return form
+                series = theta_op(series)
+            return series
         return lam + node[1] * (ell + 1), r, build
     if kind == "udesc":
         lam, r, inner = _walk(node[1], ell)
         least = membership_depth(lam, r)[1] + 24
         lam_star, r_star = descent_weight(lam, r, ell)
-        return lam_star, r_star, lambda need: u_ell_descent(inner(max(ell * need + ell, least)))
+        return lam_star, r_star, lambda need: u_ell_descent(
+            certify(inner(max(ell * need + ell, least)), lam, r)).series
     if kind == "scale":
         lam, r, inner = _walk(node[3], ell)
         c = pow(node[1], node[2], ell)
-        return lam, r, lambda need: certify(inner(need).series.scale(c), lam, r)
+        return lam, r, lambda need: inner(need).scale(c)
     if kind == "sum":
         walks = [_walk(sub, ell) for sub in node[1]]
         lam, r, _ = max(walks, key=lambda w: w[0])
@@ -187,8 +187,8 @@ def _walk(node, ell: int):
             raise ValueError("sum terms live in incompatible spaces")
 
         def build(need):
-            first, *rest = (w[2](need).series for w in walks)
-            return certify(sum(rest, first), lam, r)  # a sum keeps the smaller precision
+            first, *rest = (w[2](need) for w in walks)
+            return sum(rest, first)  # a sum keeps the smaller precision
         return lam, r, build
     raise ValueError(f"unknown recipe node {kind!r}")
 
@@ -196,12 +196,12 @@ def _walk(node, ell: int):
 def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm:
     """Evaluate a recipe to a certified form over F_ell.
 
-    One walk gives the root's weight and its builder.  The leaf precision
-    is planned once, as the root's certification depth plus 24 (raisable
-    by the prec argument); only a udesc node raises it below itself.
+    One walk gives the root's weight and its builder; the root is certified
+    here, once.  Leaf precision is the root's depth plus 24 (or prec if
+    larger); only a udesc node raises it, and certifies, below itself.
     """
     lam, r, build = _walk(parse_recipe(text), ell)
-    return build(max(membership_depth(lam, r)[1] + 24, prec or 0))
+    return certify(build(max(membership_depth(lam, r)[1] + 24, prec or 0)), lam, r)
 
 
 # === scenario files ===

@@ -87,10 +87,10 @@ def certify(series: QExp24, lam: int, r: int) -> HalfIntForm:
     space (with the witness index), PrecisionError when the series is
     too short to reach the certification depth.
 
-    The certificate's checked field counts the coefficients compared
-    beyond the pivots (see eta_membership).  When checked == 0 the
-    certificate holds only for a series that lies in the space by
-    construction, such as eta^k, a theta lift, or a sum within one space.
+    checked counts the coefficients compared past the pivots (see
+    eta_membership); with checked == 0 the certificate holds only for a
+    series in the space by construction, such as eta^k, a theta lift or a
+    sum within one space: evaluate_recipe relies on this at a recipe's root.
     """
     result = eta_membership(series, lam, r)
     if isinstance(result, NotMember):

@@ -399,11 +399,11 @@ def eta_membership(f: QExp24, lam: int, r: int):
     pivot fixes.
 
     checked counts the strand coefficients compared beyond the pivots.
-    With checked == 0 the certificate holds only for a series that lies
-    in the space by construction, such as eta^k, a theta lift, or a sum
-    within one space.  Membership in an empty space means f = 0 to the
-    full known precision, and checked is its number of strand
-    coefficients.
+    With checked == 0 the certificate holds only for a series in the space
+    by construction, such as eta^k, a theta lift, or a sum within one
+    space, as evaluate_recipe relies on at a recipe's root.  Membership in
+    an empty space means f = 0 to the full known precision, and checked
+    is its number of strand coefficients.
     """
     _check_eta_args(lam, r)
     ell = f.modulus

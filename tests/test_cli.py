@@ -13,8 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit.qseries import eta_series, series_from_text
-from etakit.spaces import miller_basis
+from etakit import halfint
+from etakit.halfint import certify, theta_lift
+from etakit.qseries import eta_series, series_from_text, u_op
+from etakit.spaces import membership_depth, miller_basis
 from etakit.cli import (
     _exit_for_case,
     _parser,
@@ -108,8 +110,9 @@ def test_corpus_plans_are_the_evaluated_weights():
         # 5 = 0 (mod 5): the zero descent is certified at the top of its
         # class like any other descent, not at lam* = 0
         ("udesc(5*eta^35)", 5, (3, 7)),
-        # theta kills V_29(eta^53); the theta node certifies to depth 1609,
-        # deeper than the 870 = 29 * 29 + 29 the root's precision gives it
+        # theta kills V_29(eta^53); the udesc input theta(eta^1537) certifies
+        # to depth 1609, deeper than the 870 = 29 * 29 + 29 the root's
+        # precision gives it
         ("udesc(theta(eta^1537))", 29, (0, 5)),
     ],
 )
@@ -117,6 +120,23 @@ def test_zero_descent_keeps_the_walked_weight(text, ell, weight):
     form = evaluate_recipe(text, ell)
     assert form.is_zero()
     assert (form.lam, form.r) == _walk(parse_recipe(text), ell)[:2] == weight
+
+
+@pytest.mark.parametrize(
+    "text, ell, certified",
+    [
+        # the 24 theta iterates, the scaling and both terms of the sum lie in
+        # their spaces by construction: one certificate, at the root
+        ("24^48*theta^24(eta) + eta^97", 97, [(2352, 1)]),
+        # three: the descent's input eta^35, its output, and the root
+        ("udesc(eta^35)", 5, [(17, 35), (3, 7), (3, 7)]),
+    ],
+)
+def test_a_recipe_certifies_at_its_root_and_around_each_descent(monkeypatch, text, ell, certified):
+    seen, real = [], halfint.eta_membership
+    monkeypatch.setattr(halfint, "eta_membership", lambda f, *w: seen.append(w) or real(f, *w))
+    evaluate_recipe(text, ell)
+    assert seen == certified
 
 
 @st.composite
@@ -145,6 +165,31 @@ def _recipes(draw, ell: int, depth: int, sums: bool = True):
     return f"{x} + {c}*theta^{(ell - 1) // 2}({x})", divisible
 
 
+def _certified_walk(node, ell: int, need: int):
+    """A node's form built as the walk builds it, with need as its leaf
+    precision, where the node and each theta iterate are certified at the
+    weight the walk gives them: each is in its space by construction."""
+    lam, r, _ = _walk(node, ell)
+    kind = node[0]
+    if kind == "eta":
+        series = (eta_series(need, ell) ** node[1]).truncate(need)
+    elif kind == "theta":
+        form = _certified_walk(node[2], ell, need)
+        for _ in range(node[1]):  # each iterate certified, ell + 1 higher
+            form = theta_lift(form)
+        series = form.series
+    elif kind == "udesc":
+        least = membership_depth(*_walk(node[1], ell)[:2])[1] + 24
+        inner = _certified_walk(node[1], ell, max(ell * need + ell, least))
+        series = u_op(inner.series, ell)
+    elif kind == "scale":
+        series = _certified_walk(node[3], ell, need).series.scale(pow(node[1], node[2], ell))
+    else:
+        first, *rest = (_certified_walk(sub, ell, need).series for sub in node[1])
+        series = sum(rest, first)
+    return certify(series, lam, r)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.sampled_from((5, 7, 11, 13)).flatmap(lambda ell: st.tuples(st.just(ell), _recipes(ell, 2))))
 def test_walked_weight_is_the_evaluated_weight(ell_recipe):
@@ -157,6 +202,9 @@ def test_walked_weight_is_the_evaluated_weight(ell_recipe):
         return
     form = evaluate_recipe(text, ell)
     assert (form.lam, form.r) == (lam, r), text
+    # certified at every node, the walk gives the same series and certificate
+    need = membership_depth(lam, r)[1] + 24
+    assert _certified_walk(parse_recipe(text), ell, need) == form, text
 
 
 def test_evaluate_scale_and_sum():
