@@ -171,11 +171,8 @@ def _walk(node, ell: int):
             return series
         return lam + node[1] * (ell + 1), r, build
     if kind == "udesc":
-        lam, r, inner = _walk(node[1], ell)
-        least = membership_depth(lam, r)[1] + 24
-        lam_star, r_star = descent_weight(lam, r, ell)
-        return lam_star, r_star, lambda need: u_ell_descent(
-            certify(inner(max(ell * need + ell, least)), lam, r)).series
+        lam, r, descend = _descent(node, ell)
+        return lam, r, lambda need: descend(need).series
     if kind == "scale":
         lam, r, inner = _walk(node[3], ell)
         c = pow(node[1], node[2], ell)
@@ -193,15 +190,26 @@ def _walk(node, ell: int):
     raise ValueError(f"unknown recipe node {kind!r}")
 
 
+def _descent(node, ell: int):
+    """(lam*, r*, descend) of a udesc node: descend(need) certifies its input, then descends."""
+    lam, r, inner = _walk(node[1], ell)
+    least = membership_depth(lam, r)[1] + 24
+    return (*descent_weight(lam, r, ell), lambda need: u_ell_descent(
+        certify(inner(max(ell * need + ell, least)), lam, r)))
+
+
 def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm:
     """Evaluate a recipe to a certified form over F_ell.
 
     One walk gives the root's weight and its builder; the root is certified
-    here, once.  Leaf precision is the root's depth plus 24 (or prec if
-    larger); only a udesc node raises it, and certifies, below itself.
+    here, once, unless it is a udesc, whose descent is certified already.
+    Leaf precision is the root's depth plus 24 (or prec if larger); only a
+    udesc node raises it, and certifies, below itself.
     """
-    lam, r, build = _walk(parse_recipe(text), ell)
-    return certify(build(max(membership_depth(lam, r)[1] + 24, prec or 0)), lam, r)
+    node = parse_recipe(text)
+    lam, r, build = (_descent if node[0] == "udesc" else _walk)(node, ell)
+    out = build(max(membership_depth(lam, r)[1] + 24, prec or 0))
+    return out if node[0] == "udesc" else certify(out, lam, r)
 
 
 # === scenario files ===

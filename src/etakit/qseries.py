@@ -192,7 +192,16 @@ def _one(ell, length: int) -> np.ndarray:
 
 
 def _power(a: np.ndarray, e: int, ell, length: int) -> np.ndarray:
-    """a^e mod ell truncated or zero-padded to length, by repeated squaring."""
+    """a^e mod ell truncated or zero-padded to length, by repeated squaring.
+
+    Over F_ell, a^(ell h + d) = a^d a(x^ell)^h (c^ell = c, and an ell-th power
+    has no cross terms): a^h is spread to every ell-th slot.
+    """
+    if ell is not None and e >= ell:
+        h, d = divmod(e, ell)
+        frobenius = np.zeros(length, dtype=_dtype(ell))
+        frobenius[::ell] = _power(a, h, ell, -(-length // ell))
+        return _conv(frobenius, _power(a, d, ell, length), ell, length) if d else frobenius
     if e < 2:  # a^1 is a itself, fitted to length in one pass, not a product with 1
         return _conv(a, _one(ell, 1), ell, length) if e else _one(ell, length)
     square = _power(_conv(a, a, ell, length), e // 2, ell, length)

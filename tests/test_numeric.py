@@ -4,8 +4,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
+from etakit import numeric
 from etakit.qseries import PrecisionError
 from etakit.numeric import (
     _TAU,
@@ -114,6 +116,59 @@ def test_eta_value_equals_the_sum_over_every_n():
             if chi:
                 total += chi * cmath.exp(w * n * n)
         assert eta_value(z) == total, z
+
+
+def _eta_by_loop(z: complex) -> complex:
+    """eta(z) added term by term, left to right, over every n."""
+    w = 2j * math.pi * z / 24.0
+    total = 0.0 + 0.0j
+    for n in range(1, _term_count(z.imag, _TAU / 24.0) + 1):
+        chi = {1: 1, 5: -1, 7: -1, 11: 1}.get(n % 12, 0)
+        if chi:
+            total += chi * cmath.exp(w * n * n)
+    return total
+
+
+def _y_for_terms(n_max: int, decay: float) -> float:
+    """An Im(z) whose term count is n_max."""
+    y = -math.log(1e-16) / (decay * (n_max - 1.5) ** 2)
+    assert _term_count(y, decay) == n_max
+    return y
+
+
+def test_eta_value_does_not_depend_on_the_order_of_its_points(monkeypatch):
+    # the table of n prime to 6 starts empty and grows on demand: a short
+    # sum, one past half the 20000-term cap, one near it, then the short
+    # one again; doubling the middle table would pass the cap
+    monkeypatch.setattr(numeric, "_N", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(numeric, "_CHI", np.zeros(0, dtype=np.int64))
+    small = 0.3 + _y_for_terms(40, _TAU / 24.0) * 1j
+    first = eta_value(small)
+    assert first == _eta_by_loop(small)
+    for n_max, x in ((12000, 0.9), (19990, -1.7)):
+        z = complex(x, _y_for_terms(n_max, _TAU / 24.0))
+        assert eta_value(z) == _eta_by_loop(z), z
+    assert 6663 <= numeric._N.size <= 6668  # the n prime to 6 up to 19990, and to the cap
+    assert eta_value(small) == first
+
+
+@pytest.mark.parametrize("n_max", [600, 601, 602, 603, 604, 605])
+def test_eta_value_at_each_term_count_mod_6(n_max):
+    # the count of n <= n_max prime to 6 steps at n_max = 1 and 5 (mod 6)
+    for x in (-0.45, 0.0, 0.2):
+        z = complex(x, _y_for_terms(n_max, _TAU / 24.0))
+        assert eta_value(z) == _eta_by_loop(z), z
+
+
+def test_theta_value_equals_the_sum_term_by_term():
+    rng = random.Random(13)
+    for _ in range(40):
+        z = complex(rng.uniform(-2, 2), rng.uniform(0.002, 3))
+        w = 2j * math.pi * z
+        total = 1.0 + 0.0j
+        for n in range(1, _term_count(z.imag, _TAU) + 1):
+            total += 2.0 * cmath.exp(w * n * n)
+        assert theta_value(z) == total, z
 
 
 def test_theta_special_value():

@@ -444,6 +444,34 @@ def test_v_op_power_congruence():
     assert lhs == rhs
 
 
+def _square_and_multiply(f: QExp24, e: int) -> QExp24:
+    """f^e from products alone: repeated squaring without the Frobenius step."""
+    out = None
+    while e:
+        if e & 1:
+            out = f if out is None else out * f
+        e >>= 1
+        if e:
+            f = f * f
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_power_past_ell_equals_repeated_squaring(data):
+    # past e = ell, a^(ell h + d) is built as a^d a(x^ell)^h
+    ell = data.draw(st.sampled_from((5, 7, 11, 13)))
+    residue = data.draw(st.one_of(st.none(), st.integers(0, 23)))  # tagged or untagged
+    prec = data.draw(st.integers(1, 60))
+    n = len(range(0 if residue is None else residue, prec, 1 if residue is None else 24))
+    values = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n))
+    f = QExp24(values=values, prec=prec, modulus=ell, residue=residue)
+    e = data.draw(st.integers(ell, 4 * ell + 3))
+    got, want = f**e, _square_and_multiply(f, e)
+    assert got == want and got.residue == want.residue
+    assert got.values.tolist() == want.values.tolist()
+
+
 def test_twist_quadratic():
     ell = 7
     p = 5
