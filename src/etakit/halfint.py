@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from .qseries import (
     QExp24,
     PrecisionError,
-    _exact,
     _legendre,
     _square_series,
     kronecker,
@@ -29,6 +28,7 @@ from .spaces import (
     CertificationError,
     MembershipCertificate,
     NotMember,
+    _check_eta_args,
     eta_membership,
 )
 
@@ -63,8 +63,7 @@ class HalfIntForm:
     def __post_init__(self):
         if self.series.modulus is None:
             raise ValueError("a certified form needs prime-field coefficients")
-        if self.lam < 0 or self.r < 1 or math.gcd(self.r, 6) != 1:
-            raise ValueError(f"bad weight data lam={self.lam}, r={self.r}")
+        _check_eta_args(self.lam, self.r)
         if self.series.residue is not None and self.series.residue != self.r % 24:
             raise ValueError("series residue disagrees with r mod 24")
 
@@ -186,10 +185,10 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     a = f.values
     n = f.indices()[: len(range(f.offset, new_prec, f.step))]
     k0 = (p2 - 1) * f.offset // f.step
-    # each entry sums three products of residues
-    chi_n = _exact(_legendre(n, p), 3, ell) * c1 % ell
-    out = _exact(a[k0::p2][: n.size], 3, ell) + chi_n * _exact(a[: n.size], 3, ell)
-    out[k0::p2] += c2 * _exact(a[: len(range(k0, n.size, p2))], 3, ell)
+    # each product of residues is reduced before the three terms are summed
+    chi_n = _legendre(n, p).astype(a.dtype) * c1 % ell
+    out = a[k0::p2][: n.size] + chi_n * a[: n.size] % ell
+    out[k0::p2] += c2 * a[: len(range(k0, n.size, p2))] % ell
     return QExp24(values=out, prec=new_prec, modulus=ell, residue=f.residue)
 
 

@@ -12,9 +12,9 @@ m is the coefficient at index m.  Coefficients off the tagged class have
 no slot, so the support claim holds by construction: a dense coefficient
 list given to the constructor is checked once, and every operation
 computes its output strand directly from its input strands.  Residues
-mod ell are stored as int64 below 2^63; integer series and larger ell
-use object arrays of Python integers.  The dense tuple ``coeffs`` is
-built only on first access.
+mod ell are stored as int64 when a product of two fits, ell <= 3037000493;
+integer series and larger ell use object arrays of Python integers.  The
+dense tuple ``coeffs`` is built only on first access.
 
 All values are immutable after construction; every operation returns a
 new series.  Precision bookkeeping is pessimistic and certified: an
@@ -22,10 +22,11 @@ operation's output precision is the largest P such that all indices
 n < P of the true result are determined by the known prefixes of the
 inputs.
 
-The exact kernels here (``_exact``, ``_reduce``, ``_conv``) are shared
-with ``spaces`` and ``halfint``: every product of residues is checked to
-keep its sums below 2^63 in int64 and otherwise runs the same numpy
-operations on Python integers.
+This module's kernel section is the only code that knows int64 limits.
+With that storage rule, an elementwise product of residues reduced mod
+ell is exact in the storage dtype.  Only sums of products can overflow,
+and only ``_conv`` and ``_dot`` form them: each widens its operands to
+Python integers when its sums could pass 2^63.
 """
 
 from __future__ import annotations
@@ -158,20 +159,23 @@ _INT64_BOUND = 2**63
 
 
 def _dtype(ell):
-    """Storage dtype of the ring: int64 for F_ell with ell < 2^63, else Python integers."""
-    return np.int64 if ell is not None and ell < 2**63 else object
+    """int64 for F_ell when a product of residues fits, (ell - 1)^2 < 2^63; else Python integers."""
+    return np.int64 if ell is not None and (ell - 1) ** 2 < _INT64_BOUND else object
 
 
-def _exact(a: np.ndarray, n: int, ell) -> np.ndarray:
-    """a itself, or a as Python integers when n products mod ell can overflow int64."""
+def _exact(a: np.ndarray, b: np.ndarray, n: int, ell) -> tuple:
+    """a and b, as Python integers when a sum of n products mod ell can overflow int64."""
     if ell is not None and n * (ell - 1) ** 2 >= _INT64_BOUND:
-        return a.astype(object)
-    return a
+        return a.astype(object, copy=False), b.astype(object, copy=False)
+    return a, b
 
 
 def _reduce(a: np.ndarray, ell) -> np.ndarray:
     """a mod ell in the ring's storage dtype; over Z, a as Python integers."""
-    return (a if ell is None else a % ell).astype(_dtype(ell), copy=False)
+    dtype = _dtype(ell)
+    if dtype is object:  # widen first: an int64 array cannot take % ell past 2^63
+        a = a.astype(object, copy=False)
+    return (a if ell is None else a % ell).astype(dtype, copy=False)
 
 
 def _conv(a: np.ndarray, b: np.ndarray, ell, length: int) -> np.ndarray:
@@ -180,9 +184,14 @@ def _conv(a: np.ndarray, b: np.ndarray, ell, length: int) -> np.ndarray:
     n = min(a.size, b.size)
     out = np.zeros(length, dtype=_dtype(ell))
     if n:
-        c = np.convolve(_exact(a, n, ell), _exact(b, n, ell))[:length]
+        c = np.convolve(*_exact(a, b, n, ell))[:length]
         out[: c.size] = _reduce(c, ell)
     return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
+    """a @ b mod ell for a matrix b, in the ring's storage dtype, widened by the inner dimension."""
+    return _reduce(np.matmul(*_exact(a, b, b.shape[0], ell)), ell)
 
 
 def _one(ell, length: int) -> np.ndarray:
@@ -467,8 +476,7 @@ class QExp24:
             residue = None
         ell = self.modulus
         n = _length(prec, residue)
-        a = _exact(self.strand(residue)[:n], 1, ell)
-        b = _exact(other.strand(residue)[:n], 1, ell)
+        a, b = self.strand(residue)[:n], other.strand(residue)[:n]
         return QExp24(values=a + sign * b, prec=prec, modulus=ell, residue=residue)
 
     def __add__(self, other):
@@ -483,7 +491,7 @@ class QExp24:
     def scale(self, c: int) -> "QExp24":
         ell = self.modulus
         c = int(c) if ell is None else int(c) % ell
-        out = _exact(self.values, 1, ell) * c
+        out = self.values * c
         return QExp24(values=out, prec=self.prec, modulus=ell, residue=self.residue)
 
     def __mul__(self, other):
@@ -570,8 +578,8 @@ def theta_op(f: QExp24) -> QExp24:
         raise ValueError("theta_op needs prime-field coefficients")
     ell = f.modulus
     inv24 = pow(24, -1, ell)
-    weight = _exact(f.indices(), 1, ell) % ell * inv24 % ell
-    out = weight * _exact(f.values, 1, ell)
+    weight = f.indices().astype(f.values.dtype, copy=False) % ell * inv24 % ell
+    out = weight * f.values
     return QExp24(values=out, prec=f.prec, modulus=ell, residue=f.residue)
 
 

@@ -26,9 +26,9 @@ with the same arguments returns the same object.  Empty spaces are not
 cached.  The caches are not locked: they belong to one thread of one
 process.
 
-Residues are stored as int64 (object for ell >= 2^63).  The kernels
-share qseries' exact guards: sums of products stay below 2^63 in int64
-and otherwise run the same numpy operations on Python integers.
+Residues are stored in qseries' storage dtype, and every sum of
+products goes through qseries' ``_conv`` or ``_dot``, which decide
+alone when int64 would overflow.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from .qseries import (
     QExp24,
     PrecisionError,
     _conv,
-    _dtype,
-    _exact,
+    _dot,
     _inverse,
     _power,
+    _reduce,
     _square_strand,
     eta_series,
     is_prime,
@@ -126,15 +126,14 @@ def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
     Rows arrive triangular: rows[i][pivots[i]] == 1, zero left of the
     pivot.  From the bottom up, row i subtracts its entries at the later
     pivots times the later rows, which are already reduced: one
-    vector-matrix product and one reduction mod ell per row.
+    vector-matrix product per row.  The rows are reduced in place.
     """
     assert all(rows[i, p] == 1 for i, p in enumerate(pivots)), "leading coefficient"
     pivots = list(pivots)
-    work = _exact(rows, len(pivots) + 1, ell)
     for i in range(len(pivots) - 2, -1, -1):
         p = pivots[i + 1]  # the later rows are zero left of p
-        work[i, p:] = (work[i, p:] - work[i, pivots[i + 1:]] @ work[i + 1:, p:]) % ell
-    return work.astype(_dtype(ell), copy=False)
+        rows[i, p:] = (rows[i, p:] - _dot(rows[i, pivots[i + 1:]], rows[i + 1:, p:], ell)) % ell
+    return rows
 
 
 _GENERATOR_CACHE = {}
@@ -147,11 +146,9 @@ def _generators(ell: int, length: int) -> tuple:
     """
     cached = _GENERATOR_CACHE.get(ell)
     if cached is None or cached[0].size < length:
-        e4_int, e6_int = _e4_e6(length)
-        e4 = np.array([c % ell for c in e4_int], dtype=_dtype(ell))
-        e6 = np.array([c % ell for c in e6_int], dtype=_dtype(ell))
+        e4, e6 = (_reduce(np.array(c, dtype=object), ell) for c in _e4_e6(length))
         e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
-        delta = _exact(e4cube - _conv(e6, e6, ell, length), 1, ell) * pow(1728, -1, ell) % ell
+        delta = (e4cube - _conv(e6, e6, ell, length)) * pow(1728, -1, ell) % ell
         t = _conv(delta, _inverse(e4cube, ell, length), ell, length)
         cached = _GENERATOR_CACHE[ell] = (e4, e6, t)
     return tuple(strand[:length] for strand in cached)
@@ -237,7 +234,7 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     start = 0 if kind == "M" else 1
     pivots = tuple(range(start, dm))
     if not pivots:
-        rows = np.zeros((0, length), dtype=_dtype(ell))
+        rows = _reduce(np.zeros((0, length), dtype=np.int64), ell)
         rows.flags.writeable = False
         return SpaceBasis(k, kind, ell, prec, rows, pivots)
     entry = _ROW_CACHE.setdefault((k, ell), [None, {}])
@@ -295,7 +292,7 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
     n = len(range(0, depth, 24))
     target = f.strand(0)[:n]
     coords = target[list(basis.pivots)]
-    combined = (_exact(coords, dim, ell) @ _exact(basis.rows[:, :n], dim, ell)) % ell
+    combined = _dot(coords, basis.rows[:, :n], ell)
     bad = np.flatnonzero(combined != target)
     limit = 24 * int(bad[0]) if bad.size else depth
     off = f.first_off_class(0, limit)
@@ -318,7 +315,7 @@ def sturm_check(f: QExp24, g: QExp24, k: int) -> bool:
     need = 24 * bound + 1
     if f.prec < need or g.prec < need:
         raise PrecisionError(f"Sturm check at weight {k} needs precision {need}")
-    return np.array_equal(f.strand(0)[: bound + 1], g.strand(0)[: bound + 1])
+    return f.agrees_with(g, need)
 
 
 def filtration(f: QExp24, k: int) -> int:
@@ -429,6 +426,6 @@ def eta_membership(f: QExp24, lam: int, r: int):
     if n <= dm:  # an echelon basis is the identity on these columns
         return MembershipCertificate(coords, depth, 0)
     c = _power(_inverse(_square_strand(1, n, ell), ell, n), r0 + 24 * dm, ell, n)
-    if (_exact(strand[:n], n, ell) @ _exact(c[::-1], n, ell)) % ell:
+    if _dot(strand[:n], c[::-1, None], ell)[0]:
         return NotMember(r0 + 24 * dm)
     return MembershipCertificate(coords, depth, 1)

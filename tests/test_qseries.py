@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -152,6 +153,17 @@ def test_from_dict_and_coeff():
 def test_mod_coefficients_are_reduced():
     f = QExp24([10, -3, 7], prec=3, modulus=5)
     assert list(f.coeffs) == [0, 2, 2]
+
+
+def test_int64_strand_is_reduced_into_a_python_integer_ring():
+    f = QExp24(values=np.arange(3), prec=3, modulus=2**64 + 13)
+    assert f.values.dtype == object and list(f.coeffs) == [0, 1, 2]
+
+
+def test_int64_storage_stops_where_a_product_of_residues_would_overflow():
+    # (ell - 1)^2 < 2^63 holds up to 3037000493 and fails at the next prime
+    assert QExp24([1], prec=1, modulus=3037000493).values.dtype == np.int64
+    assert QExp24([1], prec=1, modulus=3037000507).values.dtype == object
 
 
 def test_valuation_support():

@@ -127,9 +127,10 @@ def test_miller_basis_shape():
             assert elem.coeff(24 * j) == (1 if i == j else 0)
 
 
-# 5 and 691 run the int64 kernels; 2^31 - 1 and 4294967311 store int64 but
-# multiply on the exact path; 2^64 + 13 stores Python integers
-DELTA_ELLS = (5, 691, 2**31 - 1, 4294967311, 2**64 + 13)
+# 5 and 691 run the int64 kernels; 2^31 - 1 and 3037000493 store int64 but
+# sum products on the exact path; 3037000507, 4294967311 and 2^64 + 13 store
+# Python integers (3037000493 and 3037000507 straddle the storage rule)
+DELTA_ELLS = (5, 691, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**64 + 13)
 
 
 def _delta_mod(prec, ell):
@@ -231,7 +232,7 @@ def test_coordinates_depth_validation():
 
 def test_random_members_certify():
     rng = random.Random(1411)
-    for ell in (5, 13):
+    for ell in (5, 13, 3037000493):
         for k in (12, 20, 28):
             prec = 24 * (dims(k)[0] + k // 12 + 2)
             b = miller_basis(k, ell, prec)
@@ -632,7 +633,7 @@ def test_verifier_witness_matches_dense_reference():
 
 # === eta-multiplier membership against an independent reference ===
 
-ORACLE_ELLS = (5, 7, 11, 13, 17, 29, 97, MERSENNE31)
+ORACLE_ELLS = (5, 7, 11, 13, 17, 29, 97, MERSENNE31, 3037000493)
 PRIME_TO_6 = [r for r in range(1, 100) if math.gcd(r, 6) == 1]
 
 
@@ -670,7 +671,7 @@ def eta_membership_cases(draw):
             c = rng.randrange(ell)
             coeffs = [(a + c * b) % ell for a, b in zip(coeffs, e)]
         n = draw(st.integers(0, prec - 1))
-        if draw(st.booleans()):  # half of them on the strand, where the space constrains it
+        if draw(st.booleans()) and r0 < prec:  # half of them on the strand, where the space constrains it
             n = r0 + 24 * (n // 24) if r0 + 24 * (n // 24) < prec else r0
         coeffs[n] = (coeffs[n] + draw(st.integers(0, ell - 1))) % ell
     on_class = all(c == 0 for n, c in enumerate(coeffs) if n % 24 != r0)

@@ -3,8 +3,10 @@
 Every operation on the strands must give the coefficients, precision and
 residue tag that the dense definitions give.  The rings include
 ell = 2^31 - 1, where a convolution of three or more terms overflows
-int64 and takes the exact path, ell = 4294967311, where a single product
-of residues does, and 2^64 + 13, which is stored as Python integers.
+int64 and takes the exact path, and the two primes on either side of the
+storage rule: 3037000493, the largest prime ell whose product of two
+residues fits in int64, which stores int64, and 3037000507, which stores
+Python integers like 4294967311 and 2^64 + 13.
 """
 
 import ast
@@ -28,7 +30,7 @@ from oracles import (
     dense_v,
 )
 
-MOD_RINGS = (5, 7, 13, 2**31 - 1, 4294967311, 2**64 + 13)
+MOD_RINGS = (5, 7, 13, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**64 + 13)
 RINGS = (None,) + MOD_RINGS
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -174,14 +176,30 @@ def test_equality_and_first_difference_across_tags(fs, r, n):
         assert f.first_difference(h, n) is None
 
 
+def _nodes_outside_qseries():
+    """(module name, node) for every syntax node of the package but qseries."""
+    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "etakit"
+    for path in sorted(package.glob("*.py")):
+        if path.name != "qseries.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                yield path.name, node
+
+
 def test_no_module_but_qseries_reads_dense_coeffs():
     # the certification path works on strands; a dense rebuild elsewhere is a regression
-    package = pathlib.Path(__file__).resolve().parent.parent / "src" / "etakit"
     readers = []
-    for path in sorted(package.glob("*.py")):
-        if path.name == "qseries.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr == "coeffs":
-                readers.append(f"{path.name}:{node.lineno}")
+    for name, node in _nodes_outside_qseries():
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs":
+            readers.append(f"{name}:{node.lineno}")
     assert readers == []
+
+
+def test_no_module_but_qseries_names_the_int64_limits():
+    # storage dtype and widening are decided by qseries' kernel alone; every
+    # other module reaches int64 sums only through _conv and _dot
+    limits = {"_exact", "_dtype", "_INT64_BOUND"}
+    users = []
+    for name, node in _nodes_outside_qseries():
+        if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)} & limits:
+            users.append(f"{name}:{node.lineno}")
+    assert users == []
