@@ -163,13 +163,7 @@ def _walk(node, ell: int):
         return (k - 1) // 2, k, lambda need: (eta_series(need, ell) ** k).truncate(need)
     if kind == "theta":
         lam, r, inner = _walk(node[2], ell)
-
-        def build(need):
-            series = inner(need)
-            for _ in range(node[1]):
-                series = theta_op(series)
-            return series
-        return lam + node[1] * (ell + 1), r, build
+        return lam + node[1] * (ell + 1), r, lambda need: theta_op(inner(need), node[1])
     if kind == "udesc":
         lam, r, descend = _descent(node, ell)
         return lam, r, lambda need: descend(need).series
@@ -349,11 +343,20 @@ def _random_cusp_form(rng: random.Random, ell: int, k: int, prec: int) -> QExp24
     return total
 
 
+# filtration_sweep's largest precision: its bases hold about ell^2 / 12 entries
+SWEEP_MAX_PREC = 50_000
+
+
 def filtration_sweep(ell: int, count: int = 20, seed: int = 77) -> list:
-    """Check the filtration laws on random cusp forms; returns failures."""
+    """Check the filtration laws on random cusp forms; returns failures.
+
+    ValueError before anything is built if 24 (2k/12 + ell) + 49 passes SWEEP_MAX_PREC.
+    """
     rng = random.Random(seed)
     failures = []
     weights = [k for k in range(12, 37, 2) if dims(k)[1] > 0]
+    if 24 * (2 * weights[-1] // 12 + ell) + 49 > SWEEP_MAX_PREC:
+        raise ValueError(f"filtration sweep at ell = {ell} needs precision past {SWEEP_MAX_PREC}")
     for i in range(count):
         k = rng.choice(weights)
         prec = 24 * (2 * k // 12 + ell) + 49

@@ -12,10 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .qseries import (
     QExp24,
     PrecisionError,
     _legendre,
+    _pow_mod,
+    _reduce,
     _square_series,
     kronecker,
     is_prime,
@@ -168,7 +172,8 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     Since p^2 = 1 mod 24, p^2 n lies on the strand of n: with strand
     indices n = o + s j, index p^2 n sits at entry k0 + p^2 j with
     k0 = (p^2 - 1) o / s, so a(p^2 n) and a(n / p^2) are strided slices
-    of f's strand.
+    of f's strand.  Only the output's indices n are built, and each
+    product of residues is reduced before the three terms are summed.
     """
     if p in (2, 3) or not is_prime(p):
         raise ValueError(f"p must be a prime >= 5, got {p}")
@@ -183,9 +188,8 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     c1 = kronecker(12, p) * parity_sign * pow(p, lam_int - 1, ell) % ell
     c2 = pow(p, 2 * lam_int - 1, ell)
     a = f.values
-    n = f.indices()[: len(range(f.offset, new_prec, f.step))]
+    n = f.offset + f.step * np.arange(len(range(f.offset, new_prec, f.step)))
     k0 = (p2 - 1) * f.offset // f.step
-    # each product of residues is reduced before the three terms are summed
     chi_n = _legendre(n, p).astype(a.dtype) * c1 % ell
     out = a[k0::p2][: n.size] + chi_n * a[: n.size] % ell
     out[k0::p2] += c2 * a[: len(range(k0, n.size, p2))] % ell
@@ -203,7 +207,7 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
 
     Requires p >= 5, p != ell, p not congruent to 0 or 1 mod ell, and
     eps_p in {+1, -1}.  Compares T(p^2) g to scalar * g at every index
-    below the joint precision ceil(P/p^2).
+    below the joint precision ceil(P/p^2), in one array comparison.
     """
     ell = g.ell
     if p in (2, 3) or not is_prime(p):
@@ -224,8 +228,8 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
         * kronecker(12, p)
         * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell))
     ) % ell
-    lhs = hecke_tp2(g.series, p, g.lam)
-    return lhs == g.series.truncate(lhs.prec).scale(scalar)
+    lhs = hecke_tp2(g.series, p, g.lam).values
+    return bool(np.array_equal(lhs, g.series.values[: lhs.size] * scalar % ell))
 
 
 def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
@@ -234,7 +238,10 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
     A_t(n) = sum over d | n of (-1/d)^lam * (12t/d) * d^(lam-1) * a(t n^2 / d^2)
 
     computed mod ell.  t must be squarefree with gcd(t, 6) = 1; f must
-    reach index t * n_max^2.
+    reach index t * n_max^2, and n_max < ell when lam <= 0.  a(t m^2) is one
+    indexed read of the strand; (-1/d)^lam (12t/d), a character mod 12t,
+    is tabled once; every pair d q <= n_max adds its reduced product into
+    A_t(d q) in one np.add.at (at most n_max residues per sum).
     """
     ell = f.modulus
     if ell is None:
@@ -245,16 +252,24 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
         raise PrecisionError(
             f"need precision above {t * n_max * n_max}, have {f.prec}"
         )
-    # a(t m^2) for m <= n_max: the only coefficients the sums read
-    a = [f.coeff(t * m * m) for m in range(n_max + 1)]
-    totals = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        # the weight of divisor d, once, added into every multiple n of d
-        sign = kronecker(-1, d) if lam % 2 else 1
-        weight = sign * kronecker(12 * t, d) * pow(d, lam - 1, ell)
-        for n in range(d, n_max + 1, d):
-            totals[n] += weight * a[n // d]
-    return [total % ell for total in totals[1:]]
+    if lam < 1 and n_max >= ell:
+        raise ValueError(f"d^({lam - 1}) is undefined mod {ell} at d = {ell}; need n_max < {ell}")
+    m = np.arange(n_max + 1)
+    index = t * m * m - f.offset
+    on = index % f.step == 0
+    a = np.zeros(n_max + 1, dtype=f.values.dtype)
+    a[on] = f.values[index[on] // f.step]
+    size = min(12 * t, n_max + 1)
+    sign = [(kronecker(-1, d) if lam % 2 else 1) * kronecker(12 * t, d) for d in range(size)]
+    d = m[1:]
+    power = _pow_mod(_reduce(d, ell), lam - 1 if lam >= 1 else (lam - 1) % (ell - 1), ell)
+    weight = np.array(sign)[d % size] * power % ell
+    count = n_max // d
+    ds = np.repeat(d, count)
+    qs = np.arange(ds.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    totals = np.zeros(n_max + 1, dtype=a.dtype)
+    np.add.at(totals, ds * qs, weight[ds - 1] * a[qs] % ell)
+    return (totals[1:] % ell).tolist()
 
 
 def canonical_t1(lam: int, ell: int, prec: int) -> QExp24:

@@ -260,11 +260,24 @@ def _claim(dense: np.ndarray, residue) -> np.ndarray:
     return dense[residue::24].copy()
 
 
+def _pow_mod(x: np.ndarray, e: int, ell: int) -> np.ndarray:
+    """x^e mod ell elementwise (x^0 = 1) for e >= 0, by square-and-multiply of residues."""
+    out = None  # no product with 1: x^1 is x itself
+    while e:
+        if e & 1:
+            out = x if out is None else out * x % ell
+        e >>= 1
+        if e:
+            x = x * x % ell
+    return np.ones_like(x) if out is None else out
+
+
 def _legendre(n: np.ndarray, p: int) -> np.ndarray:
-    """(n|p) for an array of nonnegative integers n, from a table over n mod p."""
+    """(n|p) for nonnegative n and an odd prime p: Euler's criterion, tabled over n mod p."""
     size = min(p, int(n.max()) + 1) if n.size else 0
-    table = np.array([kronecker(j, p) for j in range(size)], dtype=np.int64)
-    return table[n % p if size == p else n]
+    table = _pow_mod(_reduce(np.arange(size), p), (p - 1) // 2, p)
+    table = np.where(table == p - 1, -1, table).astype(np.int64)
+    return table[n % size]
 
 
 def _square_strand(m: int, length: int, modulus, lam: int = 0) -> np.ndarray:
@@ -572,14 +585,16 @@ def eta_series(prec: int, modulus=None) -> QExp24:
     return _square_series(1, prec, modulus)
 
 
-def theta_op(f: QExp24) -> QExp24:
-    """q d/dq in 1/24-units: a(n) picks up the factor n/24 mod ell."""
+def theta_op(f: QExp24, j: int = 1) -> QExp24:
+    """(q d/dq)^j in 1/24-units: a(n) picks up the factor (n/24)^j mod ell, in one pass."""
     if f.modulus is None:
         raise ValueError("theta_op needs prime-field coefficients")
+    if j < 0:
+        raise ValueError(f"theta_op needs a power j >= 0, got {j}")
     ell = f.modulus
     inv24 = pow(24, -1, ell)
     weight = f.indices().astype(f.values.dtype, copy=False) % ell * inv24 % ell
-    out = weight * f.values
+    out = _pow_mod(weight, j, ell) * f.values
     return QExp24(values=out, prec=f.prec, modulus=ell, residue=f.residue)
 
 

@@ -321,10 +321,12 @@ def sturm_check(f: QExp24, g: QExp24, k: int) -> bool:
 def filtration(f: QExp24, k: int) -> int:
     """Least weight k' = k (mod ell-1) whose space realizes the reduction.
 
-    Scans candidates upward from k mod (ell-1); each candidate is solved
-    to the Sturm depth of the original weight k, so success certifies
-    equality in weight k.  A certified member of the weight-k space must
-    succeed by k' = k.
+    Each candidate is solved to the Sturm depth of the original weight k,
+    so success certifies equality in weight k.  The spaces are nested mod
+    ell, M_k' E_(ell-1) in M_(k'+ell-1) with E_(ell-1) = 1, and the pivots
+    of every k' <= k lie below that depth, so a pass at k' implies a pass
+    at every higher candidate.  The scan checks k, which a certified member
+    must pass, then steps down by ell - 1 while the check passes.
     """
     ell = f.modulus
     if ell is None:
@@ -338,15 +340,20 @@ def filtration(f: QExp24, k: int) -> int:
     depth = 24 * (k // 12 + 1) + 1
     if f.prec < depth:
         raise PrecisionError(f"filtration at weight {k} needs precision {depth}")
-    for k2 in range(k % (ell - 1), k + 1, ell - 1):
+
+    def passes(k2):
         if dims(k2)[0] == 0:
-            continue
+            return False
         basis = miller_basis(k2, ell, _basis_prec(k2, depth), "M")
-        if isinstance(coordinates(f, basis, depth), MembershipCertificate):
-            return k2
-    raise CertificationError(
-        f"no weight <= {k} realizes the series; membership at weight {k} was claimed"
-    )
+        return isinstance(coordinates(f, basis, depth), MembershipCertificate)
+
+    if not passes(k):
+        raise CertificationError(
+            f"no weight <= {k} realizes the series; membership at weight {k} was claimed"
+        )
+    while passes(k - (ell - 1)):
+        k -= ell - 1
+    return k
 
 
 # === half-integral-weight realization ===

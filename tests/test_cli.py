@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit import halfint
+from etakit import cli, halfint, spaces
 from etakit.halfint import certify, theta_lift
 from etakit.qseries import eta_series, series_from_text, u_op
 from etakit.spaces import membership_depth, miller_basis
@@ -490,6 +490,24 @@ def test_cli_verify_bad_ell_is_one_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_cli_filtration_sweep_refuses_a_huge_ell(capsys, monkeypatch):
+    # the sweep's precision grows with ell: 2^31 - 1 is refused before anything is built
+    def refuse(*args):
+        raise AssertionError("the sweep built a series")
+
+    monkeypatch.setattr(spaces, "_e4_e6", refuse)
+    monkeypatch.setattr(cli, "miller_basis", refuse)
+    assert main(["verify", "--suite", "filtration-laws", "--ell", str(2**31 - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "precision" in captured.err
+    # the bound: 24 (6 + ell) + 49 <= SWEEP_MAX_PREC, checked before the first form
+    largest = (cli.SWEEP_MAX_PREC - 49) // 24 - 6
+    assert filtration_sweep(largest, count=0) == []
+    with pytest.raises(ValueError, match="precision"):
+        filtration_sweep(largest + 1, count=0)
 
 
 def test_cli_rejects_unknown_suite():

@@ -351,6 +351,19 @@ def test_eigenvalue_check_sees_prefix_perturbation():
         assert not hecke_eigenvalue_check(bent, p), n
 
 
+def test_eigenvalue_check_compares_a_one_index_prefix():
+    # with P <= 24 p^2 the joint prefix holds index 1 alone, where T(p^2) g
+    # reads a(p^2); a change there is the only difference the check can see
+    ell, p = 5, 7
+    g = theta_lift(eta_form(24 * p * p, ell))
+    assert -(-g.series.prec // (p * p)) == 24
+    assert hecke_eigenvalue_check(g, p)
+    coeffs = list(g.series.coeffs)
+    coeffs[p * p] = (coeffs[p * p] + 1) % ell
+    bent = HalfIntForm(QExp24(coeffs, g.series.prec, ell, 1), g.lam, g.r, g.certificate)
+    assert not hecke_eigenvalue_check(bent, p)
+
+
 def test_eigenvalue_validation():
     ell = 5
     g = theta_lift(eta_form(24 * 60, ell))
@@ -386,6 +399,34 @@ def test_shimura_matches_oracle():
                 for n in range(1, n_max + 1)
             ]
             assert got == want, (g.lam, t)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_shimura_matches_oracle_on_random_series(data):
+    # int64 storage at 3037000493, Python integers at 3037000507; lam odd,
+    # even and zero; 12t below n_max (t = 1) and above it
+    ell = data.draw(st.sampled_from((3037000493, 3037000507)))
+    t = data.draw(st.sampled_from((1, 5, 7, 11, 35)))
+    n_max = data.draw(st.integers(0, 40))
+    lam = data.draw(st.sampled_from((0, 1, 2, 3, 8, ell + 1, ell + 2)))
+    residue = data.draw(st.one_of(st.none(), st.sampled_from((1, 5, 11, 23, 0))))
+    prec = t * n_max * n_max + 1 + data.draw(st.integers(0, 30))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    n = len(range(0, prec) if residue is None else range(residue, prec, 24))
+    f = QExp24(values=[rng.randrange(ell) for _ in range(n)], prec=prec, modulus=ell, residue=residue)
+    want = [shimura_sum_oracle(f.coeffs, t, lam, m, ell) for m in range(1, n_max + 1)]
+    assert shimura_coeffs(f, t, lam, n_max) == want
+
+
+def test_shimura_lam_zero_needs_n_max_below_ell():
+    # d^(lam - 1) = d^(-1) has no value mod ell at d = ell
+    ell = 5
+    f = eta_series(24 * 40, ell)
+    want = [shimura_sum_oracle(f.coeffs, 1, 0, n, ell) for n in range(1, 5)]
+    assert shimura_coeffs(f, 1, 0, 4) == want
+    with pytest.raises(ValueError, match=r"d\^\(-1\) is undefined mod 5 at d = 5"):
+        shimura_coeffs(f, 1, 0, 5)
 
 
 def test_shimura_closed_form_for_lifted_eta():

@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from etakit import qseries
 from etakit.qseries import (
     PrecisionError,
     QExp24,
@@ -405,6 +406,65 @@ def test_theta_iterate_ell_is_identity_on_unit_class():
     for _ in range(ell):
         g = theta_op(g)
     assert g == theta_op(f)
+
+
+def _random_strands(ell, seed):
+    # one residue-tagged and one untagged series with random residues mod ell
+    rng = random.Random(seed)
+    prec = 24 * 12
+    tagged = QExp24(values=[rng.randrange(ell) for _ in range(12)], prec=prec, modulus=ell, residue=7)
+    untagged = QExp24([rng.randrange(ell) for _ in range(prec)], prec, ell)
+    return tagged, untagged
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_theta_power_equals_iterated_theta(ell):
+    # theta^j multiplies by (n/24)^j in one pass; j single passes must agree
+    for f in _random_strands(ell, ell):
+        for j in (0, 1, 2, ell - 1, ell, 3 * ell + 2):
+            g = f
+            for _ in range(j):
+                g = theta_op(g)
+            got = theta_op(f, j)
+            assert got == g and got.residue == f.residue, j
+
+
+@pytest.mark.parametrize("ell", [97, 3037000493, 3037000507, 2**61 - 1])
+def test_theta_power_on_large_rings(ell):
+    # too many passes to iterate: each coefficient against Python pow
+    inv24 = pow(24, -1, ell)
+    for f in _random_strands(ell, 1):
+        for j in (0, 1, 2, ell - 1, ell, 3 * ell + 2):
+            g = theta_op(f, j)
+            assert g.values.dtype == f.values.dtype
+            want = [pow(n * inv24, j, ell) * f.coeff(n) % ell for n in range(f.prec)]
+            assert list(g.coeffs) == want, j
+    with pytest.raises(ValueError):
+        theta_op(f, -1)
+
+
+@pytest.mark.parametrize("ell", [5, 3037000493, 3037000507, 2**61 - 1])
+def test_pow_mod_equals_python_pow(ell):
+    # int64 storage up to 3037000493, Python integers past it
+    rng = random.Random(ell)
+    x = [0, 1, ell - 1] + [rng.randrange(ell) for _ in range(40)]
+    residues = qseries._reduce(np.array(x, dtype=object), ell)
+    assert residues.dtype == (np.int64 if ell <= 3037000493 else object)
+    for e in (0, 1, 2, 3, ell - 2, ell - 1, ell, 2**64 + 5, rng.randrange(10**30)):
+        got = qseries._pow_mod(residues, e, ell)
+        assert got.dtype == residues.dtype
+        assert got.tolist() == [pow(v, e, ell) for v in x], e
+
+
+def test_legendre_table_matches_kronecker():
+    for p in (5, 43, 10007):
+        n = np.arange(3 * p + 2)
+        assert qseries._legendre(n, p).tolist() == [kronecker(int(j), p) for j in n], p
+    # a large p with small n: the table stops at max n + 1
+    p = 2**31 - 1
+    n = np.array([0, 1, 2, 3, 5, 7, 10, 99, 1000, 7, 0])
+    assert qseries._legendre(n, p).tolist() == [kronecker(int(j), p) for j in n]
+    assert qseries._legendre(np.array([], dtype=np.int64), p).tolist() == []
 
 
 # === U, V, twist ===

@@ -313,6 +313,43 @@ def test_filtration_validation():
         filtration(f.truncate(48), 12)
 
 
+def _filtration_upward(f, k):
+    # the least candidate k' = k (mod ell - 1) that passes, scanning up from k mod (ell - 1)
+    ell = f.modulus
+    depth = 24 * (k // 12 + 1) + 1
+    for k2 in range(k % (ell - 1), k + 1, ell - 1):
+        if dims(k2)[0]:
+            basis = miller_basis(k2, ell, spaces._basis_prec(k2, depth), "M")
+            if isinstance(coordinates(f, basis, depth), MembershipCertificate):
+                return k2
+    return None
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_filtration_scan_down_equals_the_upward_scan(ell):
+    # the spaces are nested mod ell, so the top-down scan finds the least pass
+    rng = random.Random(ell)
+    for k in range(12, 37, 2):
+        if dims(k)[1] == 0:
+            continue
+        prec = 24 * (2 * k // 12 + ell) + 49
+        basis = miller_basis(k, ell, prec, "S")
+        coords = [rng.randrange(ell) for _ in range(basis.dim)]
+        coords[rng.randrange(basis.dim)] = 1
+        f = QExp24.zero(prec, ell, 0)
+        for c, elem in zip(coords, basis.elements):
+            f = f + elem.scale(c)
+        for g, kg in ((f, k), (theta_op(f), k + ell + 1), ((f * f).truncate(prec), 2 * k)):
+            for kk in (kg, kg + ell - 1, kg + 2 * (ell - 1)):
+                assert filtration(g, kk) == _filtration_upward(g, kk), (k, kg, kk)
+        bent = f + QExp24.from_dict({24 * (k // 12): 1}, prec, ell, 0)
+        if _filtration_upward(bent, k) is None:
+            with pytest.raises(CertificationError):
+                filtration(bent, k)
+        else:
+            assert filtration(bent, k) == _filtration_upward(bent, k)
+
+
 def test_filtration_rejects_non_member():
     ell = 5
     junk = QExp24.from_dict({0: 1, 24: 2, 48: 4, 72: 3, 96: 1, 120: 2},
