@@ -19,7 +19,6 @@ from .qseries import (
     QExp24,
     PrecisionError,
     eta_series,
-    squarefree_part,
     support_square_classes,
     theta_op,
 )
@@ -66,14 +65,8 @@ def check_two_classes(f):
     series = _series_of(f)
     ell = series.modulus
     classes = support_square_classes(series)
-    bad = sorted(t for t in classes if t not in (1, ell))
-    witness = None
-    if bad:
-        # report the first index lying in an extraneous class
-        for n, _ in series.nonzero_items():
-            if squarefree_part(n) in bad:
-                witness = n
-                break
+    bad = [t for t in classes if t not in (1, ell)]
+    witness = min(classes[t][0] for t in bad) if bad else None  # each class is ascending
     return classes, CheckResult("two_square_classes", not bad, witness)
 
 

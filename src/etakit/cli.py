@@ -1,7 +1,8 @@
 """Command-line surface: bases, classification, verification suites.
 
 Recipes are a tiny declarative pipeline language so that scenario files
-stay data:
+stay data.  One regex pass tokenizes a recipe and a recursive descent
+reads it, ^INT in one rule, at most RECIPE_MAX_DEPTH theta( or udesc( deep:
 
     expr   := term ('+' term)*
     term   := [INT('^'INT)? '*'] factor
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import random
+import re
 import sys
 import time
 
@@ -54,37 +56,29 @@ __all__ = ["main", "parse_recipe", "evaluate_recipe", "parse_scenario", "load_sc
 # === recipe parsing ===
 
 
+# deepest nesting of theta( and udesc(: parser, _walk and builders recurse once a level
+RECIPE_MAX_DEPTH = 100
+_TOKEN = re.compile(r"(\d+)|([^\W\d_]+)|(\S)")  # digits, other word characters, one other
+
+
 def _tokenize(text: str):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalpha():
-                j += 1
-            tokens.append(("name", text[i:j]))
-            i = j
-        elif ch in "^*+()":
-            tokens.append((ch, ch))
-            i += 1
+    for digits, letters, other in _TOKEN.findall(text):
+        if digits:
+            tokens.append(("int", int(digits)))
+        elif letters:
+            tokens.append(("name", letters))
+        elif other in "^*+()":
+            tokens.append((other, other))
         else:
-            raise ValueError(f"bad character {ch!r} in recipe")
+            raise ValueError(f"bad character {other!r} in recipe")
     return tokens
 
 
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
-        self.pos = 0
+        self.pos = self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -96,6 +90,13 @@ class _Parser:
         self.pos += 1
         return tok[1]
 
+    def exponent(self):
+        """The optional '^' INT suffix, or 1."""
+        if self.peek()[0] != "^":
+            return 1
+        self.take("^")
+        return self.take("int")
+
     def expr(self):
         terms = [self.term()]
         while self.peek()[0] == "+":
@@ -104,42 +105,39 @@ class _Parser:
         return terms[0] if len(terms) == 1 else ("sum", terms)
 
     def term(self):
-        if self.peek()[0] == "int":
-            base = self.take("int")
-            exp = 1
-            if self.peek()[0] == "^":
-                self.take("^")
-                exp = self.take("int")
-            self.take("*")
-            return ("scale", base, exp, self.factor())
-        return self.factor()
+        if self.peek()[0] != "int":
+            return self.factor()
+        base, exp = self.take("int"), self.exponent()
+        self.take("*")
+        return ("scale", base, exp, self.factor())
 
     def factor(self):
         name = self.take("name")
         if name == "eta":
-            k = 1
-            if self.peek()[0] == "^":
-                self.take("^")
-                k = self.take("int")
-            return ("eta", k)
+            return ("eta", self.exponent())
         if name == "theta":
-            j = 1
-            if self.peek()[0] == "^":
-                self.take("^")
-                j = self.take("int")
-            self.take("(")
-            sub = self.expr()
-            self.take(")")
-            return ("theta", j, sub)
+            return ("theta", self.exponent(), self.argument())
         if name == "udesc":
-            self.take("(")
-            sub = self.expr()
-            self.take(")")
-            return ("udesc", sub)
+            return ("udesc", self.argument())
         raise ValueError(f"unknown operation {name!r}")
+
+    def argument(self):
+        """'(' expr ')', one nesting level deeper."""
+        self.depth += 1
+        if self.depth > RECIPE_MAX_DEPTH:
+            raise ValueError(f"recipe nests deeper than {RECIPE_MAX_DEPTH} operations")
+        self.take("(")
+        sub = self.expr()
+        self.take(")")
+        self.depth -= 1
+        return sub
 
 
 def parse_recipe(text: str):
+    """AST of ("eta", k), ("theta", j, sub), ("udesc", sub), ("scale", c, e, sub), ("sum", terms).
+
+    One regex pass, then recursive descent; ValueError on any bad input.
+    """
     parser = _Parser(_tokenize(text))
     ast = parser.expr()
     if parser.pos != len(parser.tokens):
@@ -244,13 +242,9 @@ def load_scenarios() -> list:
     """Shipped scenario corpus, sorted by name."""
     from importlib import resources
 
-    out = []
     root = resources.files("etakit") / "scenarios"
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".scenario"):
-            out.append(parse_scenario(entry.read_text()))
-    out.sort(key=lambda sc: sc["name"])
-    return out
+    found = [parse_scenario(e.read_text()) for e in root.iterdir() if e.name.endswith(".scenario")]
+    return sorted(found, key=lambda sc: sc["name"])
 
 
 def _exit_for_case(case: str) -> int:
@@ -282,8 +276,7 @@ def run_scenario(sc: dict) -> dict:
 
 
 def _random_unimodular(rng: random.Random) -> UnimodularMatrix:
-    # pick a coprime bottom row with entries in [-50, 50], complete it by
-    # the extended euclid identity
+    # a coprime bottom row with entries in [-50, 50], completed by an inverse of d mod c
     while True:
         c = rng.randint(-50, 50)
         d = rng.randint(-50, 50)
@@ -297,18 +290,9 @@ def _random_unimodular(rng: random.Random) -> UnimodularMatrix:
 
 
 def _complete_row(c: int, d: int):
-    # a*d - b*c == 1 via iterative extended euclid on (d, c)
-    old_r, r = d, c
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, -old_t
+    """(a, b) with a*d - b*c == 1 for coprime (c, d); c = 0 leaves d = +-1 and b = 0."""
+    a = pow(d, -1, abs(c)) if c else d
+    return a, (a * d - 1) // c if c else 0
 
 
 def multiplier_sweep(count: int = 100, seed: int = 2024) -> dict:

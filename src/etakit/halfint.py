@@ -21,8 +21,8 @@ from .qseries import (
     _pow_mod,
     _reduce,
     _square_series,
+    _validate_modulus,
     kronecker,
-    is_prime,
     squarefree_part,
     eta_series,
     theta_op,
@@ -175,8 +175,7 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     of f's strand.  Only the output's indices n are built, and each
     product of residues is reduced before the three terms are summed.
     """
-    if p in (2, 3) or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    _validate_modulus(p, "p")
     ell = f.modulus
     if ell is None:
         raise ValueError("hecke_tp2 works over a prime field")
@@ -210,8 +209,7 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
     below the joint precision ceil(P/p^2), in one array comparison.
     """
     ell = g.ell
-    if p in (2, 3) or not is_prime(p):
-        raise ValueError(f"p must be a prime >= 5, got {p}")
+    _validate_modulus(p, "p")
     if p % ell in (0, 1):
         raise ValueError(f"p = {p} is 0 or 1 mod ell = {ell}")
     if eps_p not in (1, -1):

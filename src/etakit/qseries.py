@@ -146,9 +146,10 @@ def squarefree_part(n: int) -> int:
     return part * n  # leftover n is 1 or a prime appearing once
 
 
-def _validate_modulus(modulus):
-    if modulus is not None and (modulus < 5 or not is_prime(modulus)):
-        raise ValueError(f"modulus must be a prime >= 5, got {modulus}")
+def _validate_modulus(value, name="modulus"):
+    """The one rule for a modulus, ell or p: a prime >= 5."""
+    if value < 5 or not is_prime(value):
+        raise ValueError(f"{name} must be a prime >= 5, got {value}")
 
 
 # === exact kernels on strands ===
@@ -330,8 +331,8 @@ class QExp24:
             raise ValueError("prec must be a positive integer")
         if len(coeffs) > prec:
             raise ValueError("coefficient list longer than declared prec")
-        _validate_modulus(modulus)
         if modulus is not None:
+            _validate_modulus(modulus)
             coeffs = [int(c) % modulus for c in coeffs]
         else:
             coeffs = [int(c) for c in coeffs]
@@ -573,7 +574,8 @@ class QExp24:
 
 def _square_series(m: int, prec: int, modulus, lam: int = 0) -> QExp24:
     """sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24), residue class m mod 24."""
-    _validate_modulus(modulus)
+    if modulus is not None:
+        _validate_modulus(modulus)
     values = _square_strand(m, _length(prec, m % 24), modulus, lam)
     return QExp24(values=values, prec=prec, modulus=modulus, residue=m % 24)
 
@@ -635,8 +637,7 @@ def twist(f: QExp24, p: int, kind: str = "quadratic") -> QExp24:
     mod 24 for p >= 5, so twisting never moves a square class out of a
     residue class either).
     """
-    if p in (2, 3) or p < 2 or not is_prime(p):
-        raise ValueError(f"twist needs a prime p >= 5, got {p}")
+    _validate_modulus(p, "p")
     n = f.indices()
     if kind == "quadratic":
         chi = _legendre(n, p)

@@ -48,8 +48,8 @@ from .qseries import (
     _power,
     _reduce,
     _square_strand,
+    _validate_modulus,
     eta_series,
-    is_prime,
 )
 
 __all__ = [
@@ -223,8 +223,7 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     """
     if kind not in ("M", "S"):
         raise ValueError(f"kind must be 'M' or 'S', got {kind!r}")
-    if ell < 5 or not is_prime(ell):
-        raise ValueError(f"ell must be a prime >= 5, got {ell}")
+    _validate_modulus(ell, "ell")
     dm = dims(k)[0]
     length = (prec + 23) // 24
     if dm and length < dm + k // 12 + 1:

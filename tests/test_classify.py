@@ -1,8 +1,10 @@
 """Tests for the three-case classifier and its component checks."""
 
 import json
+import math
 
 import pytest
+import sympy
 
 from etakit.qseries import PrecisionError, QExp24, eta_series, v_op
 from etakit.spaces import eisenstein_e4, membership_depth
@@ -52,6 +54,29 @@ def test_two_classes_rejects_stray_class():
     assert set(classes) == {1, 2}
     assert not res.passed
     assert res.witness == 2
+
+
+@pytest.mark.parametrize(
+    "ell, residue, terms",
+    [
+        # two extraneous classes, 3 (12, 27) and 2 (18, 32), among classes 1 and ell
+        (5, None, {1: 1, 4: 2, 5: 1, 9: 3, 12: 1, 18: 4, 20: 2, 27: 1, 32: 3}),
+        # three: 11 (11, 44), 2 (18, 50) and 3 (27, 48), interleaved
+        (5, None, {1: 2, 5: 1, 11: 1, 18: 3, 27: 2, 44: 4, 45: 1, 48: 1, 50: 2}),
+        # three on the strand n = 1 mod 24: 145 = 5 * 29, 193, 217 = 7 * 31
+        (13, 1, {1: 1, 49: 2, 145: 3, 169: 1, 193: 4, 217: 5, 289: 6, 145 * 25: 7}),
+    ],
+)
+def test_two_classes_witness_is_the_first_extraneous_index(ell, residue, terms):
+    f = QExp24.from_dict(terms, prec=max(terms) + 1, modulus=ell, residue=residue)
+
+    def squarefree_part(n):
+        return math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
+
+    first = min(n for n in terms if squarefree_part(n) not in (1, ell))
+    classes, res = check_two_classes(f)
+    assert len(set(classes) - {1, ell}) >= 2
+    assert not res.passed and res.witness == first
 
 
 def test_two_classes_accepts_certified_form():

@@ -1,7 +1,9 @@
 """Tests for recipes, scenario files, verification sweeps, and the CLI."""
 
 import json
+import math
 import os
+import random
 import re
 import shlex
 import shutil
@@ -59,6 +61,70 @@ def test_parse_recipe_errors():
     for bad in ("", "eta^", "zeta", "theta(eta", "eta)", "eta eta", "eta %"):
         with pytest.raises((ValueError, IndexError)):
             parse_recipe(bad)
+
+
+def test_parse_recipe_tokens():
+    # tabs and newlines are whitespace; one ^INT rule after an int, eta and theta
+    assert parse_recipe("theta\t(\neta^5 )\n") == ("theta", 1, ("eta", 5))
+    assert parse_recipe("2^3*eta") == ("scale", 2, 3, ("eta", 1))
+    assert parse_recipe("theta^2(eta)") == ("theta", 2, ("eta", 1))
+    assert parse_recipe("7*eta + 3^2*theta(eta^7)") == (
+        "sum", [("scale", 7, 1, ("eta", 1)), ("scale", 3, 2, ("theta", 1, ("eta", 7)))])
+    with pytest.raises(ValueError, match="unknown operation 'ηta'"):
+        parse_recipe("ηta")
+    with pytest.raises(ValueError, match="bad character '%'"):
+        parse_recipe("2%eta")
+    for bad in ("eta²", "eta^²", "²*eta", "theta^(eta)", "2^*eta"):
+        with pytest.raises(ValueError):
+            parse_recipe(bad)
+
+
+def _nested(op, depth):
+    return op * depth + "eta" + ")" * depth
+
+
+def test_parse_recipe_nests_to_the_bound():
+    depth = cli.RECIPE_MAX_DEPTH
+    ast = parse_recipe(_nested("udesc(", depth))
+    for _ in range(depth):
+        assert ast[0] == "udesc"
+        ast = ast[1]
+    assert ast == ("eta", 1)
+    # the count is of open levels, not of operations: siblings do not add up
+    assert parse_recipe(" + ".join([_nested("theta(", depth)] * 3))[0] == "sum"
+    with pytest.raises(ValueError, match="nests deeper"):
+        parse_recipe("udesc(" + _nested("theta^2(", depth) + ")")
+
+
+@pytest.mark.parametrize("op", ["theta(", "udesc(", "theta^3("])
+def test_cli_refuses_a_recipe_nested_past_the_bound(tmp_path, capsys, op):
+    path = tmp_path / "deep.txt"
+    path.write_text(_nested(op, cli.RECIPE_MAX_DEPTH + 1))
+    assert main(["classify", "--recipe", str(path), "--ell", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: recipe nests deeper than {cli.RECIPE_MAX_DEPTH} operations\n"
+
+
+def test_cli_classifies_a_recipe_at_the_bound(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text(_nested("theta(", cli.RECIPE_MAX_DEPTH))
+    assert main(["classify", "--recipe", str(path), "--ell", "5"]) == 0
+    captured = capsys.readouterr()
+    assert "nests" not in captured.err
+    assert json.loads(captured.out)["case"] == "1"
+
+
+def test_module_refuses_a_400_deep_recipe_in_one_line(tmp_path):
+    # 400 levels would overflow the interpreter's stack without the bound
+    path = tmp_path / "deep.txt"
+    path.write_text(_nested("theta(", 400))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etakit.cli", "classify", "--recipe", str(path), "--ell", "5"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: recipe nests deeper than {cli.RECIPE_MAX_DEPTH} operations\n"
 
 
 # === recipe evaluation ===
@@ -314,6 +380,30 @@ def test_multiplier_sweep_small():
     assert result["eta_max_deviation"] < 1e-8
     assert result["epsilon_identities"] == "pass"
     assert result["nu_24th_power_exact"] is True
+
+
+@pytest.mark.parametrize(
+    "c, d", [(0, 1), (0, -1), (1, 0), (-1, 0), (1, -7), (-1, 7), (-7, 3), (-50, -49), (49, 50)]
+)
+def test_complete_row_edge_cases(c, d):
+    a, b = cli._complete_row(c, d)
+    assert a * d - b * c == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+       .filter(lambda cd: math.gcd(*cd) == 1))
+def test_complete_row_is_unimodular(cd):
+    c, d = cd
+    a, b = cli._complete_row(c, d)
+    assert a * d - b * c == 1
+
+
+def test_multiplier_sweep_draws_bounded_unimodular_matrices():
+    rng = random.Random(5)
+    for _ in range(200):
+        g = cli._random_unimodular(rng)
+        assert max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) <= 50
 
 
 def test_filtration_sweep_small():

@@ -12,6 +12,7 @@ from etakit.qseries import (
     eta_series,
     kronecker,
     theta_op,
+    twist,
     v_op,
 )
 from etakit.spaces import (
@@ -20,6 +21,7 @@ from etakit.spaces import (
     eisenstein_e4,
     eisenstein_e6,
     membership_depth,
+    miller_basis,
 )
 from etakit.halfint import (
     HalfIntForm,
@@ -379,6 +381,21 @@ def test_eigenvalue_validation():
     h = certify(f.truncate(depth), 7, 7)
     with pytest.raises(ValueError):
         hecke_eigenvalue_check(h, 7)
+
+
+@pytest.mark.parametrize("bad", [-7, 0, 1, 2, 3, 4, 9, 25, 2**31])
+def test_one_prime_rule_names_its_argument(bad):
+    # miller_basis, twist, hecke_tp2 and hecke_eigenvalue_check share qseries' rule
+    f = eta_series(100, 5)
+    g = theta_lift(eta_form(24 * 60, 7))
+    for name, call in [
+        ("ell", lambda: miller_basis(12, bad, 200)),
+        ("p", lambda: twist(f, bad)),
+        ("p", lambda: hecke_tp2(f, bad, 2)),
+        ("p", lambda: hecke_eigenvalue_check(g, bad)),
+    ]:
+        with pytest.raises(ValueError, match=rf"^{name} must be a prime >= 5, got {bad}$"):
+            call()
 
 
 # === divisor-sum coefficients ===
