@@ -35,7 +35,6 @@ from .spaces import (
     filtration,
     membership_depth,
     miller_basis,
-    sturm_check,
 )
 from .halfint import (
     HalfIntForm,

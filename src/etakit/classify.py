@@ -5,9 +5,10 @@ supported on the square classes {1, ell}, falls into exactly one of
 three shapes: a twisted unary theta series in class 1, a dilated eta in
 class ell, or (only when ell = 1 mod 24) the sum of both.  classify()
 records the hypotheses, builds the candidate congruence target from the
-coefficients at indices 1 and ell, and verifies it to the certification
-depth.  Everything that fails lands in "unclassified" with a witness,
-never an exception, so boundary examples flow through with their data.
+coefficients at indices 1 and ell, and verifies it to the depth of the
+form's membership certificate.  Everything that fails lands in
+"unclassified" with a witness, never an exception, so boundary examples
+flow through with their data.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from dataclasses import dataclass
 
 from .qseries import (
     QExp24,
-    PrecisionError,
     eta_series,
     support_square_classes,
     theta_op,
 )
 from .halfint import HalfIntForm, canonical_t1, canonical_t2
-from .spaces import membership_depth
 
 __all__ = [
     "CheckResult",
@@ -164,12 +163,14 @@ def classify(form: HalfIntForm) -> CaseReport:
     """Assign a certified form to one of the three cases, or explain why not.
 
     Reads a1 and al (indices 1 and ell), builds the candidate target
-    a1 * T1(lam) + al * T2, and compares up to the certification depth
-    24 * (floor(w/12) + 1) + r0.  The weight hypothesis lam + 1/2 <
-    ell^2 / 2 is recorded as hypothesis_ok but does not overturn a
-    passing congruence: explicit constructions at or past the boundary
-    can still land in a case, and the boundary example fails on its own
-    congruence.
+    a1 * T1(lam) + al * T2, and compares it below the certificate's depth:
+    the Sturm depth 24 * (floor(w/12) + 1) + r0 for a form built in its
+    space, every coefficient for a series certified to its precision, and
+    the whole zero series in an empty space.  The weight hypothesis
+    lam + 1/2 < ell^2 / 2 is recorded as hypothesis_ok but does not
+    overturn a passing congruence: explicit constructions at or past the
+    boundary can still land in a case, and the boundary example fails on
+    its own congruence.
     """
     if not isinstance(form, HalfIntForm):
         raise TypeError("classify takes a certified form; use certify() first")
@@ -179,14 +180,7 @@ def classify(form: HalfIntForm) -> CaseReport:
     r0 = r % 24
     lam_mod = lam % (ell - 1)
     hypothesis_ok = 2 * lam + 1 < ell * ell
-    w, depth = membership_depth(lam, r)
-    if series.is_zero():
-        depth = min(depth, series.prec)
-    elif series.prec < depth:
-        raise PrecisionError(
-            f"classification at lam={lam}, r={r} compares to depth {depth}, "
-            f"series has {series.prec}"
-        )
+    depth = form.certificate.depth
 
     _classes, cls_check = check_two_classes(series)
     mult_check = check_multiplier(r, ell)

@@ -416,7 +416,7 @@ def _cmd_classify(args) -> int:
             series = series.reduce_mod(args.ell)
         elif series.modulus != args.ell:
             raise ValueError("series modulus disagrees with --ell")
-        form = certify(series, args.lam, args.r)
+        form = certify(series, args.lam, args.r, series.prec)
     report = classify(form)
     print(report.to_json())
     return _exit_for_case(report.case)

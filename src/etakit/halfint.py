@@ -55,8 +55,9 @@ class HalfIntForm:
     """A certified weight lam + 1/2 form with multiplier exponent r.
 
     series carries coefficients in F_ell with residue r mod 24; the
-    certificate places the series in the realized space at the depth
-    prescribed by membership_depth.  Build these through certify().
+    certificate places the series in the realized space to its depth: the
+    Sturm depth of membership_depth for a series in the space by
+    construction, or more.  Build these through certify().
     """
 
     series: QExp24
@@ -83,19 +84,21 @@ class HalfIntForm:
         return self.series.is_zero()
 
 
-def certify(series: QExp24, lam: int, r: int) -> HalfIntForm:
+def certify(series: QExp24, lam: int, r: int, depth: int | None = None) -> HalfIntForm:
     """Certify series in the weight lam + 1/2 space with multiplier power r.
 
     Raises CertificationError when the series is provably outside the
     space (with the witness index), PrecisionError when the series is
     too short to reach the certification depth.
 
-    checked counts the coefficients compared past the pivots (see
-    eta_membership); with checked == 0 the certificate holds only for a
-    series in the space by construction, such as eta^k, a theta lift or a
-    sum within one space: evaluate_recipe relies on this at a recipe's root.
+    depth is eta_membership's: the Sturm depth when None, never less.
+    checked counts the coefficients compared past the pivots; with
+    checked == 0 the certificate holds only for a series in the space by
+    construction, such as eta^k, a theta lift or a sum within one space:
+    evaluate_recipe relies on this at a recipe's root.  A series from
+    outside is certified with depth=series.prec, at every coefficient.
     """
-    result = eta_membership(series, lam, r)
+    result = eta_membership(series, lam, r, depth)
     if isinstance(result, NotMember):
         raise CertificationError(
             f"series is not in the weight {lam}+1/2 space with multiplier "

@@ -1,18 +1,17 @@
 """Level-one form spaces mod ell: echelon bases, membership, filtration.
 
 Weight-k forms of level one are spanned by monomials Delta^j E4^a E6^b.
-Reducing the integer spanning set mod ell and row-reducing gives an
-echelon basis with pivot j at integer exponent j; reading coordinates
-off the pivots plus a Sturm-depth verification yields membership
-certificates.  These Miller bases are the only family of bases.
+Reducing the integer spanning set mod ell and row-reducing gives the
+Miller bases, the only family of bases: pivot j at integer exponent j.
 
 Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
 multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
-w = lam + (1 - r0)/2, so f lies in one exactly when f / eta^r0 lies in
-M_w.  Membership reads the coordinates off f's own coefficients at the
-pivot indices and builds no basis; the certification depth reaches one
-coefficient past them only when w = 2 (mod 12), and that one is checked
-by a single linear functional, the constant term of a weight-2 quotient.
+w = lam + (1 - r0)/2; weight k is r0 = 0.  One verifier decides every
+membership: it reads coordinates off f's pivots and compares the rest
+below the depth its caller chooses.  At the Sturm depth of a half-integral
+space it builds no basis: the pivots fill the strand, but for one
+coefficient at w = 2 (mod 12) that the constant term of a weight-2
+quotient decides.
 
 Every basis is held as a read-only (dim x L) matrix of integer-exponent
 coefficients: row i, column m is the coefficient of element i at q^m.
@@ -63,7 +62,6 @@ __all__ = [
     "MembershipCertificate",
     "NotMember",
     "coordinates",
-    "sturm_check",
     "filtration",
     "membership_depth",
     "eta_membership",
@@ -269,6 +267,54 @@ class NotMember:
     witness: int
 
 
+def _verify(f: QExp24, r0: int, w: int, depth: int, basis: SpaceBasis | None = None):
+    """Certify f's strand r0 as a member of eta^r0 * M_w below depth, or refuse it.
+
+    The coordinates are f's strand at the pivots: basis.pivots, or
+    0 .. dim M_w - 1 with no basis.  checked counts the other strand
+    indices below depth, each compared: f / eta^r0 must equal the
+    combination of basis rows at its own pivots, and as eta^r0 starts
+    with 1, NotMember names the first index where f differs from a member.
+    The caller checks ring, precision and off-class indices.  With no basis,
+    one index past the pivots at w = 2 (mod 12) costs one functional (the
+    lemma), and only a deeper check builds miller_basis.
+
+    Lemma.  Let w = 12m + 2, N = r0 + 24m, f_i the coefficient of f at
+    r0 + 24i, and c_i that of q^i in prod_{n>=1} (1 - q^n)^(-N).  A
+    series on the strand agrees with a member of eta^r0 * M_w at every
+    index r0 + 24i, i <= m, exactly when sum_{i<=m} f_i c_(m-i) = 0
+    (mod ell).  Proof: for f = eta^r0 g with g in M_w, the quotient
+    f / eta^N = g / Delta^m has weight 2, trivial multiplier and no pole
+    on H, so its constant term, which is the sum, vanishes (pair M_w
+    with M^!_(2-w) by constant term, Bruinier-Funke 2004, or take the
+    residue of g / Delta^m dtau at the cusp of X(1); the functional is
+    the first of Duke-Jenkins 2008).  The sum has integer coefficients
+    and c_0 = 1, so mod every prime ell it is a nonzero functional on
+    these m + 1 coefficients that kills the m-dimensional image of M_w;
+    its kernel is exactly that image.
+    """
+    ell = f.modulus
+    pivots = list(range(dims(w)[0]) if basis is None else basis.pivots)
+    strand = f.strand(r0)[: len(range(r0, depth, 24))]
+    n, dim = strand.size, len(pivots)
+    coords = strand[:dim] if basis is None else strand[pivots]
+
+    def eta_inverse(e):  # prod (1 - q^n)^(-e) on n entries
+        return _power(_inverse(_square_strand(1, n, ell), ell, n), e, ell, n)
+    bad = []
+    if basis is None and n == dim + 1 and w % 12 == 2:  # the lemma
+        bad = np.flatnonzero(_dot(strand, eta_inverse(r0 + 24 * dim)[::-1, None], ell)) + dim
+    elif basis is not None or n > dim:
+        if basis is None:
+            basis = miller_basis(w, ell, _basis_prec(w, depth))
+        quotient = _conv(strand, eta_inverse(r0), ell, n) if r0 else strand
+        combined = _dot(quotient[pivots] if r0 else coords, basis.rows[:, :n], ell)
+        bad = np.flatnonzero(combined != quotient)
+    if len(bad):
+        return NotMember(r0 + 24 * int(bad[0]))
+    return MembershipCertificate(tuple(coords.tolist()), depth, n - dim)
+
+
 def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
     """Solve f against an echelon basis and verify below depth.
 
@@ -287,34 +333,9 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
         raise PrecisionError("verification depth exceeds available precision")
     if any(24 * pivot >= depth for pivot in basis.pivots):
         raise PrecisionError("depth does not reach every pivot")
-    ell, dim = basis.ell, basis.dim
-    n = len(range(0, depth, 24))
-    target = f.strand(0)[:n]
-    coords = target[list(basis.pivots)]
-    combined = _dot(coords, basis.rows[:, :n], ell)
-    bad = np.flatnonzero(combined != target)
-    limit = 24 * int(bad[0]) if bad.size else depth
-    off = f.first_off_class(0, limit)
-    if off is not None:
-        return NotMember(off)
-    if limit < depth:
-        return NotMember(limit)
-    return MembershipCertificate(tuple(coords.tolist()), depth, n - dim)
-
-
-def sturm_check(f: QExp24, g: QExp24, k: int) -> bool:
-    """Congruence of two certified weight-k members up to the Sturm bound.
-
-    Agreement at every integer exponent <= floor(k/12) + 1 pins the
-    difference past the bound weight/12, which forces it to vanish.
-    """
-    if f.modulus != g.modulus:
-        raise ValueError("ring mismatch")
-    bound = k // 12 + 1
-    need = 24 * bound + 1
-    if f.prec < need or g.prec < need:
-        raise PrecisionError(f"Sturm check at weight {k} needs precision {need}")
-    return f.agrees_with(g, need)
+    result = _verify(f, 0, basis.k, depth, basis)
+    off = f.first_off_class(0, result.witness if isinstance(result, NotMember) else depth)
+    return result if off is None else NotMember(off)
 
 
 def filtration(f: QExp24, k: int) -> int:
@@ -377,36 +398,22 @@ def _check_eta_args(lam: int, r: int):
         raise ValueError(f"lam must be nonnegative, got {lam}")
 
 
-def eta_membership(f: QExp24, lam: int, r: int):
+def eta_membership(f: QExp24, lam: int, r: int, depth: int | None = None):
     """Certify f as a member of the realized weight lam + 1/2 space.
 
-    The space is eta^r0 * M_w; membership_depth gives w and the
-    verification depth 24*(floor(w/12)+1) + r0.  The coordinates are f's
-    coefficients at the pivot indices r0 + 24 i, i < dim M_w.  Below the
-    depth lie dim M_w + 1 strand coefficients when w = 2 (mod 12) and
-    dim M_w otherwise, so only when w = 2 (mod 12) is one more checked.
-
-    Lemma.  Let w = 12m + 2, N = r0 + 24m, f_i the coefficient of f at
-    r0 + 24i, and c_i that of q^i in prod_{n>=1} (1 - q^n)^(-N).  A
-    series on the strand agrees with a member of eta^r0 * M_w at every
-    index r0 + 24i, i <= m, exactly when sum_{i<=m} f_i c_(m-i) = 0
-    (mod ell).  Proof: for f = eta^r0 g with g in M_w, the quotient
-    f / eta^N = g / Delta^m has weight 2, trivial multiplier and no pole
-    on H, so its constant term, which is the sum, vanishes (pair M_w
-    with M^!_(2-w) by constant term, Bruinier-Funke 2004, or take the
-    residue of g / Delta^m dtau at the cusp of X(1)).  The sum has
-    integer coefficients and c_0 = 1, so mod every prime ell it is a
-    nonzero functional on these m + 1 coefficients that kills the
-    m-dimensional image of M_w; its kernel is exactly that image.  A
-    nonzero sum is reported at index r0 + 24m, the one coefficient no
-    pivot fixes.
+    The space is eta^r0 * M_w; membership_depth gives w and the Sturm
+    depth 24*(floor(w/12)+1) + r0, which depth=None means and no depth
+    goes below.  The coordinates are f's coefficients at r0 + 24 i,
+    i < dim M_w; _verify compares the rest of the strand below depth.  A
+    nonzero coefficient off the class r0 anywhere in f is the witness.
 
     checked counts the strand coefficients compared beyond the pivots.
     With checked == 0 the certificate holds only for a series in the space
     by construction, such as eta^k, a theta lift, or a sum within one
-    space, as evaluate_recipe relies on at a recipe's root.  Membership in
-    an empty space means f = 0 to the full known precision, and checked
-    is its number of strand coefficients.
+    space, as evaluate_recipe relies on at a recipe's root.  A series from
+    outside is compared to depth f.prec.  Membership in an empty space
+    means f = 0 to the full known precision, and checked is its number of
+    strand coefficients.
     """
     _check_eta_args(lam, r)
     ell = f.modulus
@@ -416,9 +423,9 @@ def eta_membership(f: QExp24, lam: int, r: int):
     off = f.first_off_class(r0)
     if off is not None:
         return NotMember(off)
-    w, depth = membership_depth(lam, r)
-    dm = dims(w)[0]
-    if dm == 0:
+    w, sturm = membership_depth(lam, r)
+    depth = sturm if depth is None else max(depth, sturm)
+    if dims(w)[0] == 0:
         if f.is_zero():
             return MembershipCertificate((), f.prec, len(range(r0, f.prec, 24)))
         return NotMember(f.valuation())
@@ -426,12 +433,4 @@ def eta_membership(f: QExp24, lam: int, r: int):
         raise PrecisionError(
             f"certifying at lam={lam}, r={r} needs precision {depth}, have {f.prec}"
         )
-    strand = f.strand(r0)
-    coords = tuple(strand[:dm].tolist())
-    n = len(range(r0, depth, 24))
-    if n <= dm:  # an echelon basis is the identity on these columns
-        return MembershipCertificate(coords, depth, 0)
-    c = _power(_inverse(_square_strand(1, n, ell), ell, n), r0 + 24 * dm, ell, n)
-    if _dot(strand[:n], c[::-1, None], ell)[0]:
-        return NotMember(r0 + 24 * dm)
-    return MembershipCertificate(coords, depth, 1)
+    return _verify(f, r0, w, depth)

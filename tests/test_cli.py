@@ -200,7 +200,10 @@ def test_zero_descent_keeps_the_walked_weight(text, ell, weight):
 )
 def test_a_recipe_certifies_at_its_root_and_around_each_descent(monkeypatch, text, ell, certified):
     seen, real = [], halfint.eta_membership
-    monkeypatch.setattr(halfint, "eta_membership", lambda f, *w: seen.append(w) or real(f, *w))
+    monkeypatch.setattr(
+        halfint, "eta_membership",
+        lambda f, lam, r, depth=None: seen.append((lam, r)) or real(f, lam, r, depth),
+    )
     evaluate_recipe(text, ell)
     assert seen == certified
 
@@ -512,6 +515,29 @@ def test_cli_classify_series_file(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["case"] == "1"
+
+
+def test_cli_series_is_certified_at_every_coefficient_it_gives(tmp_path, capsys):
+    # eta mod 13 has 1, -1, -1, 1 at 1, 25, 49, 121: this file agrees with
+    # no multiple of eta at 25, past the Sturm depth 25 of lam = 0, r = 1,
+    # where the pivot alone fixes the strand
+    from etakit.qseries import series_to_text
+
+    path = tmp_path / "bad.series"
+    path.write_text("# ring=Fp:13 prec=200 residue=1\n1 1\n49 5\n121 3\n")
+    args = ["classify", "--series", str(path), "--assert-member",
+            "--ell", "13", "--lambda", "0", "--r", "1"]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "first bad index 25" in err and "Traceback" not in err
+    # a true member is compared at every coefficient it has
+    path.write_text(series_to_text(eta_series(200, 13).scale(3)))
+    assert main(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "1" and report["a1"] == 3
+    assert report["depth"] == 200
 
 
 def test_cli_classify_series_guard_rails(tmp_path, capsys):

@@ -23,7 +23,6 @@ from etakit.spaces import (
     filtration,
     membership_depth,
     miller_basis,
-    sturm_check,
 )
 
 from oracles import (
@@ -244,25 +243,6 @@ def test_random_members_certify():
                 cert = coordinates(f, b, prec)
                 assert isinstance(cert, MembershipCertificate)
                 assert cert.coordinates == tuple(coeffs)
-
-
-# === Sturm bound comparisons ===
-
-
-def test_sturm_check_weight_16():
-    ell = 5
-    prec = 24 * 9
-    f = (delta_series(prec) * eisenstein_e4(prec)).reduce_mod(ell).truncate(24 * 8)
-    b = miller_basis(16, ell, 24 * 8)
-    assert sturm_check(f, b.elements[1], 16)
-    assert not sturm_check(f, b.elements[0], 16)
-
-
-def test_sturm_check_precision_gate():
-    ell = 5
-    f = delta_series(30).truncate(30).reduce_mod(ell)
-    with pytest.raises(PrecisionError):
-        sturm_check(f, f, 12)  # weight 12 needs 2 integer exponents: prec 49
 
 
 # === filtration ===
@@ -717,16 +697,47 @@ def eta_membership_cases(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(eta_membership_cases())
-def test_eta_membership_matches_oracle(case):
+@given(eta_membership_cases(), st.booleans())
+def test_eta_membership_matches_oracle(case, full):
+    # depth None is the Sturm depth, for a series in its space by
+    # construction; depth = prec compares every coefficient a series has
     coeffs, prec, ell, lam, r, tag = case
-    depth = membership_depth(lam, r)[1]
-    got = eta_membership(QExp24(coeffs, prec, ell, tag), lam, r)
-    want = eta_membership_oracle(coeffs, lam, r, ell, depth)
+    depth = prec if full else None
+    got = eta_membership(QExp24(coeffs, prec, ell, tag), lam, r, depth)
+    want = eta_membership_oracle(coeffs, lam, r, ell, depth or membership_depth(lam, r)[1])
     if want[0] == "not":
         assert got == NotMember(want[1])
     else:
         assert got == MembershipCertificate(*want[1:])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((5, 7, 13, 97, 3037000507)),  # the last stores Python integers
+    st.sampled_from((1, 5, 7, 11, 13, 23)),
+    st.one_of(st.sampled_from((14, 26, 38)), st.integers(0, 20).map(lambda j: 2 * j)),
+    st.integers(1, 150),
+    st.randoms(use_true_random=False),
+)
+def test_a_member_changed_past_its_pivots_is_refused_at_that_index(ell, r0, w, extra, rng):
+    # members of eta^r0 * M_w from Miller rows times eta^r0, certified to
+    # their full precision; a change at any strand index past the pivots,
+    # not only below the Sturm depth, is the witness
+    dim = dims(w)[0]
+    assume(dim > 0)
+    lam = w + (r0 - 1) // 2
+    prec = membership_depth(lam, r0)[1] + extra
+    rows = miller_basis(w, ell, spaces._basis_prec(w, prec)).elements
+    g = QExp24.zero(prec, ell)
+    for row in rows:
+        g = g + row.scale(rng.randrange(ell))
+    f = (eta_series(prec, ell) ** r0 * g).truncate(prec)
+    n = len(range(r0, prec, 24))
+    assert certify(f, lam, r0, depth=prec).certificate.checked == n - dim
+    i = rng.randrange(dim, n)
+    bent = _perturbed(f, r0 + 24 * i, rng.randrange(1, ell))
+    with pytest.raises(CertificationError, match=f"first bad index {r0 + 24 * i}$"):
+        certify(bent, lam, r0, depth=prec)
 
 
 def test_certifying_without_a_checked_coefficient_builds_no_basis(monkeypatch):
