@@ -17,7 +17,6 @@ from .qseries import (
     squarefree_part,
     support_square_classes,
     theta_op,
-    twist,
     u_op,
     v_op,
 )
@@ -27,10 +26,7 @@ from .spaces import (
     NotMember,
     SpaceBasis,
     coordinates,
-    delta_series,
     dims,
-    eisenstein_e4,
-    eisenstein_e6,
     eta_membership,
     filtration,
     membership_depth,

@@ -46,7 +46,6 @@ __all__ = [
     "theta_op",
     "u_op",
     "v_op",
-    "twist",
     "support_square_classes",
     "series_to_text",
     "series_from_text",
@@ -627,27 +626,6 @@ def v_op(f: QExp24, m: int) -> QExp24:
     start = (m * f.offset - _lattice(residue)[0]) // f.step
     out[start : start + m * f.values.size : m] = f.values
     return QExp24(values=out, prec=prec, modulus=f.modulus, residue=residue)
-
-
-def twist(f: QExp24, p: int, kind: str = "quadratic") -> QExp24:
-    """Twist by the quadratic character mod p, or by the trivial character.
-
-    quadratic: a(n) -> (n|p) a(n);  trivial: kills the coefficients with
-    p | n and keeps the rest.  The support class is unchanged (p^2 = 1
-    mod 24 for p >= 5, so twisting never moves a square class out of a
-    residue class either).
-    """
-    _validate_modulus(p, "p")
-    n = f.indices()
-    if kind == "quadratic":
-        chi = _legendre(n, p)
-    elif kind == "trivial":
-        # p divides no index 0 < n < prec when p >= prec
-        chi = np.where((n % p if p < f.prec else n) != 0, 1, 0)
-    else:
-        raise ValueError(f"unknown twist kind {kind!r}")
-    out = f.values * chi.astype(f.values.dtype)
-    return QExp24(values=out, prec=f.prec, modulus=f.modulus, residue=f.residue)
 
 
 def support_square_classes(f: QExp24) -> dict:

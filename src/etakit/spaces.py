@@ -1,8 +1,9 @@
 """Level-one form spaces mod ell: echelon bases, membership, filtration.
 
 Weight-k forms of level one are spanned by monomials Delta^j E4^a E6^b.
-Reducing the integer spanning set mod ell and row-reducing gives the
-Miller bases, the only family of bases: pivot j at integer exponent j.
+Row-reducing the spanning set mod ell gives the Miller bases, the only
+family of bases: pivot j at integer exponent j.  One generator builds
+E4, E6, Delta and t = Delta/E4^3 mod ell, each when a basis first needs it.
 
 Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
 multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
@@ -19,11 +20,10 @@ The dense series (``elements``) are expanded only on first access.  One
 process-wide dict holds the rows of M_k once per (k, ell), and S_k is
 served as its rows 1..; a shorter precision is served as a prefix of
 the longest matrix built, which equals a cold build because truncation
-commutes with the convolutions and row operations.  The generators E4,
-E6 and t = Delta/E4^3 are kept per ell the same way.  A repeated call
-with the same arguments returns the same object.  Empty spaces are not
-cached.  The caches are not locked: they belong to one thread of one
-process.
+commutes with the convolutions and row operations.  The generators are
+kept per ell the same way.  A repeated call with the same arguments
+returns the same object.  Empty spaces are not cached.  The caches are
+not locked: they belong to one thread of one process.
 
 Residues are stored in qseries' storage dtype, and every sum of
 products goes through qseries' ``_conv`` or ``_dot``, which decide
@@ -48,15 +48,11 @@ from .qseries import (
     _reduce,
     _square_strand,
     _validate_modulus,
-    eta_series,
 )
 
 __all__ = [
     "CertificationError",
     "dims",
-    "eisenstein_e4",
-    "eisenstein_e6",
-    "delta_series",
     "SpaceBasis",
     "miller_basis",
     "MembershipCertificate",
@@ -83,36 +79,14 @@ def dims(k: int) -> tuple:
 
 def _e4_e6(n: int) -> tuple:
     """Integer coefficients of E4 and E6 at q^0 .. q^(n-1), from one divisor-sum sieve."""
-    s3 = [0] * n
-    s5 = [0] * n
+    s3, s5 = [0] * n, [0] * n
     for d in range(1, n):
         d3 = d**3
         d5 = d3 * d * d
         for m in range(d, n, d):
             s3[m] += d3
             s5[m] += d5
-    e4 = [1] + [240 * s for s in s3[1:]]
-    e6 = [1] + [-504 * s for s in s5[1:]]
-    return e4, e6
-
-
-def _integer_exponent_series(values: list, prec: int) -> QExp24:
-    return QExp24(values=np.array(values, dtype=object), prec=prec, residue=0)
-
-
-def eisenstein_e4(prec: int) -> QExp24:
-    """E4 = 1 + 240 sum sigma_3(n) q^n over Z, in 1/24-unit indexing."""
-    return _integer_exponent_series(_e4_e6((prec + 23) // 24)[0], prec)
-
-
-def eisenstein_e6(prec: int) -> QExp24:
-    """E6 = 1 - 504 sum sigma_5(n) q^n over Z."""
-    return _integer_exponent_series(_e4_e6((prec + 23) // 24)[1], prec)
-
-
-def delta_series(prec: int) -> QExp24:
-    """The discriminant form as the 24th power of eta, over Z."""
-    return eta_series(prec, None) ** 24 if prec >= 2 else QExp24.zero(prec)
+    return [1] + [240 * s for s in s3[1:]], [1] + [-504 * s for s in s5[1:]]
 
 
 # === exact mod-ell kernels on strand matrices ===
@@ -137,19 +111,24 @@ def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
 _GENERATOR_CACHE = {}
 
 
-def _generators(ell: int, length: int) -> tuple:
-    """E4, E6 and t = Delta / E4^3 mod ell at integer exponents 0 .. length - 1.
+def _generators(ell: int, length: int):
+    """Yield E4, E6, t = Delta / E4^3 and Delta mod ell at integer exponents 0 .. length - 1.
 
-    _GENERATOR_CACHE[ell] holds the longest ones built; shorter are prefixes.
+    E4 and E6 come from one sieve, Delta = (E4^3 - E6^2) / 1728 from the E4^3
+    that t needs anyway.  Each is built when the caller first reads that far:
+    a space of dimension 1 builds no t and no Newton inverse.  The longest of
+    each is cached per ell; shorter are prefixes.
     """
-    cached = _GENERATOR_CACHE.get(ell)
-    if cached is None or cached[0].size < length:
-        e4, e6 = (_reduce(np.array(c, dtype=object), ell) for c in _e4_e6(length))
+    cache = _GENERATOR_CACHE.setdefault(ell, [np.zeros(0)] * 4)
+    if cache[0].size < length:
+        cache[:2] = (_reduce(np.array(c, dtype=object), ell) for c in _e4_e6(length))
+    e4, e6 = cache[0][:length], cache[1][:length]
+    yield from (e4, e6)
+    if cache[2].size < length:
         e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
         delta = (e4cube - _conv(e6, e6, ell, length)) * pow(1728, -1, ell) % ell
-        t = _conv(delta, _inverse(e4cube, ell, length), ell, length)
-        cached = _GENERATOR_CACHE[ell] = (e4, e6, t)
-    return tuple(strand[:length] for strand in cached)
+        cache[2:] = _conv(delta, _inverse(e4cube, ell, length), ell, length), delta
+    yield from (strand[:length] for strand in cache[2:])
 
 
 def _spanning_rows(k: int, ell: int, length: int) -> np.ndarray:
@@ -159,15 +138,19 @@ def _spanning_rows(k: int, ell: int, length: int) -> np.ndarray:
     for every j.  Row j is row 0 times t^j with t = Delta / E4^3, so
     each row costs one convolution.  Row j has leading term q^j with
     coefficient 1, so the rows are triangular, and rows j >= 1 are cusp
-    forms.
+    forms.  M_0 is the constants and reads no generator.
     """
+    if k == 0:
+        return _reduce(np.eye(1, length, dtype=np.int64), ell)
     dm = dims(k)[0]
-    e4, e6, t = _generators(ell, length)
+    generators = _generators(ell, length)
+    e4, e6 = next(generators), next(generators)
     b = 0 if k % 4 == 0 else 1
     row = _power(e4, (k - 6 * b) // 4, ell, length)
     if b:
         row = _conv(row, e6, ell, length)
     rows = [row]
+    t = next(generators) if dm > 1 else None
     for _ in range(dm - 1):
         rows.append(_conv(rows[-1], t, ell, length))
     return np.array(rows)

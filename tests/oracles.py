@@ -88,6 +88,15 @@ def sigma_oracle(n: int, e: int) -> int:
     return int(sympy.divisor_sigma(n, e))
 
 
+def eisenstein_coeffs(prec: int, k: int) -> list:
+    """1/24-indexed E4 (k = 4) or E6 (k = 6): 1 + c sum sigma_(k-1)(n) q^n, c = 240 or -504."""
+    c = {4: 240, 6: -504}[k]
+    out = [0] * prec
+    for n in range(0, prec, 24):
+        out[n] = c * sigma_oracle(n // 24, k - 1) if n else 1
+    return out
+
+
 class DenseSeries:
     """Reference q^(1/24)-series: the plain list a(0), ..., a(prec - 1).
 
@@ -170,14 +179,6 @@ def dense_v(f, m):
         out[m * n] = a
     residue = None if f.residue is None else m * f.residue % 24
     return DenseSeries(out, m * f.prec, f.modulus, residue)
-
-
-def dense_twist(f, p, kind):
-    if kind == "quadratic":
-        out = [kronecker_oracle(n, p) * a for n, a in enumerate(f.coeffs)]
-    else:
-        out = [0 if n % p == 0 else a for n, a in enumerate(f.coeffs)]
-    return DenseSeries(out, f.prec, f.modulus, f.residue)
 
 
 def dense_hecke_tp2(f, p, lam_int):

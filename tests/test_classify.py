@@ -7,7 +7,7 @@ import pytest
 import sympy
 
 from etakit.qseries import PrecisionError, QExp24, eta_series, v_op
-from etakit.spaces import eisenstein_e4, membership_depth
+from etakit.spaces import membership_depth
 from etakit.halfint import HalfIntForm, certify, eta_form, theta_lift
 from etakit.classify import (
     CaseReport,
@@ -18,6 +18,8 @@ from etakit.classify import (
     odd_lambda_check,
     small_lambda_check,
 )
+
+from oracles import eisenstein_coeffs
 
 
 # === component checks ===
@@ -222,7 +224,8 @@ def test_classify_multiplier_failure():
     # eta^7 * E4 mod 5 is certified at r = 7, outside {1, ell mod 24}
     ell = 5
     w, depth = membership_depth(7, 7)
-    f = (eta_series(depth + 24 * 8, ell) ** 7) * eisenstein_e4(depth + 24).reduce_mod(ell)
+    e4 = QExp24(eisenstein_coeffs(depth + 24, 4), depth + 24, ell, residue=0)
+    f = (eta_series(depth + 24 * 8, ell) ** 7) * e4
     g = certify(f.truncate(depth), 7, 7)
     rep = classify(g)
     assert rep.case == "unclassified"

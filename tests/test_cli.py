@@ -540,6 +540,34 @@ def test_cli_series_is_certified_at_every_coefficient_it_gives(tmp_path, capsys)
     assert report["depth"] == 200
 
 
+def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, capsys, monkeypatch):
+    # 3 eta mod 13 lies in eta * M_0, whose one row is 1: a check at every
+    # coefficient reads no E4, E6 or t, and its one Newton inverse is eta's
+    from etakit.qseries import series_to_text
+
+    def refuse(*args):
+        raise AssertionError("the check built E4 and E6")
+
+    inverted, inverse = [], spaces._inverse
+
+    def record(a, ell, length):
+        inverted.append(a[:2].tolist())
+        return inverse(a, ell, length)
+
+    monkeypatch.setattr(spaces, "_ROW_CACHE", {})
+    monkeypatch.setattr(spaces, "_GENERATOR_CACHE", {})
+    monkeypatch.setattr(spaces, "_e4_e6", refuse)
+    monkeypatch.setattr(spaces, "_inverse", record)
+    path = tmp_path / "eta.series"
+    path.write_text(series_to_text(eta_series(2400, 13).scale(3)))
+    assert main(["classify", "--series", str(path), "--assert-member",
+                 "--ell", "13", "--lambda", "0", "--r", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "1" and report["a1"] == 3 and report["depth"] == 2400
+    # prod (1 - q^n) starts 1 - q; E4^3 would start 1 + 720 q = 1 + 5 q
+    assert inverted and all(lead == [1, 12] for lead in inverted)
+
+
 def test_cli_classify_series_guard_rails(tmp_path, capsys):
     from etakit.qseries import series_to_text
 

@@ -12,14 +12,10 @@ from etakit.qseries import (
     eta_series,
     kronecker,
     theta_op,
-    twist,
     v_op,
 )
 from etakit.spaces import (
     CertificationError,
-    delta_series,
-    eisenstein_e4,
-    eisenstein_e6,
     membership_depth,
     miller_basis,
 )
@@ -36,7 +32,19 @@ from etakit.halfint import (
     u_ell_descent,
 )
 
-from oracles import shimura_sum_oracle
+from oracles import delta_product_coeffs, eisenstein_coeffs, shimura_sum_oracle
+
+
+def _e4(prec):
+    return QExp24(eisenstein_coeffs(prec, 4), prec, residue=0)
+
+
+def _e6(prec):
+    return QExp24(eisenstein_coeffs(prec, 6), prec, residue=0)
+
+
+def _delta(prec):
+    return QExp24(delta_product_coeffs(prec), prec, residue=0)
 
 
 # === certify and the form wrapper ===
@@ -190,7 +198,7 @@ def test_descent_of_eta_e4_mod_13():
     # lies in the class lam* = 58 - 6 (mod 12); lam* = 0, where nothing
     # beyond the pivot is compared, is outside it
     ell = 13
-    h = eta_series(24 * 4, ell) * eisenstein_e4(24 * 4).reduce_mod(ell)
+    h = eta_series(24 * 4, ell) * _e4(24 * 4).reduce_mod(ell)
     d = u_ell_descent(certify(v_op(h, ell), 58, 13))
     assert (d.lam, d.r) == (4, 1)
     assert d.series == h
@@ -200,7 +208,7 @@ def test_descent_past_the_weight_hypothesis():
     # eta^7*E4^2 mod 7 has lam = 11; V_7 of it has lam = 7*11 + 3 = 80,
     # past lam + 1/2 < 49/2, where lam* = 5 and 11 are both in the class
     ell = 7
-    h = (eta_series(24 * 6, ell) ** 7).truncate(24 * 6) * eisenstein_e4(24 * 6).reduce_mod(ell) ** 2
+    h = (eta_series(24 * 6, ell) ** 7).truncate(24 * 6) * _e4(24 * 6).reduce_mod(ell) ** 2
     d = u_ell_descent(certify(v_op(h, ell), 80, 49))
     assert (d.lam, d.r) == (11, 7)
     assert d.series == h
@@ -211,7 +219,7 @@ def test_descent_of_eta_delta_mod_5():
     # (mod 4) holds lam* = 0, 4, 8 and 12; lam* = 0 compares nothing
     # beyond the pivot and would read eta*Delta as 0*eta
     ell = 5
-    h = eta_series(24 * 4, ell) * delta_series(24 * 4).reduce_mod(ell)
+    h = eta_series(24 * 4, ell) * _delta(24 * 4).reduce_mod(ell)
     d = u_ell_descent(certify(v_op(h, ell), 62, 5))
     assert (d.lam, d.r) == (12, 1)
     assert d.certificate.coordinates == (0, 1)
@@ -233,7 +241,7 @@ def test_descent_weight_class(ell, r, j, a, b):
     lam = (r - 1) // 2 + 12 * j + 4 * a + 6 * b
     prec = 24 * 8
     h = (eta_series(prec, ell) ** r).truncate(prec)
-    for g, k in ((delta_series(prec), j), (eisenstein_e4(prec), a), (eisenstein_e6(prec), b)):
+    for g, k in ((_delta(prec), j), (_e4(prec), a), (_e6(prec), b)):
         for _ in range(k):
             h = h * g.reduce_mod(ell)
     lam_f = ell * lam + (ell - 1) // 2
@@ -377,7 +385,7 @@ def test_eigenvalue_validation():
         hecke_eigenvalue_check(eta_form(24 * 60, ell), 7)  # lam_pre < 0
     # odd lam - (ell+1): certified nonzero form at lam = 7 with r = 7
     w, depth = membership_depth(7, 7)
-    f = (eta_series(depth + 24 * 8, ell) ** 7) * eisenstein_e4(depth + 24).reduce_mod(ell)
+    f = (eta_series(depth + 24 * 8, ell) ** 7) * _e4(depth + 24).reduce_mod(ell)
     h = certify(f.truncate(depth), 7, 7)
     with pytest.raises(ValueError):
         hecke_eigenvalue_check(h, 7)
@@ -385,12 +393,11 @@ def test_eigenvalue_validation():
 
 @pytest.mark.parametrize("bad", [-7, 0, 1, 2, 3, 4, 9, 25, 2**31])
 def test_one_prime_rule_names_its_argument(bad):
-    # miller_basis, twist, hecke_tp2 and hecke_eigenvalue_check share qseries' rule
+    # miller_basis, hecke_tp2 and hecke_eigenvalue_check share qseries' rule
     f = eta_series(100, 5)
     g = theta_lift(eta_form(24 * 60, 7))
     for name, call in [
         ("ell", lambda: miller_basis(12, bad, 200)),
-        ("p", lambda: twist(f, bad)),
         ("p", lambda: hecke_tp2(f, bad, 2)),
         ("p", lambda: hecke_eigenvalue_check(g, bad)),
     ]:
@@ -406,7 +413,7 @@ def test_shimura_matches_oracle():
     # lam = 7, ell = 7), where the sign (-1/d)^lam of d = 11 changes A_7(11)
     lifted = theta_lift(eta_form(24 * 80, 5))
     prec = 24 * 100
-    odd = certify((eta_series(prec, 7) ** 7) * eisenstein_e4(prec).reduce_mod(7), 7, 7)
+    odd = certify((eta_series(prec, 7) ** 7) * _e4(prec).reduce_mod(7), 7, 7)
     for g, ts in ((lifted, (1, 5, 7)), (odd, (7, 31))):
         for t in ts:
             n_max = 12 if t in (1, 7) else 8

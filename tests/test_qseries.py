@@ -20,7 +20,6 @@ from etakit.qseries import (
     squarefree_part,
     support_square_classes,
     theta_op,
-    twist,
     u_op,
     v_op,
 )
@@ -467,7 +466,7 @@ def test_legendre_table_matches_kronecker():
     assert qseries._legendre(np.array([], dtype=np.int64), p).tolist() == []
 
 
-# === U, V, twist ===
+# === U, V ===
 
 
 def test_u_op_extracts_arithmetic_progression():
@@ -542,42 +541,6 @@ def test_power_past_ell_equals_repeated_squaring(data):
     got, want = f**e, _square_and_multiply(f, e)
     assert got == want and got.residue == want.residue
     assert got.values.tolist() == want.values.tolist()
-
-
-def test_twist_quadratic():
-    ell = 7
-    p = 5
-    f = eta_series(24 * 40, modulus=ell)
-    g = twist(f, p)
-    for n in range(g.prec):
-        assert g.coeff(n) == (kronecker(n, p) * f.coeff(n)) % ell
-    assert g.residue == f.residue
-
-
-def test_twist_trivial_kills_p_part():
-    f = QExp24(list(range(1, 31)), prec=30, modulus=11)
-    g = twist(f, 5, kind="trivial")
-    for n in range(30):
-        if n % 5 == 0:
-            assert g.coeff(n) == 0
-        else:
-            assert g.coeff(n) == f.coeff(n)
-
-
-def test_twist_projector_decomposition():
-    # trivial twist = f - (part supported on p | n); quadratic twist squared
-    # fixes exactly the coprime part
-    ell = 13
-    p = 7
-    f = eta_series(24 * 30, modulus=ell)
-    t2 = twist(twist(f, p), p)
-    assert t2 == twist(f, p, kind="trivial")
-    with pytest.raises(ValueError):
-        twist(f, 4)
-    with pytest.raises(ValueError):
-        twist(f, 3)
-    with pytest.raises(ValueError):
-        twist(f, 7, kind="cubic")
 
 
 # === square class bookkeeping ===

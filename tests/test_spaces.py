@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy import divisor_sigma
@@ -15,10 +16,7 @@ from etakit.spaces import (
     MembershipCertificate,
     NotMember,
     coordinates,
-    delta_series,
     dims,
-    eisenstein_e4,
-    eisenstein_e6,
     eta_membership,
     filtration,
     membership_depth,
@@ -29,6 +27,7 @@ from oracles import (
     _euler_power,
     _poly_mul,
     delta_product_coeffs,
+    eisenstein_coeffs,
     eta_membership_oracle,
     eta_product_coeffs,
     eta_space_oracle,
@@ -61,54 +60,79 @@ def test_dims_growth():
             assert dm - ds == 1
 
 
-# === Eisenstein series and delta ===
+# === E4, E6 and Delta from the one generator ===
+
+# int64 storage up to 3037000493 (the largest prime whose residue products
+# fit), Python integers from 3037000507 on
+GENERATOR_ELLS = (5, 7, 13, 97, 691, 2**31 - 1, 3037000493, 3037000507, 2**61 - 1, 2**64 + 13)
+TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
 
-def test_e4_coefficients():
-    f = eisenstein_e4(24 * 6)
-    assert f.coeff(0) == 1
-    for n in range(1, 6):
-        assert f.coeff(24 * n) == 240 * divisor_sigma(n, 3)
+def _generated(monkeypatch, ell, length):
+    """E4, E6, t and Delta of spaces._generators, built cold, in the ring's storage dtype."""
+    _clear_caches(monkeypatch)
+    strands = list(spaces._generators(ell, length))
+    for strand in strands:
+        assert strand.dtype == (np.int64 if ell <= 3037000493 else object) and strand.size == length
+    return strands
 
 
-def test_e6_coefficients():
-    f = eisenstein_e6(24 * 6)
-    assert f.coeff(0) == 1
-    for n in range(1, 6):
-        assert f.coeff(24 * n) == -504 * divisor_sigma(n, 5)
+def _e4(prec):
+    return QExp24(eisenstein_coeffs(prec, 4), prec, residue=0)
 
 
-def test_delta_first_coefficients():
+def _e6(prec):
+    return QExp24(eisenstein_coeffs(prec, 6), prec, residue=0)
+
+
+def _delta(prec):
+    return QExp24(delta_product_coeffs(prec), prec, residue=0)
+
+
+def test_e4_coefficients(monkeypatch):
+    for ell in GENERATOR_ELLS:
+        e4 = _generated(monkeypatch, ell, 6)[0]
+        assert e4.tolist() == [1] + [240 * sigma_oracle(n, 3) % ell for n in range(1, 6)], ell
+
+
+def test_e6_coefficients(monkeypatch):
+    for ell in GENERATOR_ELLS:
+        e6 = _generated(monkeypatch, ell, 6)[1]
+        assert e6.tolist() == [1] + [-504 * sigma_oracle(n, 5) % ell for n in range(1, 6)], ell
+
+
+def test_delta_first_coefficients(monkeypatch):
     # tau(1..10)
-    tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
-    f = delta_series(24 * 11)
-    assert f.coeff(0) == 0
-    for n, t in enumerate(tau, start=1):
-        assert f.coeff(24 * n) == t
+    for ell in GENERATOR_ELLS:
+        delta = _generated(monkeypatch, ell, 11)[3]
+        assert delta.tolist() == [0] + [tau % ell for tau in TAU], ell
 
 
-def test_delta_matches_product_oracle():
-    # the 24th power picks up 23 extra units of precision from the
-    # valuation of eta; compare on the requested window
-    prec = 24 * 40
-    d = delta_series(prec).truncate(prec)
-    assert list(d.coeffs) == delta_product_coeffs(prec)
+def test_delta_matches_product_oracle(monkeypatch):
+    # (E4^3 - E6^2) / 1728 against q prod (1 - q^n)^24
+    want = delta_product_coeffs(24 * 40)[::24]
+    for ell in GENERATOR_ELLS:
+        assert _generated(monkeypatch, ell, 40)[3].tolist() == [c % ell for c in want], ell
 
 
-def test_delta_691_congruence():
+def test_delta_691_congruence(monkeypatch):
     # tau(n) = sigma_11(n) mod 691 for all n
-    f = delta_series(24 * 60)
+    delta = _generated(monkeypatch, 691, 60)[3]
     for n in range(1, 60):
-        assert (f.coeff(24 * n) - divisor_sigma(n, 11)) % 691 == 0
+        assert delta[n] == sigma_oracle(n, 11) % 691
 
 
-def test_discriminant_relation():
+def test_discriminant_relation(monkeypatch):
+    # E4^3 - E6^2 = 1728 Delta and t E4^3 = Delta, with Delta from the product
     prec = 24 * 12
-    e4 = eisenstein_e4(prec)
-    e6 = eisenstein_e6(prec)
-    lhs = e4**3 - e6**2
-    d = delta_series(prec).truncate(lhs.prec)
-    assert lhs == d.scale(1728)
+    for ell in GENERATOR_ELLS:
+        e4, e6, t, _ = (
+            QExp24(values=s, prec=prec, modulus=ell, residue=0)
+            for s in _generated(monkeypatch, ell, 12)
+        )
+        delta = _delta(prec).reduce_mod(ell)
+        assert e4**3 - e6**2 == delta.scale(1728), ell
+        assert t * e4**3 == delta, ell
 
 
 # === echelon bases ===
@@ -251,29 +275,29 @@ def test_random_members_certify():
 def test_filtration_of_delta():
     for ell in (5, 7, 11, 13):
         prec = 24 * 10
-        f = delta_series(prec).reduce_mod(ell)
+        f = _delta(prec).reduce_mod(ell)
         assert filtration(f, 12) == 12
 
 
 def test_filtration_detects_drop():
     # E4 = 1 mod 5 and E6 = 1 mod 7 (weight ell - 1 collapses to weight 0)
-    assert filtration(eisenstein_e4(24 * 3).reduce_mod(5), 4) == 0
-    assert filtration(eisenstein_e6(24 * 3).reduce_mod(7), 6) == 0
+    assert filtration(_e4(24 * 3).reduce_mod(5), 4) == 0
+    assert filtration(_e6(24 * 3).reduce_mod(7), 6) == 0
     # so delta * E4 drops from 16 back to 12 mod 5
     prec = 24 * 10
-    f = (delta_series(prec) * eisenstein_e4(prec)).reduce_mod(5)
+    f = (_delta(prec) * _e4(prec)).reduce_mod(5)
     assert filtration(f, 16) == 12
 
 
 def test_filtration_of_delta_square():
-    f = (delta_series(24 * 10) ** 2).reduce_mod(5)
+    f = (_delta(24 * 10) ** 2).reduce_mod(5)
     assert filtration(f, 24) == 24
 
 
 def test_filtration_after_theta():
     # theta raises filtration by ell + 1 exactly when ell does not divide it
     ell = 5
-    f = theta_op(delta_series(24 * 12).reduce_mod(ell))
+    f = theta_op(_delta(24 * 12).reduce_mod(ell))
     assert filtration(f, 12 + ell + 1) == 18
 
 
@@ -283,8 +307,8 @@ def test_filtration_validation():
     with pytest.raises(ValueError):
         filtration(z, 12)
     with pytest.raises(ValueError):
-        filtration(delta_series(24 * 4), 12)  # integer ring
-    f = delta_series(24 * 4).reduce_mod(ell)
+        filtration(_delta(24 * 4), 12)  # integer ring
+    f = _delta(24 * 4).reduce_mod(ell)
     with pytest.raises(ValueError):
         filtration(f, 11)  # odd weight
     with pytest.raises(ValueError):
@@ -459,12 +483,16 @@ def _clear_caches(monkeypatch):
     monkeypatch.setattr(spaces, "_GENERATOR_CACHE", {})
 
 
-def test_e4_e6_sieve_matches_divisor_sigma():
-    prec = 24 * 60 + 1
-    e4, e6 = eisenstein_e4(prec), eisenstein_e6(prec)
-    for n in range(1, 61):
-        assert e4.coeff(24 * n) == 240 * divisor_sigma(n, 3)
-        assert e6.coeff(24 * n) == -504 * divisor_sigma(n, 5)
+def test_e4_e6_sieve_matches_divisor_sigma(monkeypatch):
+    # the sieve over Z, and the generator's E4 and E6 mod each ell
+    e4_z, e6_z = spaces._e4_e6(61)
+    assert e4_z == eisenstein_coeffs(24 * 60 + 1, 4)[::24]
+    assert e6_z == eisenstein_coeffs(24 * 60 + 1, 6)[::24]
+    for ell in GENERATOR_ELLS:
+        e4, e6 = _generated(monkeypatch, ell, 61)[:2]
+        for n in range(1, 61):
+            assert e4[n] == 240 * divisor_sigma(n, 3) % ell
+            assert e6[n] == -504 * divisor_sigma(n, 5) % ell
 
 
 def test_basis_rows_are_read_only():
@@ -516,6 +544,19 @@ def test_generators_are_built_once_per_ell(monkeypatch):
     assert lengths == [10, 20, 10]
 
 
+def test_a_basis_builds_only_the_generators_its_rows_read(monkeypatch):
+    # M_0 is the constants; a weight with dim M_k = 1 reads E4 and E6 only
+    _clear_caches(monkeypatch)
+    sieve, lengths = spaces._e4_e6, []
+    monkeypatch.setattr(spaces, "_e4_e6", lambda n: lengths.append(n) or sieve(n))
+    monkeypatch.setattr(spaces, "_inverse", None)  # building t would call it
+    assert miller_basis(0, 13, 24 * 10).rows.tolist() == [[1] + [0] * 9]
+    assert lengths == [] and spaces._GENERATOR_CACHE == {}
+    for k in (4, 6, 8, 10, 14):
+        miller_basis(k, 13, 24 * 10)
+    assert lengths == [10] and spaces._GENERATOR_CACHE[13][2].size == 0
+
+
 def test_repeated_calls_return_the_same_object():
     b = miller_basis(20, 13, 24 * 9)
     miller_basis(20, 13, 24 * 20)  # a longer build replaces the cached rows
@@ -552,7 +593,7 @@ def test_cusp_rows_are_rows_of_the_full_space(monkeypatch):
 
 def test_delta_certifies_at_mersenne_prime():
     prec = 193
-    delta = delta_series(prec).truncate(prec).reduce_mod(MERSENNE31)
+    delta = _delta(prec).reduce_mod(MERSENNE31)
     cert = coordinates(delta, miller_basis(12, MERSENNE31, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
     assert cert.coordinates == (1,)
@@ -561,7 +602,7 @@ def test_delta_certifies_at_mersenne_prime():
 def test_delta_certifies_above_2_to_32():
     # the spanning set's leading coefficients used to overflow at this ell
     ell, prec = 4294967311, 193
-    delta = delta_series(prec).truncate(prec).reduce_mod(ell)
+    delta = _delta(prec).reduce_mod(ell)
     cert = coordinates(delta, miller_basis(12, ell, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
     assert cert.coordinates == (1,)
@@ -569,7 +610,7 @@ def test_delta_certifies_above_2_to_32():
 
 def test_delta_squared_certifies_at_mersenne_prime():
     prec = 193
-    d = delta_series(prec).truncate(prec)
+    d = _delta(prec)
     f = (d * d).truncate(prec).reduce_mod(MERSENNE31)
     cert = coordinates(f, miller_basis(24, MERSENNE31, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
@@ -581,7 +622,7 @@ def test_delta_squared_certifies_at_mersenne_prime():
 def test_delta_and_its_square_certify_at_2_61_minus_1():
     # is_prime decides 2^61 - 1 at once, so the object-array path is reachable here
     ell, prec = 2**61 - 1, 193
-    d = delta_series(prec)
+    d = _delta(prec)
     cert = coordinates(d.reduce_mod(ell), miller_basis(12, ell, prec, "S"), prec)
     assert cert.coordinates == (1,)
     cert = coordinates((d * d).truncate(prec).reduce_mod(ell), miller_basis(24, ell, prec, "S"), prec)
@@ -802,7 +843,7 @@ def test_checked_coefficient_refusal_above_2_to_64():
     assert (w, depth) == (26, 77)
     prec = depth + 24
     f = _eta_power(5, prec, ell)
-    for series in (eisenstein_e4(prec),) * 5 + (eisenstein_e6(prec),):
+    for series in (_e4(prec),) * 5 + (_e6(prec),):
         f = (f * series.reduce_mod(ell)).truncate(prec)
     cert = eta_membership(f, lam, r)
     assert isinstance(cert, MembershipCertificate) and cert.checked == 1

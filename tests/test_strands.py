@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit.halfint import hecke_tp2
-from etakit.qseries import QExp24, theta_op, twist, u_op, v_op
+from etakit.qseries import QExp24, theta_op, u_op, v_op
 
 from oracles import (
     DenseSeries,
@@ -25,7 +25,6 @@ from oracles import (
     dense_mul,
     dense_scale,
     dense_theta,
-    dense_twist,
     dense_u,
     dense_v,
 )
@@ -146,8 +145,6 @@ def test_u_v_truncate_and_residue_tags(fs, m, cut):
 def test_theta_twist_and_hecke(fs, p, lam_int):
     [(f, rf)] = fs
     same(theta_op(f), dense_theta(rf))
-    for kind in ("quadratic", "trivial"):
-        same(twist(f, p, kind), dense_twist(rf, p, kind))
     if p != f.modulus:
         same(hecke_tp2(f, p, lam_int), dense_hecke_tp2(rf, p, lam_int))
 
