@@ -195,7 +195,7 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     chi_n = _legendre(n, p).astype(a.dtype) * c1 % ell
     out = a[k0::p2][: n.size] + chi_n * a[: n.size] % ell
     out[k0::p2] += c2 * a[: len(range(k0, n.size, p2))] % ell
-    return QExp24(values=out, prec=new_prec, modulus=ell, residue=f.residue)
+    return QExp24._of(out % ell, new_prec, ell, f.residue)
 
 
 def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
@@ -241,8 +241,10 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
     computed mod ell.  t must be squarefree with gcd(t, 6) = 1; f must
     reach index t * n_max^2, and n_max < ell when lam <= 0.  a(t m^2) is one
     indexed read of the strand; (-1/d)^lam (12t/d), a character mod 12t,
-    is tabled once; every pair d q <= n_max adds its reduced product into
-    A_t(d q) in one np.add.at (at most n_max residues per sum).
+    is tabled once: 0 at even d, and by reciprocity (12t/d) = (3t/d) =
+    (-1)^((3t-1)/2 (d-1)/2) prod over p | 3t of (d/p) at odd d.  Every pair
+    d q <= n_max adds its reduced product into A_t(d q) in one np.add.at
+    (at most n_max residues per sum).
     """
     ell = f.modulus
     if ell is None:
@@ -261,10 +263,16 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
     a = np.zeros(n_max + 1, dtype=f.values.dtype)
     a[on] = f.values[index[on] // f.step]
     size = min(12 * t, n_max + 1)
-    sign = [(kronecker(-1, d) if lam % 2 else 1) * kronecker(12 * t, d) for d in range(size)]
+    residues, rest = np.arange(size), 3 * t
+    sign = residues % 2 * np.where(residues % 4 == 3, -1 if (lam + rest // 2) % 2 else 1, 1)
+    for p in range(3, math.isqrt(rest) + 1, 2):  # the primes of 3t (squarefree), divided out
+        if rest % p == 0:
+            sign, rest = sign * _legendre(residues, p), rest // p
+    if rest > 1:
+        sign = sign * _legendre(residues, rest)
     d = m[1:]
     power = _pow_mod(_reduce(d, ell), lam - 1 if lam >= 1 else (lam - 1) % (ell - 1), ell)
-    weight = np.array(sign)[d % size] * power % ell
+    weight = sign[d % size] * power % ell
     count = n_max // d
     ds = np.repeat(d, count)
     qs = np.arange(ds.size) - np.repeat(np.cumsum(count) - count, count) + 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qseries import PrecisionError, kronecker
+from .qseries import PrecisionError, _prime_to_6, kronecker
 
 __all__ = [
     "UnimodularMatrix",
@@ -117,20 +117,6 @@ def _term_count(y: float, decay: float) -> int:
     return n
 
 
-# the n prime to 6, n = 3i + 1 + (i & 1), and (12|n) = -1 iff (i + 1) & 2; grown on demand
-_N = _CHI = np.zeros(0, dtype=np.int64)
-
-
-def _prime_to_6(n_max: int):
-    """Views of the table: the n <= n_max prime to 6 and their (12|n)."""
-    global _N, _CHI
-    count = 2 * (n_max // 6) + (n_max % 6 >= 1) + (n_max % 6 >= 5)
-    if _N.size < count:  # double, up to the 6668 n below the 20000-term cap
-        i = np.arange(max(count, min(2 * _N.size, 6668)))
-        _N, _CHI = 3 * i + 1 + (i & 1), np.where((i + 1) & 2, -1, 1)
-    return _N[:count], _CHI[:count]
-
-
 def eta_value(z: complex) -> complex:
     """eta(z) summed as sum (12/n) e(n^2 z / 24) over n >= 1.
 
@@ -143,7 +129,7 @@ def eta_value(z: complex) -> complex:
     y = z.imag
     if y <= 0:
         raise ValueError("eta is defined on the upper half plane")
-    n, chi = _prime_to_6(_term_count(y, _TAU / 24.0))
+    n, chi, _ = _prime_to_6(_term_count(y, _TAU / 24.0))
     w = 2j * math.pi * z / 24.0
     return complex((chi * np.exp(w * n * n)).cumsum()[-1])
 

@@ -9,12 +9,14 @@ case r0 = 0.
 Storage is one numpy strand per series.  With the residue tag set, entry
 m of ``values`` is the coefficient at index r0 + 24 m; without it, entry
 m is the coefficient at index m.  Coefficients off the tagged class have
-no slot, so the support claim holds by construction: a dense coefficient
-list given to the constructor is checked once, and every operation
-computes its output strand directly from its input strands.  Residues
-mod ell are stored as int64 when a product of two fits, ell <= 3037000493;
-integer series and larger ell use object arrays of Python integers.  The
-dense tuple ``coeffs`` is built only on first access.
+no slot, so the support claim holds by construction.  Input is checked
+once, where it enters: the public constructor, which ``zero``, ``one``,
+``from_dict``, ``reduce_mod`` and ``series_from_text`` go through.  Every
+operation computes its output strand, reduced, from its input strands and
+wraps it with the trusted constructor ``QExp24._of``, which checks nothing.
+Residues mod ell are stored as int64 when a product of two fits,
+ell <= 3037000493; integer series and larger ell use object arrays of
+Python integers.  The dense tuple ``coeffs`` is built only on first access.
 
 All values are immutable after construction; every operation returns a
 new series.  Precision bookkeeping is pessimistic and certified: an
@@ -280,19 +282,36 @@ def _legendre(n: np.ndarray, p: int) -> np.ndarray:
     return table[n % size]
 
 
+# the n prime to 6, n = 3i + 1 + (i & 1), (12|n) = -1 iff (i + 1) & 2, and
+# (n^2 - 1) / 24; grown on demand
+_N = _CHI = _Q = np.zeros(0, dtype=np.int64)
+
+
+def _prime_to_6(n_max: int):
+    """Views of the table: the n <= n_max prime to 6, their (12|n) and (n^2 - 1) / 24."""
+    global _N, _CHI, _Q
+    count = 2 * (n_max // 6) + (n_max % 6 >= 1) + (n_max % 6 >= 5)
+    if _N.size < count:  # double, up to the 6668 n below numeric.eta_value's 20000-term cap
+        i = np.arange(max(count, min(2 * _N.size, 6668)))
+        _N, _CHI = 3 * i + 1 + (i & 1), np.where((i + 1) & 2, -1, 1)
+        _Q = _N * _N // 24
+    return _N[:count], _CHI[:count], _Q[:count]
+
+
 def _square_strand(m: int, length: int, modulus, lam: int = 0) -> np.ndarray:
-    """Strand of sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24).
+    """Strand of sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24), in one array pass.
 
     m n^2 = m (mod 24) for every such n, so entry j is the coefficient at
-    index m % 24 + 24 j; entries j < length are filled.
+    index m % 24 + 24 j; entries j < length, of the n with m n^2 < 24 length + m % 24, are filled.
     """
     out = np.zeros(length, dtype=_dtype(modulus))
     r = m % 24
-    n = 1
-    while (m * n * n - r) // 24 < length:
-        c = kronecker(12, n) * pow(n, lam, modulus)
-        out[(m * n * n - r) // 24] = c if modulus is None else c % modulus
-        n += 4 if n % 6 == 1 else 2  # n runs over 1, 5, 7, 11, ... (prime to 6)
+    n, chi, q = _prime_to_6(math.isqrt(max(24 * length + r - 1, 0) // m))
+    if n.size:  # else m may pass int64, and no entry is filled
+        if lam:  # n^lam, exact in Python integers over Z
+            x = _reduce(n, modulus)
+            chi = chi * (x**lam if modulus is None else _pow_mod(x, lam, modulus))
+        out[m * q + m // 24] = _reduce(chi, modulus)  # (m n^2 - r) / 24
     return out
 
 
@@ -308,11 +327,11 @@ class QExp24:
     when the residue tag is set and (0, 1) otherwise.  coeffs is the
     dense tuple a(0), ..., a(prec - 1), built and cached on first access.
 
-    The constructor takes either the dense coefficient list coeffs,
-    whose support is checked against the residue claim, or the strand
-    itself as values= (exactly one entry per index of the lattice below
-    prec), which is taken over and made read-only.  Both are reduced
-    into the ring.
+    The public constructor, where outside data enters, takes either the
+    dense coefficient list coeffs, whose support is checked against the
+    residue claim, or the strand itself as values= (exactly one entry per
+    index of the lattice below prec), which is taken over and made
+    read-only.  Both are checked and reduced; operations use _of instead.
 
     Equality compares ring, precision, and coefficients; the residue
     tag is a support claim, not part of the value.
@@ -355,12 +374,21 @@ class QExp24:
     # === constructors ===
 
     @classmethod
+    def _of(cls, values: np.ndarray, prec: int, modulus, residue) -> "QExp24":
+        """Trusted: values is reduced, in the storage dtype and _length(prec, residue) long."""
+        values.setflags(write=False)
+        f = object.__new__(cls)
+        f.values, f.prec, f.modulus, f.residue, f._coeffs = values, prec, modulus, residue, None
+        return f
+
+    @classmethod
     def zero(cls, prec: int, modulus=None, residue=None) -> "QExp24":
-        return cls([], prec, modulus, residue)
+        values = np.zeros(_length(prec, residue), dtype=_dtype(modulus))
+        return cls(values=values, prec=prec, modulus=modulus, residue=residue)
 
     @classmethod
     def one(cls, prec: int, modulus=None) -> "QExp24":
-        return cls([1], prec, modulus, residue=0)
+        return cls(values=_one(modulus, _length(prec, 0)), prec=prec, modulus=modulus, residue=0)
 
     @classmethod
     def from_dict(cls, terms: dict, prec: int, modulus=None, residue=None) -> "QExp24":
@@ -476,7 +504,7 @@ class QExp24:
         if self.modulus != other.modulus:
             raise ValueError("ring mismatch between operands")
 
-    def _addsub(self, other, sign):
+    def _addsub(self, other, op):
         self._same_ring(other)
         prec = min(self.prec, other.prec)
         if self.residue == other.residue:
@@ -489,14 +517,14 @@ class QExp24:
             residue = None
         ell = self.modulus
         n = _length(prec, residue)
-        a, b = self.strand(residue)[:n], other.strand(residue)[:n]
-        return QExp24(values=a + sign * b, prec=prec, modulus=ell, residue=residue)
+        out = op(self.strand(residue)[:n], other.strand(residue)[:n])
+        return QExp24._of(out if ell is None else out % ell, prec, ell, residue)
 
     def __add__(self, other):
-        return self._addsub(other, 1)
+        return self._addsub(other, np.add)
 
     def __sub__(self, other):
-        return self._addsub(other, -1)
+        return self._addsub(other, np.subtract)
 
     def __neg__(self):
         return self.scale(-1)
@@ -505,7 +533,7 @@ class QExp24:
         ell = self.modulus
         c = int(c) if ell is None else int(c) % ell
         out = self.values * c
-        return QExp24(values=out, prec=self.prec, modulus=ell, residue=self.residue)
+        return QExp24._of(out if ell is None else out % ell, self.prec, ell, self.residue)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -525,7 +553,7 @@ class QExp24:
         n = _length(prec, residue)
         out = np.zeros(n, dtype=self.values.dtype)
         out[shift:] = _conv(a, b, self.modulus, max(n - shift, 0))
-        return QExp24(values=out, prec=prec, modulus=self.modulus, residue=residue)
+        return QExp24._of(out, prec, self.modulus, residue)
 
     __rmul__ = __mul__
 
@@ -534,8 +562,8 @@ class QExp24:
             return NotImplemented
         if e < 0:
             raise ValueError("negative powers are not defined for q-expansions")
-        if e == 0:
-            return QExp24.one(self.prec, self.modulus)
+        if e < 2:  # a series is immutable, so its first power is itself
+            return self if e else QExp24.one(self.prec, self.modulus)
         # the precision, residue and shift of e - 1 products
         prec = self.prec + (e - 1) * self.valuation()
         residue, shift = None, 0
@@ -544,15 +572,19 @@ class QExp24:
         n = _length(prec, residue)
         out = np.zeros(n, dtype=self.values.dtype)
         out[shift:] = _power(self.values, e, self.modulus, max(n - shift, 0))
-        return QExp24(values=out, prec=prec, modulus=self.modulus, residue=residue)
+        return QExp24._of(out, prec, self.modulus, residue)
 
     # === precision / ring management ===
 
     def truncate(self, prec: int) -> "QExp24":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision by truncation")
+        if prec < 1:
+            raise ValueError("prec must be a positive integer")
         values = self.values[: _length(prec, self.residue)]
-        return QExp24(values=values, prec=prec, modulus=self.modulus, residue=self.residue)
+        if 2 * values.size < self.values.size:  # a short view would keep the long strand alive
+            values = values.copy()
+        return QExp24._of(values, prec, self.modulus, self.residue)
 
     def reduce_mod(self, ell: int) -> "QExp24":
         """Reduction map Z[[q^(1/24)]] -> F_ell[[q^(1/24)]]."""
@@ -565,7 +597,7 @@ class QExp24:
         if residue is not None and not 0 <= residue < 24:
             raise ValueError("residue must lie in [0, 24)")
         values = _claim(self.strand(None), residue)
-        return QExp24(values=values, prec=self.prec, modulus=self.modulus, residue=residue)
+        return QExp24._of(values, self.prec, self.modulus, residue)
 
 
 # === canonical series and operators ===
@@ -576,7 +608,7 @@ def _square_series(m: int, prec: int, modulus, lam: int = 0) -> QExp24:
     if modulus is not None:
         _validate_modulus(modulus)
     values = _square_strand(m, _length(prec, m % 24), modulus, lam)
-    return QExp24(values=values, prec=prec, modulus=modulus, residue=m % 24)
+    return QExp24._of(values, prec, modulus, m % 24)
 
 
 def eta_series(prec: int, modulus=None) -> QExp24:
@@ -595,8 +627,8 @@ def theta_op(f: QExp24, j: int = 1) -> QExp24:
     ell = f.modulus
     inv24 = pow(24, -1, ell)
     weight = f.indices().astype(f.values.dtype, copy=False) % ell * inv24 % ell
-    out = _pow_mod(weight, j, ell) * f.values
-    return QExp24(values=out, prec=f.prec, modulus=ell, residue=f.residue)
+    out = _pow_mod(weight, j, ell) * f.values % ell
+    return QExp24._of(out, f.prec, ell, f.residue)
 
 
 def u_op(f: QExp24, m: int) -> QExp24:
@@ -612,7 +644,7 @@ def u_op(f: QExp24, m: int) -> QExp24:
     else:
         residue = None
         values = f.strand(None)[::m].copy()
-    return QExp24(values=values, prec=prec, modulus=f.modulus, residue=residue)
+    return QExp24._of(values, prec, f.modulus, residue)
 
 
 def v_op(f: QExp24, m: int) -> QExp24:
@@ -625,14 +657,21 @@ def v_op(f: QExp24, m: int) -> QExp24:
     # m (offset + step k) sits at entry start + m k of the output strand
     start = (m * f.offset - _lattice(residue)[0]) // f.step
     out[start : start + m * f.values.size : m] = f.values
-    return QExp24(values=out, prec=prec, modulus=f.modulus, residue=residue)
+    return QExp24._of(out, prec, f.modulus, residue)
 
 
 def support_square_classes(f: QExp24) -> dict:
     """Group the nonzero support by squarefree part: {t: [indices]}."""
+    ell = f.modulus
     classes: dict = {}
-    for n in f.support():
-        classes.setdefault(squarefree_part(n), []).append(n)
+    for n in f.support():  # squares, then ell (prime) times squares; only the rest is factored
+        if n > 0 and math.isqrt(n) ** 2 == n:
+            t = 1
+        elif n > 0 and ell and n % ell == 0 and math.isqrt(n // ell) ** 2 == n // ell:
+            t = ell
+        else:
+            t = squarefree_part(n)
+        classes.setdefault(t, []).append(n)
     return classes
 
 

@@ -184,9 +184,7 @@ class SpaceBasis:
     @cached_property
     def elements(self) -> tuple:
         """The basis as series, built on first access."""
-        return tuple(
-            QExp24(values=row, prec=self.prec, modulus=self.ell, residue=0) for row in self.rows
-        )
+        return tuple(QExp24._of(row, self.prec, self.ell, 0) for row in self.rows)
 
 
 def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:

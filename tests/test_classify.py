@@ -5,7 +5,10 @@ import math
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
+from etakit.cli import evaluate_recipe
+from etakit import qseries
 from etakit.qseries import PrecisionError, QExp24, eta_series, v_op
 from etakit.spaces import membership_depth
 from etakit.halfint import HalfIntForm, certify, eta_form, theta_lift
@@ -20,6 +23,18 @@ from etakit.classify import (
 )
 
 from oracles import eisenstein_coeffs
+
+
+def _squarefree_part(n):
+    return math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
+
+
+def _square_classes(f):
+    """Reference grouping of the support by squarefree part, through sympy."""
+    classes = {}
+    for n in f.support():
+        classes.setdefault(_squarefree_part(n), []).append(n)
+    return classes
 
 
 # === component checks ===
@@ -49,6 +64,37 @@ def test_two_classes_on_eta_ell_power():
     assert res.passed
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.sampled_from((5, 7, 13, 97, 1009, 3037000507)),
+    st.lists(st.integers(1, 60), max_size=12),
+    st.lists(st.integers(1, 4000), max_size=12),
+)
+def test_two_classes_match_a_factoring_reference(ell, roots, others):
+    # squares, ell times squares, ell^2 and ell^3 times squares, and any
+    # index, below 10^5 so that the dense series stays small
+    terms = {n: 1 for n in others}
+    for k in roots:
+        for n in (k * k, ell * k * k, ell**2 * k * k, ell**3 * k * k):
+            if n < 10**5:
+                terms[n] = 2
+    f = QExp24.from_dict(terms, prec=max(terms, default=0) + 1, modulus=ell)
+    classes, _ = check_two_classes(f)
+    want = _square_classes(f)
+    assert classes == want and list(classes) == list(want)
+
+
+def test_two_classes_of_case_three_factor_nothing(monkeypatch):
+    # at ell = 1009 every support index is a square or ell times one
+    ell, j = 1009, 252
+    form = evaluate_recipe(f"{pow(24, 2 * j, ell)}*theta^{j}(eta) + eta^{ell}", ell)
+    want = _square_classes(form.series)
+    monkeypatch.setattr(qseries, "squarefree_part", None)
+    classes, res = check_two_classes(form)
+    assert classes == want and list(classes) == list(want) == [1, ell]
+    assert res.passed
+
+
 def test_two_classes_rejects_stray_class():
     ell = 5
     f = QExp24.from_dict({1: 1, 2: 3, 50: 1}, prec=60, modulus=ell)
@@ -71,11 +117,7 @@ def test_two_classes_rejects_stray_class():
 )
 def test_two_classes_witness_is_the_first_extraneous_index(ell, residue, terms):
     f = QExp24.from_dict(terms, prec=max(terms) + 1, modulus=ell, residue=residue)
-
-    def squarefree_part(n):
-        return math.prod(p for p, e in sympy.factorint(n).items() if e % 2)
-
-    first = min(n for n in terms if squarefree_part(n) not in (1, ell))
+    first = min(n for n in terms if _squarefree_part(n) not in (1, ell))
     classes, res = check_two_classes(f)
     assert len(set(classes) - {1, ell}) >= 2
     assert not res.passed and res.witness == first

@@ -443,6 +443,21 @@ def test_shimura_matches_oracle_on_random_series(data):
     assert shimura_coeffs(f, t, lam, n_max) == want
 
 
+@pytest.mark.parametrize("t", (1, 5, 7, 11, 13, 35))
+def test_shimura_sign_table_matches_oracle(t):
+    # (12t/d) from Legendre symbols and reciprocity: 3t = 3 (mod 4) at t = 1,
+    # 5, 13 and 1 (mod 4) at 7, 11, 35; every t but 35 has a prime of 3t above
+    # sqrt(3t); n_max passes 12t at t = 1 and 5; odd and even lam flip (-1/d)^lam
+    ell = 101
+    n_max = 64 if t < 7 else 24
+    rng = random.Random(t)
+    prec = t * n_max * n_max + 1
+    f = QExp24(values=[rng.randrange(ell) for _ in range(prec)], prec=prec, modulus=ell)
+    for lam in (0, 1, 2, 3, 4, ell + 2):
+        want = [shimura_sum_oracle(f.coeffs, t, lam, n, ell) for n in range(1, n_max + 1)]
+        assert shimura_coeffs(f, t, lam, n_max) == want, lam
+
+
 def test_shimura_lam_zero_needs_n_max_below_ell():
     # d^(lam - 1) = d^(-1) has no value mod ell at d = ell
     ell = 5

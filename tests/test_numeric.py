@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from etakit import numeric
+from etakit import numeric, qseries
 from etakit.qseries import PrecisionError
 from etakit.numeric import (
     _TAU,
@@ -140,15 +140,16 @@ def test_eta_value_does_not_depend_on_the_order_of_its_points(monkeypatch):
     # the table of n prime to 6 starts empty and grows on demand: a short
     # sum, one past half the 20000-term cap, one near it, then the short
     # one again; doubling the middle table would pass the cap
-    monkeypatch.setattr(numeric, "_N", np.zeros(0, dtype=np.int64))
-    monkeypatch.setattr(numeric, "_CHI", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(qseries, "_N", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(qseries, "_CHI", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(qseries, "_Q", np.zeros(0, dtype=np.int64))
     small = 0.3 + _y_for_terms(40, _TAU / 24.0) * 1j
     first = eta_value(small)
     assert first == _eta_by_loop(small)
     for n_max, x in ((12000, 0.9), (19990, -1.7)):
         z = complex(x, _y_for_terms(n_max, _TAU / 24.0))
         assert eta_value(z) == _eta_by_loop(z), z
-    assert 6663 <= numeric._N.size <= 6668  # the n prime to 6 up to 19990, and to the cap
+    assert 6663 <= qseries._N.size <= 6668  # the n prime to 6 up to 19990, and to the cap
     assert eta_value(small) == first
 
 

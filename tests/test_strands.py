@@ -10,13 +10,15 @@ Python integers like 4294967311 and 2^64 + 13.
 """
 
 import ast
+import math
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit.halfint import hecke_tp2
-from etakit.qseries import QExp24, theta_op, u_op, v_op
+from etakit.qseries import QExp24, _square_strand, theta_op, u_op, v_op
 
 from oracles import (
     DenseSeries,
@@ -27,6 +29,7 @@ from oracles import (
     dense_theta,
     dense_u,
     dense_v,
+    kronecker_oracle,
 )
 
 MOD_RINGS = (5, 7, 13, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**64 + 13)
@@ -60,10 +63,20 @@ def pairs(draw, rings=RINGS, count=2, max_prec=150):
     return out
 
 
+def storage_dtype(modulus):
+    """int64 exactly when a product of two residues fits, else Python integers."""
+    return np.dtype(np.int64 if modulus is not None and (modulus - 1) ** 2 < 2**63 else object)
+
+
 def same(f, ref):
     assert f.coeffs == tuple(ref.coeffs)
     assert (f.prec, f.modulus, f.residue) == (ref.prec, ref.modulus, ref.residue)
     assert len(f.values) == len(range(f.offset, f.prec, f.step))
+    # what the trusted constructor takes on faith: storage dtype, read-only, reduced
+    assert f.values.dtype == storage_dtype(f.modulus)
+    assert not f.values.flags.writeable
+    if f.modulus is not None:
+        assert all(0 <= c < f.modulus for c in f.values.tolist())
 
 
 @SETTINGS
@@ -171,6 +184,42 @@ def test_equality_and_first_difference_across_tags(fs, r, n):
         assert h != f and f != h
         assert f.first_difference(h, f.prec) == n
         assert f.first_difference(h, n) is None
+
+
+@pytest.mark.parametrize("modulus", RINGS)
+def test_square_strand_matches_the_kronecker_oracle(modulus):
+    # entry (m n^2 - m % 24) / 24 holds (12|n) n^lam for n prime to 6, at
+    # every length that ends on a square index, just past one, and between
+    for m in (1, 5, 13, 23) + (() if modulus is None else (modulus,)):
+        r = m % 24
+        square_at = {}  # strand entry -> n
+        n = 1
+        while (m * n * n - r) // 24 <= 400:
+            if math.gcd(n, 6) == 1:
+                square_at[(m * n * n - r) // 24] = n
+            n += 1
+        lengths = set(range(0, 401, 37)) | {j for j in square_at} | {j + 1 for j in square_at}
+        for lam in range(5):
+            want = [0] * 401
+            for j, n in square_at.items():
+                c = kronecker_oracle(12, n) * n**lam
+                want[j] = c if modulus is None else c % modulus
+            for length in sorted(lengths):
+                got = _square_strand(m, length, modulus, lam)
+                assert got.dtype == storage_dtype(modulus)
+                assert got.tolist() == want[:length], (m, lam, length)
+
+
+@SETTINGS
+@given(pairs(count=1), st.integers(0, 150))
+def test_first_power_is_the_series_and_a_short_truncation_copies(fs, cut):
+    # a series is immutable, so f ** 1 is f; a truncation to under half the
+    # strand copies it rather than keep the long strand alive as its base
+    [(f, _)] = fs
+    assert f**1 is f
+    g = f.truncate(max(1, f.prec - cut))
+    if g.values.size:
+        assert np.shares_memory(g.values, f.values) == (2 * g.values.size >= f.values.size)
 
 
 def _nodes_outside_qseries():
