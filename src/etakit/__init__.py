@@ -50,8 +50,6 @@ from .classify import (
     check_multiplier,
     check_two_classes,
     classify,
-    odd_lambda_check,
-    small_lambda_check,
 )
 from .numeric import (
     UnimodularMatrix,
@@ -59,10 +57,7 @@ from .numeric import (
     eta_multiplier_exponent,
     eta_multiplier_value,
     eta_value,
-    theta_multiplier,
-    theta_value,
     verify_eta_transform,
-    verify_theta_transform,
 )
 
 __version__ = "0.1.0"

@@ -16,12 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .qseries import (
-    QExp24,
-    eta_series,
-    support_square_classes,
-    theta_op,
-)
+from .qseries import QExp24, support_square_classes
 from .halfint import HalfIntForm, canonical_t1, canonical_t2
 
 __all__ = [
@@ -29,8 +24,6 @@ __all__ = [
     "CaseReport",
     "check_two_classes",
     "check_multiplier",
-    "odd_lambda_check",
-    "small_lambda_check",
     "classify",
 ]
 
@@ -50,18 +43,13 @@ class CheckResult:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
 
 
-def _series_of(f) -> QExp24:
-    return f.series if isinstance(f, HalfIntForm) else f
-
-
-def check_two_classes(f):
+def check_two_classes(series: QExp24):
     """Observed square classes and the verdict classes subset of {1, ell}.
 
     Returns (classes, CheckResult).  The scan covers the known prefix;
-    for certified forms the certificate depth upgrades this to a
-    statement about the whole expansion.
+    for a certified form's series the certificate depth upgrades this to
+    a statement about the whole expansion.
     """
-    series = _series_of(f)
     ell = series.modulus
     classes = support_square_classes(series)
     bad = [t for t in classes if t not in (1, ell)]
@@ -73,57 +61,6 @@ def check_multiplier(r: int, ell: int) -> CheckResult:
     """Pass iff r = 1 or ell mod 24; the only classes a nonzero form allows."""
     ok = r % 24 in (1, ell % 24)
     return CheckResult("multiplier", ok, None if ok else r % 24)
-
-
-def odd_lambda_check(f, lam: int | None = None) -> CheckResult:
-    """Odd lam forces Theta(f) = 0; pass iff that holds to precision.
-
-    Accepts a certified form or a raw series plus lam (so constructed
-    counterexamples can be probed).  Even lam is a usage error.
-    """
-    series = _series_of(f)
-    if lam is None:
-        lam = f.lam
-    if lam % 2 == 0:
-        raise ValueError(f"odd_lambda_check needs odd lam, got {lam}")
-    image = theta_op(series)
-    if image.is_zero():
-        return CheckResult("odd_lambda_theta_kill", True)
-    return CheckResult("odd_lambda_theta_kill", False, image.valuation())
-
-
-def small_lambda_check(g, lam: int | None = None, r: int | None = None):
-    """Below lam = (ell-1)/2 the only nonzero survivors are multiples of eta.
-
-    Pass iff lam = 0, r = 1 mod 24, and g equals c * eta for the scalar
-    c read off index 1; returns (CheckResult, c).  lam at or above
-    (ell-1)/2 is outside this check's range and is a usage error, as is
-    the zero series.
-    """
-    series = _series_of(g)
-    if lam is None:
-        lam = g.lam
-    if r is None:
-        r = g.r
-    ell = series.modulus
-    if lam >= (ell - 1) // 2:
-        raise ValueError(
-            f"small_lambda_check applies below lam = (ell-1)/2 = "
-            f"{(ell - 1) // 2}, got {lam}"
-        )
-    if series.is_zero():
-        raise ValueError("small_lambda_check needs a nonzero series")
-    name = "small_lambda_eta_multiple"
-    if lam != 0:
-        return CheckResult(name, False, None), None
-    if r % 24 != 1:
-        return CheckResult(name, False, None), None
-    c = series.coeff(1) if series.prec > 1 else 0
-    target = eta_series(series.prec, ell).scale(c)
-    bad = series.first_difference(target, series.prec)
-    if bad is not None:
-        return CheckResult(name, False, bad), None
-    return CheckResult(name, True), c
 
 
 @dataclass(frozen=True)

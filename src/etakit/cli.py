@@ -228,7 +228,7 @@ def parse_scenario(text: str) -> dict:
                 sc["expect"][field] = value == "true"
             else:
                 sc["expect"][field] = int(value)
-        elif key in ("ell", "prec", "lambda", "r"):
+        elif key in ("ell", "prec"):
             sc[key] = int(value)
         else:
             sc[key] = value
@@ -391,6 +391,16 @@ def _load_series_file(path: str) -> QExp24:
 def _cmd_classify(args) -> int:
     if args.recipe is None and args.series is None:
         raise ValueError("need --recipe or --series")
+    # a flag that the chosen input does not read is refused, not ignored
+    if args.recipe is not None:
+        source = "--recipe"
+        unused = {"--series": args.series, "--lambda": args.lam, "--r": args.r,
+                  "--assert-member": args.assert_member or None}
+    else:
+        source, unused = "--series", {"--prec": args.prec}
+    stray = [flag for flag, value in unused.items() if value is not None]
+    if stray:
+        raise ValueError(f"{source} does not read {', '.join(stray)}")
     if args.recipe is not None:
         with open(args.recipe, "r", encoding="utf-8") as fh:
             text = fh.read()

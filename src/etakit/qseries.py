@@ -128,7 +128,6 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-@lru_cache(maxsize=None)
 def squarefree_part(n: int) -> int:
     """Largest squarefree divisor t with n/t a perfect square."""
     if n <= 0:
@@ -439,8 +438,6 @@ class QExp24:
         m, off = divmod(n - self.offset, self.step)
         return 0 if off else int(self.values[m])
 
-    __getitem__ = coeff
-
     def valuation(self) -> int:
         """Smallest index with a nonzero coefficient, or prec if none."""
         nz = np.flatnonzero(self.values)
@@ -492,9 +489,6 @@ class QExp24:
         bad = np.flatnonzero(self.strand(residue)[:n] != other.strand(residue)[:n])
         offset, step = _lattice(residue)
         return offset + step * int(bad[0]) if bad.size else None
-
-    def agrees_with(self, other: "QExp24", depth: int) -> bool:
-        return self.first_difference(other, depth) is None
 
     # === ring operations ===
 

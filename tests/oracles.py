@@ -7,6 +7,9 @@ expansion instead of the sparse square-index sum, and the divisor sums
 lean on sympy.  Slow is fine; these only run at test scale.
 """
 
+import functools
+
+import numpy as np
 import sympy
 
 
@@ -292,3 +295,109 @@ def eta_membership_oracle(coeffs, lam, r, ell, depth):
         if coeffs[n] != sum(c * e[n] for c, e in zip(coords, elements)) % ell:
             return ("not", n)
     return ("member", coords, depth, len(range(r0, depth, 24)) - len(pivots))
+
+
+@functools.lru_cache(maxsize=None)
+def _squarefree_parts(limit):
+    """Squarefree part of every n < limit, by dividing out k^2 over its multiples."""
+    part = list(range(limit))
+    k = 2
+    while k * k < limit:
+        square = k * k
+        for n in range(square, limit, square):
+            while part[n] % square == 0:
+                part[n] //= square
+        k += 1
+    return part
+
+
+def _strand_power(base, e, ell):
+    """base^e mod ell as a truncated power series in q, by repeated squaring."""
+    out = np.zeros(base.size, dtype=np.int64)
+    out[0] = 1
+    while e:
+        if e & 1:
+            out = np.convolve(out, base)[: base.size] % ell
+        base = np.convolve(base, base)[: base.size] % ell
+        e >>= 1
+    return out
+
+
+def _row_reduce(mat, ell, ncols):
+    """Reduced echelon form of mat mod ell, pivoting on its first ncols columns.
+
+    Gauss-Jordan with pivot search; returns (matrix, rank), with the rank
+    pivot rows first.
+    """
+    mat = mat % ell
+    rank = 0
+    for col in range(ncols):
+        if rank == len(mat):
+            break
+        nonzero = np.flatnonzero(mat[rank:, col])
+        if not nonzero.size:
+            continue
+        mat[[rank, rank + nonzero[0]]] = mat[[rank + nonzero[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, col]), -1, ell) % ell
+        factors = mat[:, col].copy()
+        factors[rank] = 0
+        mat -= np.outer(factors, mat[rank])
+        mat %= ell
+        rank += 1
+    return mat, rank
+
+
+@functools.lru_cache(maxsize=None)
+def _level_one_strands(ell, L):
+    """prod (1 - q^n), Delta, E4 and E6 mod ell on L coefficients, read-only."""
+    euler = np.array([c % ell for c in _euler_power(1, L)], dtype=np.int64)
+    delta = np.zeros(L, dtype=np.int64)
+    delta[1:] = _strand_power(euler, 24, ell)[: L - 1]
+    e4 = np.array([1] + [240 * sigma_oracle(n, 3) % ell for n in range(1, L)], dtype=np.int64)
+    e6 = np.array([1] + [-504 * sigma_oracle(n, 5) % ell for n in range(1, L)], dtype=np.int64)
+    for a in (euler, delta, e4, e6):
+        a.flags.writeable = False
+    return euler, delta, e4, e6
+
+
+def square_class_kernel(ell, lam, r0, classes, L):
+    """Forms of eta^r0 * M_w mod ell supported on the given square classes below L.
+
+    w = lam + (1 - r0)/2 and r0 is a residue prime to 6 in (0, 24).  The
+    space is spanned by Miller's monomials eta^r0 Delta^j E4^a E6^b,
+    j = 0 .. dim M_w - 1, b in {0, 1}, whose strands start at q^j: eta^r0
+    and Delta from prod (1 - q^n), E4 and E6 from sympy's divisor sums.
+    Column m is the strand index n = r0 + 24m, m < L; it is constrained
+    when the squarefree part of n, from a sieve, lies outside classes.
+    Gauss-Jordan on the constrained columns leaves the combinations that
+    vanish there.  Returns their reduced echelon basis, each form as its L
+    strand coefficients mod ell; the empty list when no nonzero form
+    qualifies.  L must pass the pivots, so that the monomials stay
+    independent, and ell must keep int64 sums of products exact.
+    """
+    assert 0 < r0 < 24 and r0 % 2 and r0 % 3 and L * (ell - 1) ** 2 < 2**62
+    w = lam + (1 - r0) // 2
+    b = w % 4 // 2  # E6 carries the weight 2 (mod 4), the same for every j
+    dim = 0 if w % 2 else len([j for j in range(w // 12 + 1) if w - 12 * j >= 6 * b])
+    if not dim:
+        return []
+    assert L > dim
+    euler, delta, e4, e6 = _level_one_strands(ell, L)
+    eta_deltas = [_strand_power(euler, r0, ell)]  # eta^r0 Delta^j on its strand
+    for _ in range(dim - 1):
+        eta_deltas.append(np.convolve(eta_deltas[-1], delta)[:L] % ell)
+    # a = (w - 12 j - 6 b) / 4 falls by 3 as j rises by 1
+    e4_power = _strand_power(e4, (w - 12 * (dim - 1) - 6 * b) // 4, ell)
+    cube = _strand_power(e4, 3, ell)
+    rows = []
+    for j in reversed(range(dim)):
+        row = np.convolve(eta_deltas[j], e4_power)[:L] % ell
+        rows.append(np.convolve(row, e6)[:L] % ell if b else row)
+        e4_power = np.convolve(e4_power, cube)[:L] % ell
+    rows.reverse()
+    rows = np.array(rows)
+    part = _squarefree_parts(r0 + 24 * L)
+    constrained = [m for m in range(L) if part[r0 + 24 * m] not in classes]
+    reduced, rank = _row_reduce(np.hstack((rows[:, constrained], rows)), ell, len(constrained))
+    kernel, _ = _row_reduce(reduced[rank:, len(constrained):], ell, L)
+    return kernel.tolist()

@@ -19,18 +19,14 @@ from etakit.qseries import (
     v_op,
 )
 from etakit.halfint import (
+    canonical_t1,
     certify,
     eta_form,
     hecke_eigenvalue_check,
     shimura_coeffs,
     theta_lift,
 )
-from etakit.classify import (
-    check_two_classes,
-    classify,
-    odd_lambda_check,
-    small_lambda_check,
-)
+from etakit.classify import check_two_classes, classify
 from etakit.cli import (
     _exit_for_case,
     evaluate_recipe,
@@ -89,7 +85,7 @@ def test_criterion_02_case2_reproduction():
         assert report.lambda_mod == (ell - 1) // 2
         dilated = v_op(eta_series(form.series.prec, ell), ell)
         joint = min(form.series.prec, dilated.prec)
-        assert form.series.agrees_with(dilated, joint)
+        assert form.series.first_difference(dilated, joint) is None
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
     print("criterion 02 (case-2 reproduction): PASS")
@@ -117,7 +113,7 @@ def test_criterion_04_sharpness():
     report = classify(form)
     assert report.case == "unclassified"
     assert report.hypothesis_ok is False
-    classes, verdict = check_two_classes(form)
+    classes, verdict = check_two_classes(form.series)
     assert verdict.passed and set(classes) == {1}
     assert _exit_for_case(report.case) == 3
     path = resources.files("etakit") / "scenarios" / "sharpness-eta-25.scenario"
@@ -215,8 +211,7 @@ def test_criterion_10_multiplier_numerics():
 
 def test_criterion_11_odd_lambda_pathway():
     form = certify(eta_series(60, 7) ** 7, 3, 7)
-    verdict = odd_lambda_check(form)
-    assert verdict.passed
+    assert form.lam % 2 == 1
     assert theta_op(form.series).is_zero()
     print("criterion 11 (odd lambda kills theta image): PASS")
 
@@ -225,7 +220,12 @@ def test_criterion_12_small_lambda_collapse():
     for ell in (5, 7, 11, 13):
         for c in range(1, ell):
             g = certify(eta_series(60, ell).scale(c), 0, 1)
-            verdict, got = small_lambda_check(g)
-            assert verdict.passed
-            assert got == c
+            report = classify(g)
+            assert report.case == "1"
+            assert report.a1 == c and report.al == 0
+            # c * T1(0) is c * eta, compared to the certificate's depth
+            assert report.depth == g.certificate.depth
+            congruence = report.checks[-1]
+            assert congruence.name == "congruence" and congruence.passed
+            assert canonical_t1(0, ell, report.depth) == eta_series(report.depth, ell)
     print("criterion 12 (lambda' = 0 forms are c*eta): PASS")

@@ -313,6 +313,7 @@ ell = 5
 recipe = theta(eta)
 prec = 200
 source = somewhere
+lambda = 3
 
 expect.case = 1
 expect.a1 = 4
@@ -324,6 +325,7 @@ expect.exit = 0
     assert sc["ell"] == 5
     assert sc["prec"] == 200
     assert sc["recipe"] == "theta(eta)"
+    assert sc["lambda"] == "3"  # only ell and prec are read as integers
     assert sc["expect"] == {"case": "1", "a1": 4, "hypothesis_ok": True, "exit": 0}
 
 
@@ -588,6 +590,36 @@ def test_cli_classify_series_guard_rails(tmp_path, capsys):
     assert main(["classify", "--series", str(zpath), "--assert-member",
                  "--ell", "5", "--lambda", "0", "--r", "1"]) == 0
     capsys.readouterr()
+
+
+def test_cli_classify_series_refuses_prec(tmp_path, capsys):
+    # a series file is certified at its own precision, so --prec has no use
+    from etakit.qseries import series_to_text
+
+    path = tmp_path / "eta.series"
+    path.write_text(series_to_text(eta_series(60, 5)))
+    assert main(["classify", "--series", str(path), "--assert-member",
+                 "--ell", "5", "--lambda", "0", "--r", "1", "--prec", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --series does not read --prec\n"
+
+
+@pytest.mark.parametrize("extra, stray", [
+    (["--lambda", "99", "--r", "5", "--assert-member"],
+     "--recipe does not read --lambda, --r, --assert-member"),
+    (["--assert-member"], "--recipe does not read --assert-member"),
+    (["--series", "eta.series"], "--recipe does not read --series"),
+], ids=["weight-data", "assert-member", "series"])
+def test_cli_classify_recipe_refuses_a_flag_it_does_not_read(tmp_path, capsys, extra, stray):
+    path = tmp_path / "r.txt"
+    path.write_text("theta(eta)\n")
+    base = ["classify", "--recipe", str(path), "--ell", "5"]
+    assert main(base + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {stray}\n"
+    # the recipe alone, and with --prec, which a recipe reads
+    assert main(base) == 0
+    assert main(base + ["--prec", "200"]) == 0
 
 
 def test_cli_classify_needs_input(capsys):

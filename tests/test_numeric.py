@@ -10,17 +10,14 @@ import pytest
 from etakit import numeric, qseries
 from etakit.qseries import PrecisionError
 from etakit.numeric import (
-    _TAU,
+    _DECAY,
     _term_count,
     UnimodularMatrix,
     epsilon_identities,
     eta_multiplier_exponent,
     eta_multiplier_value,
     eta_value,
-    theta_multiplier,
-    theta_value,
     verify_eta_transform,
-    verify_theta_transform,
 )
 
 from oracles import kronecker_oracle
@@ -108,7 +105,7 @@ def test_eta_value_equals_the_sum_over_every_n():
     rng = random.Random(12)
     for _ in range(40):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.02, 3))
-        n_max = _term_count(z.imag, _TAU / 24.0)
+        n_max = _term_count(z.imag)
         w = 2j * math.pi * z / 24.0
         total = 0.0 + 0.0j
         for n in range(1, n_max + 1):
@@ -122,17 +119,17 @@ def _eta_by_loop(z: complex) -> complex:
     """eta(z) added term by term, left to right, over every n."""
     w = 2j * math.pi * z / 24.0
     total = 0.0 + 0.0j
-    for n in range(1, _term_count(z.imag, _TAU / 24.0) + 1):
+    for n in range(1, _term_count(z.imag) + 1):
         chi = {1: 1, 5: -1, 7: -1, 11: 1}.get(n % 12, 0)
         if chi:
             total += chi * cmath.exp(w * n * n)
     return total
 
 
-def _y_for_terms(n_max: int, decay: float) -> float:
+def _y_for_terms(n_max: int) -> float:
     """An Im(z) whose term count is n_max."""
-    y = -math.log(1e-16) / (decay * (n_max - 1.5) ** 2)
-    assert _term_count(y, decay) == n_max
+    y = -math.log(1e-16) / (_DECAY * (n_max - 1.5) ** 2)
+    assert _term_count(y) == n_max
     return y
 
 
@@ -143,11 +140,11 @@ def test_eta_value_does_not_depend_on_the_order_of_its_points(monkeypatch):
     monkeypatch.setattr(qseries, "_N", np.zeros(0, dtype=np.int64))
     monkeypatch.setattr(qseries, "_CHI", np.zeros(0, dtype=np.int64))
     monkeypatch.setattr(qseries, "_Q", np.zeros(0, dtype=np.int64))
-    small = 0.3 + _y_for_terms(40, _TAU / 24.0) * 1j
+    small = 0.3 + _y_for_terms(40) * 1j
     first = eta_value(small)
     assert first == _eta_by_loop(small)
     for n_max, x in ((12000, 0.9), (19990, -1.7)):
-        z = complex(x, _y_for_terms(n_max, _TAU / 24.0))
+        z = complex(x, _y_for_terms(n_max))
         assert eta_value(z) == _eta_by_loop(z), z
     assert 6663 <= qseries._N.size <= 6668  # the n prime to 6 up to 19990, and to the cap
     assert eta_value(small) == first
@@ -157,35 +154,15 @@ def test_eta_value_does_not_depend_on_the_order_of_its_points(monkeypatch):
 def test_eta_value_at_each_term_count_mod_6(n_max):
     # the count of n <= n_max prime to 6 steps at n_max = 1 and 5 (mod 6)
     for x in (-0.45, 0.0, 0.2):
-        z = complex(x, _y_for_terms(n_max, _TAU / 24.0))
+        z = complex(x, _y_for_terms(n_max))
         assert eta_value(z) == _eta_by_loop(z), z
-
-
-def test_theta_value_equals_the_sum_term_by_term():
-    rng = random.Random(13)
-    for _ in range(40):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.002, 3))
-        w = 2j * math.pi * z
-        total = 1.0 + 0.0j
-        for n in range(1, _term_count(z.imag, _TAU) + 1):
-            total += 2.0 * cmath.exp(w * n * n)
-        assert theta_value(z) == total, z
-
-
-def test_theta_special_value():
-    # theta(z) = sum e(n^2 z) doubles the classical argument, so the
-    # Gamma-function value sits at z = i/2: theta(i/2) = pi^(1/4) / Gamma(3/4)
-    want = math.pi ** 0.25 / math.gamma(0.75)
-    assert abs(want - 1.0864348112133080) < 1e-15
-    got = theta_value(0.5j)
-    assert abs(got - want) < 1e-12
 
 
 def test_eta_in_lower_half_plane():
     with pytest.raises(ValueError):
         eta_value(1.0 - 1j)
     with pytest.raises(ValueError):
-        theta_value(0.5 + 0j)
+        eta_value(0.5 + 0j)
 
 
 def test_term_budget():
@@ -226,32 +203,6 @@ def test_verify_eta_transform_word_sweep():
         if rng.random() < 0.3:
             g = -g
         assert verify_eta_transform(g, z) < 1e-9, g
-
-
-def test_theta_multiplier_values():
-    assert theta_multiplier(UnimodularMatrix(1, 0, 4, 1)) == pytest.approx(1.0)
-    got = theta_multiplier(UnimodularMatrix(3, 1, 8, 3))
-    assert got == pytest.approx(1j)
-    assert theta_multiplier(T) == pytest.approx(1.0)  # c = 0 counts as 4 | c
-    with pytest.raises(ValueError):
-        theta_multiplier(UnimodularMatrix(1, 0, 2, 1))
-    with pytest.raises(ValueError):
-        theta_multiplier(S)  # even d
-
-
-def test_verify_theta_transform_sweep():
-    # words in the two standard generators of the 4-level group keep
-    # c = 0 mod 4 and d odd
-    A = UnimodularMatrix(1, 1, 0, 1)
-    B = UnimodularMatrix(1, 0, 4, 1)
-    rng = random.Random(808)
-    z = 0.15 + 0.95j
-    for _ in range(30):
-        g = UnimodularMatrix.identity()
-        for _ in range(rng.randint(1, 6)):
-            g = g @ (A if rng.random() < 0.5 else B)
-        assert g.c % 4 == 0 and g.d % 2 == 1
-        assert verify_theta_transform(g, z) < 1e-9, g
 
 
 # === exact eighth-root identities ===
