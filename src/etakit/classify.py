@@ -100,7 +100,8 @@ def classify(form: HalfIntForm) -> CaseReport:
     """Assign a certified form to one of the three cases, or explain why not.
 
     Reads a1 and al (indices 1 and ell), builds the candidate target
-    a1 * T1(lam) + al * T2, and compares it below the certificate's depth:
+    a1 * T1(lam) + al * T2 (T1(0) = eta when ell - 1 divides lam inside
+    the weight hypothesis), and compares it below the certificate's depth:
     the Sturm depth 24 * (floor(w/12) + 1) + r0 for a form built in its
     space, every coefficient for a series certified to its precision, and
     the whole zero series in an empty space.  The weight hypothesis
@@ -147,7 +148,10 @@ def classify(form: HalfIntForm) -> CaseReport:
 
     target = QExp24.zero(depth, ell, series.residue)
     if a1:
-        target = target + canonical_t1(lam, ell, depth).scale(a1)
+        # inside the hypothesis, theta^j eta with 2j = lam (mod ell - 1) has j = 0
+        # when ell - 1 | lam: its target is T1(0) = eta, with its terms at ell | n
+        t1_lam = 0 if hypothesis_ok and lam_mod == 0 else lam
+        target = target + canonical_t1(t1_lam, ell, depth).scale(a1)
     if al:
         target = target + canonical_t2(ell, depth).scale(al)
     bad = series.first_difference(target, depth)

@@ -383,11 +383,6 @@ def _cmd_basis(args) -> int:
     return 0
 
 
-def _load_series_file(path: str) -> QExp24:
-    with open(path, "r", encoding="utf-8") as fh:
-        return series_from_text(fh.read())
-
-
 def _cmd_classify(args) -> int:
     if args.recipe is None and args.series is None:
         raise ValueError("need --recipe or --series")
@@ -421,11 +416,8 @@ def _cmd_classify(args) -> int:
             )
         if args.ell is None or args.lam is None or args.r is None:
             raise ValueError("--series needs --ell, --lambda and --r")
-        series = _load_series_file(args.series)
-        if series.modulus is None:
-            series = series.reduce_mod(args.ell)
-        elif series.modulus != args.ell:
-            raise ValueError("series modulus disagrees with --ell")
+        with open(args.series, "r", encoding="utf-8") as fh:
+            series = series_from_text(fh.read(), args.ell)
         form = certify(series, args.lam, args.r, series.prec)
     report = classify(form)
     print(report.to_json())

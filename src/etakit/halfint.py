@@ -66,8 +66,6 @@ class HalfIntForm:
     certificate: MembershipCertificate = field(repr=False)
 
     def __post_init__(self):
-        if self.series.modulus is None:
-            raise ValueError("a certified form needs prime-field coefficients")
         _check_eta_args(self.lam, self.r)
         if self.series.residue is not None and self.series.residue != self.r % 24:
             raise ValueError("series residue disagrees with r mod 24")
@@ -180,8 +178,6 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     """
     _validate_modulus(p, "p")
     ell = f.modulus
-    if ell is None:
-        raise ValueError("hecke_tp2 works over a prime field")
     if p == ell:
         raise ValueError(f"p = ell = {ell} is outside the operator's domain")
     p2 = p * p
@@ -247,8 +243,6 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
     (at most n_max residues per sum).
     """
     ell = f.modulus
-    if ell is None:
-        raise ValueError("shimura_coeffs works over a prime field")
     if t < 1 or math.gcd(t, 6) != 1 or squarefree_part(t) != t:
         raise ValueError(f"t must be squarefree and prime to 6, got {t}")
     if f.prec <= t * n_max * n_max:

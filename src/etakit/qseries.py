@@ -1,22 +1,21 @@
 """Exact truncated q-expansions indexed in 1/24-integral powers.
 
-A series is sum_{0 <= n < prec} a(n) q^(n/24) with exact coefficients:
-arbitrary-precision integers, or elements of F_ell for a prime ell >= 5.
-An optional residue class r0 records the support claim
-a(n) != 0  =>  n = r0 (mod 24).  Integer-exponent forms are the special
-case r0 = 0.
+A series is sum_{0 <= n < prec} a(n) q^(n/24) with coefficients in F_ell
+for a prime ell >= 5, the one ring of the package.  An optional residue
+class r0 records the support claim a(n) != 0  =>  n = r0 (mod 24).
+Integer-exponent forms are the special case r0 = 0.
 
 Storage is one numpy strand per series.  With the residue tag set, entry
 m of ``values`` is the coefficient at index r0 + 24 m; without it, entry
 m is the coefficient at index m.  Coefficients off the tagged class have
 no slot, so the support claim holds by construction.  Input is checked
 once, where it enters: the public constructor, which ``zero``, ``one``,
-``from_dict``, ``reduce_mod`` and ``series_from_text`` go through.  Every
-operation computes its output strand, reduced, from its input strands and
-wraps it with the trusted constructor ``QExp24._of``, which checks nothing.
+``from_dict`` and ``series_from_text`` go through.  Every operation
+computes its output strand, reduced, from its input strands and wraps it
+with the trusted constructor ``QExp24._of``, which checks nothing.
 Residues mod ell are stored as int64 when a product of two fits,
-ell <= 3037000493; integer series and larger ell use object arrays of
-Python integers.  The dense tuple ``coeffs`` is built only on first access.
+ell <= 3037000493; larger ell use object arrays of Python integers.  The
+dense tuple ``coeffs`` is built only on first access.
 
 All values are immutable after construction; every operation returns a
 new series.  Precision bookkeeping is pessimistic and certified: an
@@ -148,7 +147,7 @@ def squarefree_part(n: int) -> int:
 
 def _validate_modulus(value, name="modulus"):
     """The one rule for a modulus, ell or p: a prime >= 5."""
-    if value < 5 or not is_prime(value):
+    if value is None or value < 5 or not is_prime(value):
         raise ValueError(f"{name} must be a prime >= 5, got {value}")
 
 
@@ -161,26 +160,26 @@ _INT64_BOUND = 2**63
 
 def _dtype(ell):
     """int64 for F_ell when a product of residues fits, (ell - 1)^2 < 2^63; else Python integers."""
-    return np.int64 if ell is not None and (ell - 1) ** 2 < _INT64_BOUND else object
+    return np.int64 if (ell - 1) ** 2 < _INT64_BOUND else object
 
 
 def _exact(a: np.ndarray, b: np.ndarray, n: int, ell) -> tuple:
     """a and b, as Python integers when a sum of n products mod ell can overflow int64."""
-    if ell is not None and n * (ell - 1) ** 2 >= _INT64_BOUND:
+    if n * (ell - 1) ** 2 >= _INT64_BOUND:
         return a.astype(object, copy=False), b.astype(object, copy=False)
     return a, b
 
 
 def _reduce(a: np.ndarray, ell) -> np.ndarray:
-    """a mod ell in the ring's storage dtype; over Z, a as Python integers."""
+    """a mod ell in the ring's storage dtype."""
     dtype = _dtype(ell)
     if dtype is object:  # widen first: an int64 array cannot take % ell past 2^63
         a = a.astype(object, copy=False)
-    return (a if ell is None else a % ell).astype(dtype, copy=False)
+    return (a % ell).astype(dtype, copy=False)
 
 
 def _conv(a: np.ndarray, b: np.ndarray, ell, length: int) -> np.ndarray:
-    """(a * b mod ell) truncated or zero-padded to length; exact over Z for ell None."""
+    """(a * b mod ell) truncated or zero-padded to length."""
     a, b = a[:length], b[:length]
     n = min(a.size, b.size)
     out = np.zeros(length, dtype=_dtype(ell))
@@ -204,10 +203,10 @@ def _one(ell, length: int) -> np.ndarray:
 def _power(a: np.ndarray, e: int, ell, length: int) -> np.ndarray:
     """a^e mod ell truncated or zero-padded to length, by repeated squaring.
 
-    Over F_ell, a^(ell h + d) = a^d a(x^ell)^h (c^ell = c, and an ell-th power
-    has no cross terms): a^h is spread to every ell-th slot.
+    Past e = ell, a^(ell h + d) = a^d a(x^ell)^h (c^ell = c in F_ell, and an
+    ell-th power has no cross terms): a^h is spread to every ell-th slot.
     """
-    if ell is not None and e >= ell:
+    if e >= ell:
         h, d = divmod(e, ell)
         frobenius = np.zeros(length, dtype=_dtype(ell))
         frobenius[::ell] = _power(a, h, ell, -(-length // ell))
@@ -252,13 +251,14 @@ def _claim(dense: np.ndarray, residue) -> np.ndarray:
     """
     if residue is None:
         return dense
-    support = np.flatnonzero(dense)
-    off = support[support % 24 != residue]
-    if off.size:
+    strand = dense[residue::24]
+    if np.count_nonzero(strand) < np.count_nonzero(dense):  # counting is the cheap test
+        support = np.flatnonzero(dense)
+        off = support[support % 24 != residue]
         raise ValueError(
             f"coefficient at index {off[0]} violates support class {residue} (mod 24)"
         )
-    return dense[residue::24].copy()
+    return strand.copy()
 
 
 def _pow_mod(x: np.ndarray, e: int, ell: int) -> np.ndarray:
@@ -307,9 +307,8 @@ def _square_strand(m: int, length: int, modulus, lam: int = 0) -> np.ndarray:
     r = m % 24
     n, chi, q = _prime_to_6(math.isqrt(max(24 * length + r - 1, 0) // m))
     if n.size:  # else m may pass int64, and no entry is filled
-        if lam:  # n^lam, exact in Python integers over Z
-            x = _reduce(n, modulus)
-            chi = chi * (x**lam if modulus is None else _pow_mod(x, lam, modulus))
+        if lam:
+            chi = chi * _pow_mod(_reduce(n, modulus), lam, modulus)
         out[m * q + m // 24] = _reduce(chi, modulus)  # (m n^2 - r) / 24
     return out
 
@@ -317,20 +316,19 @@ def _square_strand(m: int, length: int, modulus, lam: int = 0) -> np.ndarray:
 class QExp24:
     """Truncated expansion sum a(n) q^(n/24), stored as one strand.
 
-    modulus is None for integer coefficients or a prime ell >= 5 for
-    F_ell (stored reduced to [0, ell)).  residue, when set, asserts the
-    support lies in the class residue (mod 24).
+    modulus is the prime ell >= 5 of F_ell; coefficients are stored
+    reduced to [0, ell).  residue, when set, asserts the support lies in
+    the class residue (mod 24).
 
     values is a read-only numpy array: values[m] is the coefficient at
     index offset + step m below prec, with (offset, step) = (residue, 24)
     when the residue tag is set and (0, 1) otherwise.  coeffs is the
     dense tuple a(0), ..., a(prec - 1), built and cached on first access.
 
-    The public constructor, where outside data enters, takes either the
-    dense coefficient list coeffs, whose support is checked against the
-    residue claim, or the strand itself as values= (exactly one entry per
-    index of the lattice below prec), which is taken over and made
-    read-only.  Both are checked and reduced; operations use _of instead.
+    The public constructor, where outside data enters, takes the dense
+    coefficient list coeffs (at most prec entries, zero past its end),
+    reduces it mod ell and checks its support against the residue claim;
+    operations use _of instead.
 
     Equality compares ring, precision, and coefficients; the residue
     tag is a support claim, not part of the value.
@@ -338,31 +336,19 @@ class QExp24:
 
     __slots__ = ("values", "prec", "modulus", "residue", "_coeffs")
 
-    def __init__(self, coeffs=(), prec=None, modulus=None, residue=None, *, values=None):
+    def __init__(self, coeffs, prec: int, modulus: int, residue=None):
         coeffs = list(coeffs)
-        if values is not None and (coeffs or prec is None):
-            raise ValueError("a strand of values needs prec and no dense coefficients")
-        if prec is None:
-            prec = len(coeffs)
         if prec < 1:
             raise ValueError("prec must be a positive integer")
         if len(coeffs) > prec:
             raise ValueError("coefficient list longer than declared prec")
-        if modulus is not None:
-            _validate_modulus(modulus)
-            coeffs = [int(c) % modulus for c in coeffs]
-        else:
-            coeffs = [int(c) for c in coeffs]
+        _validate_modulus(modulus)
         if residue is not None and not 0 <= residue < 24:
             raise ValueError("residue must lie in [0, 24)")
-        if values is None:
-            dense = np.zeros(prec, dtype=_dtype(modulus))
-            dense[: len(coeffs)] = coeffs
-            values = _claim(dense, residue)
-        elif np.shape(values) != (_length(prec, residue),):
-            raise ValueError(f"strand of shape {np.shape(values)} does not fit prec {prec}")
-        else:
-            values = _reduce(np.asarray(values), modulus)
+        # only the given prefix is scanned; the strand past it stays zero
+        head = _claim(np.array([int(c) % modulus for c in coeffs], dtype=_dtype(modulus)), residue)
+        values = np.zeros(_length(prec, residue), dtype=head.dtype)
+        values[: head.size] = head
         values.flags.writeable = False
         self.values = values
         self.prec = prec
@@ -381,16 +367,15 @@ class QExp24:
         return f
 
     @classmethod
-    def zero(cls, prec: int, modulus=None, residue=None) -> "QExp24":
-        values = np.zeros(_length(prec, residue), dtype=_dtype(modulus))
-        return cls(values=values, prec=prec, modulus=modulus, residue=residue)
+    def zero(cls, prec: int, modulus: int, residue=None) -> "QExp24":
+        return cls((), prec, modulus, residue)
 
     @classmethod
-    def one(cls, prec: int, modulus=None) -> "QExp24":
-        return cls(values=_one(modulus, _length(prec, 0)), prec=prec, modulus=modulus, residue=0)
+    def one(cls, prec: int, modulus: int) -> "QExp24":
+        return cls([1], prec, modulus, 0)
 
     @classmethod
-    def from_dict(cls, terms: dict, prec: int, modulus=None, residue=None) -> "QExp24":
+    def from_dict(cls, terms: dict, prec: int, modulus: int, residue=None) -> "QExp24":
         c = [0] * prec
         for n, v in terms.items():
             if not 0 <= n < prec:
@@ -473,11 +458,10 @@ class QExp24:
     __hash__ = None
 
     def __repr__(self):
-        ring = "Z" if self.modulus is None else f"F{self.modulus}"
         items = self.nonzero_items()
         head = ", ".join(f"{n}:{c}" for n, c in items[:4])
         tail = ", ..." if len(items) > 4 else ""
-        return f"QExp24<{ring}, prec={self.prec}, residue={self.residue}>[{head}{tail}]"
+        return f"QExp24<F{self.modulus}, prec={self.prec}, residue={self.residue}>[{head}{tail}]"
 
     def first_difference(self, other: "QExp24", depth: int):
         """First index below depth where the two series disagree, else None."""
@@ -509,10 +493,9 @@ class QExp24:
             residue = self.residue
         else:
             residue = None
-        ell = self.modulus
         n = _length(prec, residue)
-        out = op(self.strand(residue)[:n], other.strand(residue)[:n])
-        return QExp24._of(out if ell is None else out % ell, prec, ell, residue)
+        out = op(self.strand(residue)[:n], other.strand(residue)[:n]) % self.modulus
+        return QExp24._of(out, prec, self.modulus, residue)
 
     def __add__(self, other):
         return self._addsub(other, np.add)
@@ -525,9 +508,7 @@ class QExp24:
 
     def scale(self, c: int) -> "QExp24":
         ell = self.modulus
-        c = int(c) if ell is None else int(c) % ell
-        out = self.values * c
-        return QExp24._of(out if ell is None else out % ell, self.prec, ell, self.residue)
+        return QExp24._of(self.values * (int(c) % ell) % ell, self.prec, ell, self.residue)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -580,12 +561,6 @@ class QExp24:
             values = values.copy()
         return QExp24._of(values, prec, self.modulus, self.residue)
 
-    def reduce_mod(self, ell: int) -> "QExp24":
-        """Reduction map Z[[q^(1/24)]] -> F_ell[[q^(1/24)]]."""
-        if self.modulus is not None:
-            raise ValueError("series already has prime-field coefficients")
-        return QExp24(values=self.values, prec=self.prec, modulus=ell, residue=self.residue)
-
     def with_residue(self, residue) -> "QExp24":
         """Attach (and validate) a support-class claim; None drops the claim."""
         if residue is not None and not 0 <= residue < 24:
@@ -599,13 +574,12 @@ class QExp24:
 
 def _square_series(m: int, prec: int, modulus, lam: int = 0) -> QExp24:
     """sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24), residue class m mod 24."""
-    if modulus is not None:
-        _validate_modulus(modulus)
+    _validate_modulus(modulus)
     values = _square_strand(m, _length(prec, m % 24), modulus, lam)
     return QExp24._of(values, prec, modulus, m % 24)
 
 
-def eta_series(prec: int, modulus=None) -> QExp24:
+def eta_series(prec: int, modulus: int) -> QExp24:
     """q^(1/24) prod (1-q^n) in closed form: sum_{n>=1} (12|n) q^(n^2/24)."""
     if prec < 2:
         raise ValueError("prec must be at least 2 to see the leading term")
@@ -614,8 +588,6 @@ def eta_series(prec: int, modulus=None) -> QExp24:
 
 def theta_op(f: QExp24, j: int = 1) -> QExp24:
     """(q d/dq)^j in 1/24-units: a(n) picks up the factor (n/24)^j mod ell, in one pass."""
-    if f.modulus is None:
-        raise ValueError("theta_op needs prime-field coefficients")
     if j < 0:
         raise ValueError(f"theta_op needs a power j >= 0, got {j}")
     ell = f.modulus
@@ -661,7 +633,7 @@ def support_square_classes(f: QExp24) -> dict:
     for n in f.support():  # squares, then ell (prime) times squares; only the rest is factored
         if n > 0 and math.isqrt(n) ** 2 == n:
             t = 1
-        elif n > 0 and ell and n % ell == 0 and math.isqrt(n // ell) ** 2 == n // ell:
+        elif n > 0 and n % ell == 0 and math.isqrt(n // ell) ** 2 == n // ell:
             t = ell
         else:
             t = squarefree_part(n)
@@ -678,9 +650,8 @@ def series_to_text(f: QExp24, extra: dict | None = None) -> str:
     Absent indices are zero.  extra key=value pairs are appended to the
     header (used by basis dumps for weight/kind/index).
     """
-    ring = "Z" if f.modulus is None else f"Fp:{f.modulus}"
     residue = "none" if f.residue is None else str(f.residue)
-    header = f"# ring={ring} prec={f.prec} residue={residue}"
+    header = f"# ring=Fp:{f.modulus} prec={f.prec} residue={residue}"
     if extra:
         header += "".join(f" {k}={v}" for k, v in extra.items())
     lines = [header]
@@ -688,7 +659,11 @@ def series_to_text(f: QExp24, extra: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_from_text(text: str) -> QExp24:
+def series_from_text(text: str, ell: int) -> QExp24:
+    """The series of series_to_text's form, over F_ell.
+
+    A ring=Z file is reduced mod ell; a ring=Fp:p file needs p = ell.
+    """
     header = None
     terms = {}
     for raw in text.splitlines():
@@ -717,11 +692,10 @@ def series_from_text(text: str) -> QExp24:
         residue_s = fields["residue"]
     except KeyError as exc:
         raise ValueError(f"series header missing {exc} field") from exc
-    if ring == "Z":
-        modulus = None
-    elif ring.startswith("Fp:"):
-        modulus = int(ring[3:])
-    else:
-        raise ValueError(f"unknown ring tag {ring!r}")
+    if ring != "Z":
+        if not ring.startswith("Fp:"):
+            raise ValueError(f"unknown ring tag {ring!r}")
+        if int(ring[3:]) != ell:
+            raise ValueError(f"series ring {ring} disagrees with ell {ell}")
     residue = None if residue_s == "none" else int(residue_s)
-    return QExp24.from_dict(terms, prec, modulus, residue)
+    return QExp24.from_dict(terms, prec, ell, residue)

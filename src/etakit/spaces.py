@@ -330,8 +330,6 @@ def filtration(f: QExp24, k: int) -> int:
     must pass, then steps down by ell - 1 while the check passes.
     """
     ell = f.modulus
-    if ell is None:
-        raise ValueError("filtration needs prime-field coefficients")
     if f.is_zero():
         raise ValueError("the filtration of the zero series is undefined")
     if k < 0 or k % 2:
@@ -397,9 +395,6 @@ def eta_membership(f: QExp24, lam: int, r: int, depth: int | None = None):
     strand coefficients.
     """
     _check_eta_args(lam, r)
-    ell = f.modulus
-    if ell is None:
-        raise ValueError("membership certification works over a prime field")
     r0 = r % 24
     off = f.first_off_class(r0)
     if off is not None:

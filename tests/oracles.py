@@ -101,7 +101,7 @@ def eisenstein_coeffs(prec: int, k: int) -> list:
 
 
 class DenseSeries:
-    """Reference q^(1/24)-series: the plain list a(0), ..., a(prec - 1).
+    """Reference q^(1/24)-series: the plain list a(0), ..., a(prec - 1) mod modulus.
 
     This is how the package stored series before strands, with the same
     reduction, residue-claim, residue-tag and precision rules, written
@@ -109,10 +109,8 @@ class DenseSeries:
     package's operators to it, by their defining formulas.
     """
 
-    def __init__(self, coeffs, prec, modulus=None, residue=None):
-        coeffs = [int(c) for c in coeffs] + [0] * (prec - len(coeffs))
-        if modulus is not None:
-            coeffs = [c % modulus for c in coeffs]
+    def __init__(self, coeffs, prec, modulus, residue=None):
+        coeffs = [int(c) % modulus for c in coeffs] + [0] * (prec - len(coeffs))
         if residue is not None:
             if not 0 <= residue < 24:
                 raise ValueError("residue must lie in [0, 24)")

@@ -27,7 +27,7 @@ from etakit.classify import (
     classify,
 )
 
-from oracles import eisenstein_coeffs, square_class_kernel
+from oracles import eisenstein_coeffs, eta_space_oracle, square_class_kernel
 
 
 def _squarefree_part(n):
@@ -269,7 +269,8 @@ def test_classify_case_one_respects_congruence_not_just_shape():
 
 def _strand_series(strand, ell, r0):
     """The series whose strand r0 holds strand, to just past its last entry."""
-    return QExp24(values=strand, prec=r0 + 24 * (len(strand) - 1) + 1, modulus=ell, residue=r0)
+    prec = r0 + 24 * (len(strand) - 1) + 1
+    return QExp24.from_dict(dict(zip(range(r0, prec, 24), strand)), prec, ell, r0)
 
 
 def _paper_case(ell, lam, r0, strand):
@@ -340,6 +341,20 @@ def test_square_class_kernel_with_every_class_allowed_is_the_space(ell, lam, r0)
         certify(f, lam, r0, f.prec)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_square_class_kernel_with_every_class_allowed_is_the_oracle_basis(data):
+    # with nothing constrained the kernel is the space in reduced echelon
+    # form, which is unique: eta_space_oracle's basis, read on the strand
+    ell = data.draw(st.sampled_from((5, 7, 11, 13)))
+    r0 = data.draw(st.sampled_from((1, 5, 7, 11, 13, 17, 19, 23)))
+    lam = data.draw(st.sampled_from([lam for lam in range(41) if dims(lam + (1 - r0) // 2)[0]]))
+    L = 4 * dims(lam + (1 - r0) // 2)[0] + 40
+    kernel = square_class_kernel(ell, lam, r0, range(24 * L + 24), L)
+    _, elements = eta_space_oracle(lam, r0, ell, r0 + 24 * (L - 1) + 1)
+    assert kernel == [row[r0::24] for row in elements]
+
+
 def test_every_form_on_two_square_classes_classifies():
     # every prime-to-6 r0 and every weight lam + 1/2 < ell^2 / 2, ell <= 13
     sizes, misses = [], []
@@ -352,13 +367,9 @@ def test_every_form_on_two_square_classes_classifies():
                     misses += missed
     assert len(sizes) == 609
     assert sizes.count(1) == 81 and sizes.count(2) == 0
-    # a known defect: at lam = k (ell - 1) > 0 the kernel is eta E_(ell-1)^k = eta,
-    # case 1, but classify compares it with T1(lam), which has no terms at
-    # ell | n, and reports unclassified with witness ell^2
-    assert misses == [
-        (ell, lam, 1)
-        for ell in (5, 7, 11, 13) for lam in range(ell - 1, (ell * ell - 1) // 2, ell - 1)
-    ]
+    # at lam = k (ell - 1) > 0 too, where the kernel is eta E_(ell-1)^k = eta,
+    # case 1 against T1(0), whose terms at ell | n T1(lam) lacks
+    assert misses == []
 
 
 def test_both_classes_at_73_classify_as_case_three():

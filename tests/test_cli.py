@@ -430,15 +430,15 @@ def test_cli_basis(capsys):
     assert code == 0
     blocks = out.strip().split("\n\n")
     assert len(blocks) == 2
-    b = miller_basis_from_output(blocks)
+    b = miller_basis_from_output(blocks, 5)
     ref = miller_basis(12, 5, b[0].prec)
     assert tuple(b) == ref.elements
     assert "weight=12" in blocks[0] and "index=0" in blocks[0]
     assert "kind=M" in blocks[1] and "index=1" in blocks[1]
 
 
-def miller_basis_from_output(blocks):
-    return [series_from_text(block) for block in blocks]
+def miller_basis_from_output(blocks, ell):
+    return [series_from_text(block, ell) for block in blocks]
 
 
 def test_cli_basis_cusp_kind(capsys):
@@ -581,15 +581,36 @@ def test_cli_classify_series_guard_rails(tmp_path, capsys):
     # missing weight data
     assert main(["classify", "--series", str(path), "--assert-member",
                  "--ell", "5"]) == 2
-    # ring mismatch
-    assert main(["classify", "--series", str(path), "--assert-member",
-                 "--ell", "7", "--lambda", "0", "--r", "1"]) == 2
-    # integer-ring input is reduced first
+    capsys.readouterr()
+    # ring mismatch, either way round
+    for ring, ell in ((5, 7), (7, 5)):
+        path.write_text(series_to_text(eta_series(60, ring)))
+        assert main(["classify", "--series", str(path), "--assert-member",
+                     "--ell", str(ell), "--lambda", "0", "--r", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: series ring Fp:{ring} disagrees with ell {ell}\n"
+    # integer-ring input (eta: 1, -1, -1 at 1, 25, 49) is reduced mod --ell
     zpath = tmp_path / "etaz.series"
-    zpath.write_text(series_to_text(eta_series(60)))
+    zpath.write_text("# ring=Z prec=60 residue=1\n1 1\n25 -1\n49 -1\n")
     assert main(["classify", "--series", str(zpath), "--assert-member",
                  "--ell", "5", "--lambda", "0", "--r", "1"]) == 0
-    capsys.readouterr()
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "1" and report["a1"] == 1
+
+
+def test_cli_classify_eta_at_a_multiple_of_ell_minus_one(tmp_path, capsys):
+    # eta = eta E_4 mod 5 lies in the space at lam = 4, inside the weight
+    # hypothesis; its case-1 target is T1(0) = eta, which keeps the term
+    # at 25 that T1(4) lacks
+    from etakit.qseries import series_to_text
+
+    path = tmp_path / "eta.series"
+    path.write_text(series_to_text(eta_series(200, 5)))
+    assert main(["classify", "--series", str(path), "--assert-member",
+                 "--ell", "5", "--lambda", "4", "--r", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["case"] == "1" and report["a1"] == 1 and report["depth"] == 200
+    assert report["checks"][-1] == {"name": "congruence", "pass": True, "witness": None}
 
 
 def test_cli_classify_series_refuses_prec(tmp_path, capsys):

@@ -24,7 +24,7 @@ from etakit.qseries import (
     v_op,
 )
 
-from oracles import eta_product_coeffs, kronecker_oracle
+from oracles import DenseSeries, dense_mul, eta_product_coeffs, kronecker_oracle
 
 
 # === integer helpers ===
@@ -125,28 +125,46 @@ def test_squarefree_part_random():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        QExp24([], prec=0)
+        QExp24([], prec=0, modulus=5)
     with pytest.raises(ValueError):
         QExp24([1, 2], prec=2, modulus=4)  # modulus must be prime >= 5
     with pytest.raises(ValueError):
         QExp24([1], prec=1, modulus=3)
     with pytest.raises(ValueError):
-        QExp24([1], prec=1, residue=24)
+        QExp24([1], prec=1, modulus=5, residue=24)
     with pytest.raises(ValueError):
-        QExp24([1], prec=1, residue=-1)
+        QExp24([1], prec=1, modulus=5, residue=-1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QExp24([1], 1, None),
+        lambda: QExp24.zero(4, None),
+        lambda: QExp24.one(4, None),
+        lambda: QExp24.from_dict({1: 1}, 4, None),
+        lambda: eta_series(48, None),
+        lambda: series_from_text("# ring=Z prec=2 residue=none\n1 1\n", None),
+    ],
+    ids=["QExp24", "zero", "one", "from_dict", "eta_series", "series_from_text"],
+)
+def test_each_public_constructor_refuses_a_missing_ring(build):
+    # F_ell is the one ring: there is no integer series to build
+    with pytest.raises(ValueError, match="must be a prime >= 5, got None"):
+        build()
 
 
 def test_from_dict_and_coeff():
-    f = QExp24.from_dict({1: 3, 25: -2}, prec=30)
+    f = QExp24.from_dict({1: 3, 25: -2}, prec=30, modulus=7)
     assert f.coeff(1) == 3
-    assert f.coeff(25) == -2
+    assert f.coeff(25) == 5
     assert f.coeff(7) == 0
     with pytest.raises(ValueError):
         f.coeff(-1)
     with pytest.raises(PrecisionError):
         f.coeff(30)
     with pytest.raises(PrecisionError):
-        QExp24.from_dict({30: 1}, prec=30)
+        QExp24.from_dict({30: 1}, prec=30, modulus=7)
 
 
 def test_mod_coefficients_are_reduced():
@@ -155,8 +173,9 @@ def test_mod_coefficients_are_reduced():
 
 
 def test_int64_strand_is_reduced_into_a_python_integer_ring():
-    f = QExp24(values=np.arange(3), prec=3, modulus=2**64 + 13)
-    assert f.values.dtype == object and list(f.coeffs) == [0, 1, 2]
+    # widened before % ell: an int64 array cannot be reduced past 2^63
+    got = qseries._reduce(np.array([0, 1, 2, -1, 2**62], dtype=np.int64), 2**64 + 13)
+    assert got.dtype == object and got.tolist() == [0, 1, 2, 2**64 + 12, 2**62]
 
 
 def test_int64_storage_stops_where_a_product_of_residues_would_overflow():
@@ -166,11 +185,11 @@ def test_int64_storage_stops_where_a_product_of_residues_would_overflow():
 
 
 def test_valuation_support():
-    f = QExp24.from_dict({5: 1, 12: 4}, prec=20)
+    f = QExp24.from_dict({5: 1, 12: 4}, prec=20, modulus=7)
     assert f.valuation() == 5
     assert f.support() == [5, 12]
     assert f.nonzero_items() == [(5, 1), (12, 4)]
-    z = QExp24.zero(8)
+    z = QExp24.zero(8, 7)
     assert z.is_zero()
     assert z.valuation() == 8  # zero series: valuation pinned at prec
     assert z.support() == []
@@ -189,14 +208,13 @@ def test_eq_ignores_residue():
     za = QExp24.zero(4, modulus=5, residue=1)
     zb = QExp24.zero(4, modulus=5, residue=5)
     assert za == zb
-    assert a != QExp24([0, 1], prec=2, modulus=7)
-    assert a != QExp24([0, 1], prec=2)  # ring mismatch
+    assert a != QExp24([0, 1], prec=2, modulus=7)  # ring mismatch
     assert a != QExp24([0, 1, 0], prec=3, modulus=5)  # prec is part of identity
 
 
 def test_first_difference():
-    a = QExp24([1, 2, 3, 4], prec=4)
-    b = QExp24([1, 2, 0, 4], prec=4)
+    a = QExp24([1, 2, 3, 4], prec=4, modulus=5)
+    b = QExp24([1, 2, 0, 4], prec=4, modulus=5)
     assert a.first_difference(b, 4) == 2
     assert a.first_difference(b, 2) is None
     assert a.first_difference(b, 3) == 2
@@ -208,8 +226,8 @@ def test_first_difference():
 
 
 def test_add_prec_is_min():
-    a = QExp24([1, 1, 1, 1], prec=4)
-    b = QExp24([2, 0], prec=2)
+    a = QExp24([1, 1, 1, 1], prec=4, modulus=5)
+    b = QExp24([2, 0], prec=2, modulus=5)
     s = a + b
     assert s.prec == 2
     assert list(s.coeffs) == [3, 1]
@@ -239,7 +257,7 @@ def test_ring_mismatch_rejected():
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
-        a + QExp24([1], prec=1)
+        a * QExp24([1], prec=1, modulus=11)
 
 
 def test_scale_and_neg():
@@ -258,16 +276,16 @@ def test_scale_and_neg():
 
 def test_mul_precision_rule():
     # prec of product is min(P_f + v_g, P_g + v_f)
-    f = QExp24.from_dict({2: 1}, prec=10)  # v = 2
-    g = QExp24.from_dict({3: 1}, prec=7)  # v = 3
+    f = QExp24.from_dict({2: 1}, prec=10, modulus=5)  # v = 2
+    g = QExp24.from_dict({3: 1}, prec=7, modulus=5)  # v = 3
     h = f * g
     assert h.prec == min(10 + 3, 7 + 2)  # 9
     assert h.coeff(5) == 1
 
 
 def test_mul_zero_operand():
-    f = QExp24.from_dict({1: 1}, prec=6)
-    z = QExp24.zero(4)
+    f = QExp24.from_dict({1: 1}, prec=6, modulus=5)
+    z = QExp24.zero(4, 5)
     p = f * z
     assert p.is_zero()
     # zero factor contributes valuation = its prec
@@ -283,36 +301,37 @@ def test_mul_residues_add_mod_24():
     assert c.residue == 4
 
 
+def _same_as_dense(f: QExp24, ref: DenseSeries):
+    assert (f.coeffs, f.prec) == (tuple(ref.coeffs), ref.prec)
+
+
 def test_mul_exact_vs_mod_agree():
+    # integer inputs, reduced on the way in: the product must be the dense
+    # reference's, whose valuation (and so precision) is that of the reduction
     rng = random.Random(7331)
     for ell in (5, 11):
         for _ in range(10):
             n = rng.randint(4, 40)
             fa = [rng.randint(-9, 9) for _ in range(n)]
             fb = [rng.randint(-9, 9) for _ in range(n)]
-            fz = QExp24(fa, prec=n) * QExp24(fb, prec=n)
             fm = QExp24(fa, prec=n, modulus=ell) * QExp24(fb, prec=n, modulus=ell)
-            # a leading coefficient divisible by ell raises the mod-ring
-            # valuation, so the mod product can carry more precision; compare
-            # on the stretch both paths certify
-            depth = min(fz.prec, fm.prec)
-            assert fz.reduce_mod(ell).first_difference(fm, depth) is None
+            _same_as_dense(fm, dense_mul(DenseSeries(fa, n, ell), DenseSeries(fb, n, ell)))
 
 
 def test_mul_mod_compressed_path():
     # residue-tagged series sit on a single stride-24 lattice; the fast path
-    # must agree with plain reduction of the exact product
+    # must agree with the dense product of the product-formula eta
     ell = 13
     f = eta_series(24 * 40, modulus=ell)
     g = f * f
-    fz = eta_series(24 * 40)
-    assert (fz * fz).reduce_mod(ell) == g
+    eta = DenseSeries(eta_product_coeffs(24 * 40), 24 * 40, ell)
+    _same_as_dense(g, dense_mul(eta, eta))
     assert g.residue == 2
 
 
 def test_mul_mod_int64_guard():
     # modulus large enough that n*(ell-1)^2 overflows int64, forcing the
-    # exact fallback; answers must still match the integer computation
+    # exact fallback; answers must still match the dense reference
     ell = 2147483647
     n = 800
     rng = random.Random(99)
@@ -320,8 +339,7 @@ def test_mul_mod_int64_guard():
     fb = [rng.randint(1, ell - 1) for _ in range(n)]
     assert n * (ell - 1) ** 2 >= 2**62
     fm = QExp24(fa, prec=n, modulus=ell) * QExp24(fb, prec=n, modulus=ell)
-    fz = QExp24(fa, prec=n) * QExp24(fb, prec=n)
-    assert fz.reduce_mod(ell) == fm
+    _same_as_dense(fm, dense_mul(DenseSeries(fa, n, ell), DenseSeries(fb, n, ell)))
 
 
 def test_pow():
@@ -346,25 +364,27 @@ def test_pow_residue_scales():
 
 def test_eta_series_matches_product_expansion():
     prec = 24 * 60
-    f = eta_series(prec)
     oracle = eta_product_coeffs(prec)
-    assert list(f.coeffs) == oracle
-    assert f.residue == 1
+    for ell in (5, 13, 2**61 - 1):
+        f = eta_series(prec, ell)
+        assert list(f.coeffs) == [c % ell for c in oracle]
+        assert f.residue == 1
 
 
 def test_eta_series_character_form():
     # coefficients live at n^2 with value (12/n)
-    f = eta_series(24 * 50)
+    ell = 2**31 - 1
+    f = eta_series(24 * 50, ell)
     for n, c in f.nonzero_items():
         root = int(round(n**0.5))
         assert root * root == n
-        assert c == kronecker(12, root)
+        assert c == kronecker(12, root) % ell
 
 
 def test_eta_series_prec_floor():
     with pytest.raises(ValueError):
-        eta_series(1)
-    f = eta_series(2)
+        eta_series(1, 5)
+    f = eta_series(2, 5)
     assert list(f.coeffs) == [0, 1]
 
 
@@ -383,8 +403,9 @@ def test_theta_op_formula():
 
 
 def test_theta_op_needs_modulus():
-    with pytest.raises(ValueError):
-        theta_op(eta_series(48))
+    # a series without a ring is refused before theta_op can see it
+    with pytest.raises(ValueError, match="must be a prime >= 5, got None"):
+        theta_op(eta_series(48, None))
 
 
 def test_theta_op_kills_constant():
@@ -409,7 +430,7 @@ def _random_strands(ell, seed):
     # one residue-tagged and one untagged series with random residues mod ell
     rng = random.Random(seed)
     prec = 24 * 12
-    tagged = QExp24(values=[rng.randrange(ell) for _ in range(12)], prec=prec, modulus=ell, residue=7)
+    tagged = QExp24.from_dict({7 + 24 * m: rng.randrange(ell) for m in range(12)}, prec, ell, 7)
     untagged = QExp24([rng.randrange(ell) for _ in range(prec)], prec, ell)
     return tagged, untagged
 
@@ -532,9 +553,9 @@ def test_power_past_ell_equals_repeated_squaring(data):
     ell = data.draw(st.sampled_from((5, 7, 11, 13)))
     residue = data.draw(st.one_of(st.none(), st.integers(0, 23)))  # tagged or untagged
     prec = data.draw(st.integers(1, 60))
-    n = len(range(0 if residue is None else residue, prec, 1 if residue is None else 24))
-    values = data.draw(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n))
-    f = QExp24(values=values, prec=prec, modulus=ell, residue=residue)
+    lattice = range(0 if residue is None else residue, prec, 1 if residue is None else 24)
+    values = data.draw(st.lists(st.integers(0, ell - 1), min_size=len(lattice), max_size=len(lattice)))
+    f = QExp24.from_dict(dict(zip(lattice, values)), prec, ell, residue)
     e = data.draw(st.integers(ell, 4 * ell + 3))
     got, want = f**e, _square_and_multiply(f, e)
     assert got == want and got.residue == want.residue
@@ -550,7 +571,7 @@ def test_support_square_classes():
     assert set(classes) == {1, 5}
     assert classes[1] == [1, 4, 9]
     assert classes[5] == [5, 20]
-    assert support_square_classes(QExp24.zero(5)) == {}
+    assert support_square_classes(QExp24.zero(5, 23)) == {}
 
 
 def test_support_square_classes_eta_power():
@@ -565,7 +586,7 @@ def test_support_square_classes_eta_power():
 
 
 def test_truncate():
-    f = QExp24(list(range(10)), prec=10)
+    f = QExp24(list(range(10)), prec=10, modulus=11)
     g = f.truncate(4)
     assert g.prec == 4 and list(g.coeffs) == [0, 1, 2, 3]
     with pytest.raises(PrecisionError):
@@ -574,12 +595,7 @@ def test_truncate():
         f.truncate(0)
 
 
-def test_reduce_mod_and_with_residue():
-    f = QExp24([-1, 26], prec=2)
-    g = f.reduce_mod(5)
-    assert g.modulus == 5 and list(g.coeffs) == [4, 1]
-    with pytest.raises(ValueError):
-        g.reduce_mod(5)  # already modular
+def test_with_residue():
     e = QExp24.from_dict({1: 3}, prec=30, modulus=5)
     h = e.with_residue(1)
     assert h.residue == 1
@@ -598,25 +614,30 @@ def test_series_text_roundtrip():
     lines = text.strip().splitlines()
     assert lines[0] == "# ring=Fp:7 prec=60 residue=1"
     assert lines[1:] == ["1 2", "49 3"]
-    g = series_from_text(text)
+    g = series_from_text(text, 7)
     assert g == f and g.residue == 1
+    with pytest.raises(ValueError, match="series ring Fp:7 disagrees with ell 5"):
+        series_from_text(text, 5)
 
 
 def test_series_text_integer_ring_and_extra():
-    f = QExp24.from_dict({0: -5}, prec=3)
+    f = QExp24.from_dict({0: -5}, prec=3, modulus=7)
     text = series_to_text(f, extra={"weight": 12})
-    assert "ring=Z" in text and "residue=none" in text and "weight=12" in text
-    g = series_from_text(text)
-    assert g == f
+    assert "ring=Fp:7" in text and "residue=none" in text and "weight=12" in text
+    assert series_from_text(text, 7) == f
+    # a file over Z is read reduced mod ell
+    assert series_from_text("# ring=Z prec=3 residue=none\n0 -5\n", 7) == f
 
 
 def test_series_text_rejects_garbage():
     with pytest.raises(ValueError):
-        series_from_text("no header\n1 1\n")
-    with pytest.raises(ValueError):
-        series_from_text("# ring=F7 prec=2 residue=none\n5 1\n")  # index >= prec
+        series_from_text("no header\n1 1\n", 7)
+    with pytest.raises(ValueError, match="unknown ring tag"):
+        series_from_text("# ring=F7 prec=2 residue=none\n1 1\n", 7)
+    with pytest.raises(PrecisionError):
+        series_from_text("# ring=Fp:7 prec=2 residue=none\n5 1\n", 7)  # index >= prec
     with pytest.raises(ValueError, match="index 1 "):
-        series_from_text("# ring=Fp:7 prec=9 residue=none\n1 1\n1 3\n")
+        series_from_text("# ring=Fp:7 prec=9 residue=none\n1 1\n1 3\n", 7)
 
 
 def test_series_text_random_roundtrip():
@@ -627,8 +648,9 @@ def test_series_text_random_roundtrip():
         for _ in range(rng.randint(0, 12)):
             terms[rng.randrange(prec)] = rng.randint(-50, 50)
         mod = rng.choice([None, 5, 11])
-        if mod is None:
-            f = QExp24.from_dict(terms, prec=prec)
+        if mod is None:  # an integer file, read mod 13
+            lines = [f"# ring=Z prec={prec} residue=none"] + [f"{n} {c}" for n, c in terms.items()]
+            assert series_from_text("\n".join(lines), 13) == QExp24.from_dict(terms, prec, 13)
         else:
             f = QExp24.from_dict(terms, prec=prec, modulus=mod)
-        assert series_from_text(series_to_text(f)) == f
+            assert series_from_text(series_to_text(f), mod) == f

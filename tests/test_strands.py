@@ -32,8 +32,7 @@ from oracles import (
     kronecker_oracle,
 )
 
-MOD_RINGS = (5, 7, 13, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**64 + 13)
-RINGS = (None,) + MOD_RINGS
+RINGS = (5, 7, 13, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**64 + 13)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 coefficient = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
@@ -52,9 +51,9 @@ def dense_lists(draw, residue, max_prec=150):
 
 
 @st.composite
-def pairs(draw, rings=RINGS, count=2, max_prec=150):
+def pairs(draw, count=2, max_prec=150):
     """count (QExp24, DenseSeries) pairs over one ring, each tagged or not."""
-    modulus = draw(st.sampled_from(rings))
+    modulus = draw(st.sampled_from(RINGS))
     out = []
     for _ in range(count):
         residue = draw(st.one_of(st.none(), st.integers(0, 23)))
@@ -65,7 +64,7 @@ def pairs(draw, rings=RINGS, count=2, max_prec=150):
 
 def storage_dtype(modulus):
     """int64 exactly when a product of two residues fits, else Python integers."""
-    return np.dtype(np.int64 if modulus is not None and (modulus - 1) ** 2 < 2**63 else object)
+    return np.dtype(np.int64 if (modulus - 1) ** 2 < 2**63 else object)
 
 
 def same(f, ref):
@@ -75,8 +74,7 @@ def same(f, ref):
     # what the trusted constructor takes on faith: storage dtype, read-only, reduced
     assert f.values.dtype == storage_dtype(f.modulus)
     assert not f.values.flags.writeable
-    if f.modulus is not None:
-        assert all(0 <= c < f.modulus for c in f.values.tolist())
+    assert all(0 <= c < f.modulus for c in f.values.tolist())
 
 
 @SETTINGS
@@ -154,7 +152,7 @@ def test_u_v_truncate_and_residue_tags(fs, m, cut):
 
 
 @SETTINGS
-@given(pairs(rings=MOD_RINGS, count=1, max_prec=400), st.sampled_from((5, 7, 11)), st.integers(0, 6))
+@given(pairs(count=1, max_prec=400), st.sampled_from((5, 7, 11)), st.integers(0, 6))
 def test_theta_twist_and_hecke(fs, p, lam_int):
     [(f, rf)] = fs
     same(theta_op(f), dense_theta(rf))
@@ -190,7 +188,7 @@ def test_equality_and_first_difference_across_tags(fs, r, n):
 def test_square_strand_matches_the_kronecker_oracle(modulus):
     # entry (m n^2 - m % 24) / 24 holds (12|n) n^lam for n prime to 6, at
     # every length that ends on a square index, just past one, and between
-    for m in (1, 5, 13, 23) + (() if modulus is None else (modulus,)):
+    for m in (1, 5, 13, 23, modulus):
         r = m % 24
         square_at = {}  # strand entry -> n
         n = 1
@@ -202,8 +200,7 @@ def test_square_strand_matches_the_kronecker_oracle(modulus):
         for lam in range(5):
             want = [0] * 401
             for j, n in square_at.items():
-                c = kronecker_oracle(12, n) * n**lam
-                want[j] = c if modulus is None else c % modulus
+                want[j] = kronecker_oracle(12, n) * n**lam % modulus
             for length in sorted(lengths):
                 got = _square_strand(m, length, modulus, lam)
                 assert got.dtype == storage_dtype(modulus)
@@ -222,11 +219,11 @@ def test_first_power_is_the_series_and_a_short_truncation_copies(fs, cut):
         assert np.shares_memory(g.values, f.values) == (2 * g.values.size >= f.values.size)
 
 
-def _nodes_outside_qseries():
-    """(module name, node) for every syntax node of the package but qseries."""
+def _package_nodes(but=None):
+    """(module name, node) for every syntax node of the package's modules, but the module but."""
     package = pathlib.Path(__file__).resolve().parent.parent / "src" / "etakit"
     for path in sorted(package.glob("*.py")):
-        if path.name != "qseries.py":
+        if path.name != but:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 yield path.name, node
 
@@ -234,7 +231,7 @@ def _nodes_outside_qseries():
 def test_no_module_but_qseries_reads_dense_coeffs():
     # the certification path works on strands; a dense rebuild elsewhere is a regression
     readers = []
-    for name, node in _nodes_outside_qseries():
+    for name, node in _package_nodes(but="qseries.py"):
         if isinstance(node, ast.Attribute) and node.attr == "coeffs":
             readers.append(f"{name}:{node.lineno}")
     assert readers == []
@@ -245,7 +242,27 @@ def test_no_module_but_qseries_names_the_int64_limits():
     # other module reaches int64 sums only through _conv and _dot
     limits = {"_exact", "_dtype", "_INT64_BOUND"}
     users = []
-    for name, node in _nodes_outside_qseries():
+    for name, node in _package_nodes(but="qseries.py"):
         if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)} & limits:
             users.append(f"{name}:{node.lineno}")
     assert users == []
+
+
+def _names_the_ring(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("modulus", "ell")) or (
+        isinstance(node, ast.Attribute) and node.attr == "modulus"
+    )
+
+
+def test_no_module_compares_the_ring_with_none():
+    # F_ell is the one ring: no module asks whether a series or an ell has
+    # one (a CLI flag, args.ell, may still be unset)
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) and x.value is None for x in operands) and any(
+                map(_names_the_ring, operands)
+            ):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
