@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,7 @@ def _term_count(y: float) -> int:
     return n
 
 
+@lru_cache(maxsize=64)
 def eta_value(z: complex) -> complex:
     """eta(z) summed as sum (12/n) e(n^2 z / 24) over n >= 1.
 
@@ -112,7 +114,8 @@ def eta_value(z: complex) -> complex:
     any z in the upper half plane; small Im(z) costs more terms, and
     needing more than 20000 is a PrecisionError.  cumsum adds the terms
     left to right in one vectorised pass, so the value is bit-identical
-    to the term-by-term loop.
+    to the term-by-term loop.  The function is pure, so the last 64
+    points are cached: a sweep of matrices at one z sums eta(z) once.
     """
     y = z.imag
     if y <= 0:

@@ -33,6 +33,7 @@ Python integers when its sums could pass 2^63.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -163,35 +164,62 @@ def _dtype(ell):
     return np.int64 if (ell - 1) ** 2 < _INT64_BOUND else object
 
 
-def _exact(a: np.ndarray, b: np.ndarray, n: int, ell) -> tuple:
-    """a and b, as Python integers when a sum of n products mod ell can overflow int64."""
-    if n * (ell - 1) ** 2 >= _INT64_BOUND:
-        return a.astype(object, copy=False), b.astype(object, copy=False)
-    return a, b
-
-
 def _reduce(a: np.ndarray, ell) -> np.ndarray:
     """a mod ell in the ring's storage dtype."""
-    dtype = _dtype(ell)
-    if dtype is object:  # widen first: an int64 array cannot take % ell past 2^63
-        a = a.astype(object, copy=False)
-    return (a % ell).astype(dtype, copy=False)
+    if (ell - 1) ** 2 >= _INT64_BOUND:  # widen first: an int64 array cannot take % ell past 2^63
+        return a.astype(object, copy=False) % ell
+    return (a % ell).astype(np.int64, copy=False)
 
 
 def _conv(a: np.ndarray, b: np.ndarray, ell, length: int) -> np.ndarray:
     """(a * b mod ell) truncated or zero-padded to length."""
     a, b = a[:length], b[:length]
     n = min(a.size, b.size)
-    out = np.zeros(length, dtype=_dtype(ell))
-    if n:
-        c = np.convolve(*_exact(a, b, n, ell))[:length]
-        out[: c.size] = _reduce(c, ell)
+    if n * (ell - 1) ** 2 >= _INT64_BOUND:  # a sum of n products could pass 2^63
+        c = _reduce(np.convolve(a.astype(object, copy=False), b.astype(object, copy=False))[:length], ell)
+    else:
+        c = np.convolve(a, b)[:length] % ell if n else a[:0]
+    if c.size == length:
+        return c
+    out = np.zeros(length, dtype=c.dtype)
+    out[: c.size] = c
     return out
 
 
 def _dot(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
     """a @ b mod ell for a matrix b, in the ring's storage dtype, widened by the inner dimension."""
-    return _reduce(np.matmul(*_exact(a, b, b.shape[0], ell)), ell)
+    if b.shape[0] * (ell - 1) ** 2 >= _INT64_BOUND:
+        return _reduce(np.matmul(a.astype(object, copy=False), b.astype(object, copy=False)), ell)
+    return np.matmul(a, b) % ell
+
+
+def _toeplitz(a: np.ndarray, n: int) -> np.ndarray:
+    """The n x n upper-triangular Toeplitz matrix [i, j] = a[j - i] of a[:n], as a read-only view.
+
+    In (n - 1 zeros, a), row i starts i entries before a, so the rows
+    step back one entry and the columns forward one: the view stores
+    2n - 1 entries, not n^2.  The ndarray constructor builds it in under
+    a third of the time of sliding_window_view (4 against 15 us at
+    n = 40), a cost each Miller basis pays twice.
+    """
+    padded = np.concatenate((np.zeros(n - 1, dtype=a.dtype), a[:n]))
+    step = padded.strides[0]
+    view = np.ndarray((n, n), padded.dtype, padded, (n - 1) * step, (-step, step))
+    view.flags.writeable = False
+    return view
+
+
+def _conv_rows(rows: np.ndarray, a: np.ndarray, ell, start: int) -> np.ndarray:
+    """Coefficients start .. n - 1 of each row of rows times a mod ell, for n = rows.shape[1] <= a.size.
+
+    One matrix product with columns start.. of the Toeplitz view of a,
+    widened (a and rows, never the view) by the inner dimension n.
+    """
+    n = rows.shape[1]
+    if n * (ell - 1) ** 2 >= _INT64_BOUND:
+        rows, a = rows.astype(object, copy=False), a.astype(object, copy=False)
+        return _reduce(np.matmul(rows, _toeplitz(a, n)[:, start:]), ell)
+    return np.matmul(rows, _toeplitz(a, n)[:, start:]) % ell
 
 
 def _one(ell, length: int) -> np.ndarray:
@@ -217,13 +245,32 @@ def _power(a: np.ndarray, e: int, ell, length: int) -> np.ndarray:
     return _conv(square, a, ell, length) if e % 2 else square
 
 
-def _inverse(a: np.ndarray, ell: int, length: int) -> np.ndarray:
-    """1/a mod ell truncated to length, for a[0] == 1, by Newton iteration.
+# Below this length _inverse follows the recurrence: its n^2 / 2 products
+# in Python integers cost less than Newton's 2 log2(n) array products
+# there (timeit: 2.5 against 15 us at 2 terms, on a 2-core host).  A
+# Miller basis inverts its row0 to dm terms, mostly under 10, and with
+# Newton alone the integral-weight bench was slower in 16 of 20
+# alternating 20 s pairs (op_p50_ms medians +1% at seed 1, +13% at
+# seed 7); long inverses, such as 1/E4^3 at an ell's table length,
+# take Newton's side.
+_NEWTON_FROM = 32
 
-    inv -> inv * (2 - a * inv) doubles the number of correct terms.
+
+def _inverse(a: np.ndarray, ell: int, length: int) -> np.ndarray:
+    """1/a mod ell truncated to length, for a[0] == 1.
+
+    A short inverse follows the defining recurrence
+    b_n = -(a_1 b_(n-1) + ... + a_n b_0) in Python integers.  From
+    _NEWTON_FROM terms on, Newton's step inv -> inv * (2 - a * inv)
+    doubles the number of correct terms.
     """
-    inv = _one(ell, 1)
-    n = 1
+    if length < _NEWTON_FROM:
+        head, inv = a[:length].tolist(), [1]
+        for n in range(1, length):
+            inv.append(-sum(map(operator.mul, head[1 : n + 1], reversed(inv))) % ell)
+        return np.array(inv, dtype=_dtype(ell))
+    inv = _inverse(a, ell, _NEWTON_FROM - 1)
+    n = inv.size
     while n < length:
         n = min(2 * n, length)
         step = -_conv(a, inv, ell, n) % ell

@@ -1,9 +1,33 @@
 """Level-one form spaces mod ell: echelon bases, membership, filtration.
 
 Weight-k forms of level one are spanned by monomials Delta^j E4^a E6^b.
-Row-reducing the spanning set mod ell gives the Miller bases, the only
-family of bases: pivot j at integer exponent j.  One generator builds
-E4, E6, Delta and t = Delta/E4^3 mod ell, each when a basis first needs it.
+Their reduced echelon form mod ell is the Miller basis, the only family
+of bases: pivot j at integer exponent j, for j < dm = dim M_k.
+
+The Miller rows come from one product.  Take b in {0, 1} by k mod 4,
+a = (k - 6b)/4, row0 = E4^a E6^b and t = Delta / E4^3 = q + O(q^2).
+The rows S_j = t^j row0 = Delta^j E4^(a - 3j) E6^b, j < dm, are forms
+of weight k, and S_j starts at q^j, so they are independent and span
+M_k.  Write C(x) for the dm x dm upper-triangular Toeplitz matrix
+C(x)[i, j] = x[j - i] of multiplication by x mod q^dm, and P for the
+dm x dm matrix of the t^j mod q^dm.  The leading dm columns of S are
+P C(row0), and C(row0)^-1 = C(w) with w = 1 / row0 mod q^dm.  So
+R = (C(w) P^-1) S has the identity in its leading dm columns and spans
+M_k.  The reduced echelon basis with pivots 0 .. dm - 1 is unique, so R
+is the Miller basis, bit for bit whatever route computes it.
+
+One cache per ell holds what every weight shares: E4 and E6 from one
+divisor-sum sieve, t and Delta, the squares E4^(2^i) (so E4^a costs
+popcount(a) - 1 products), the powers t^j for j < D, and P^-1 for the
+D x D block of those powers.  P is unit upper triangular, so the
+leading dm x dm block of P^-1 is the inverse of P's: one P^-1 serves
+every dm <= D.  Each table is built when a basis first reads it, and a
+space of dimension 1 reads E4 and E6 only.  A length past the tables'
+resieves at least twice as long and rebuilds the strands, squares and
+powers from it; P^-1 depends on no length and stays.  A dimension past
+D grows D at least twofold, within the table length, and inverts the
+new P once.  Once the tables cover a basis, it costs the products that
+form row0, one inverse of dm terms and three matrix products.
 
 Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
 multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
@@ -20,14 +44,13 @@ The dense series (``elements``) are expanded only on first access.  One
 process-wide dict holds the rows of M_k once per (k, ell), and S_k is
 served as its rows 1..; a shorter precision is served as a prefix of
 the longest matrix built, which equals a cold build because truncation
-commutes with the convolutions and row operations.  The generators are
-kept per ell the same way.  A repeated call with the same arguments
+commutes with the products.  A repeated call with the same arguments
 returns the same object.  Empty spaces are not cached.  The caches are
 not locked: they belong to one thread of one process.
 
 Residues are stored in qseries' storage dtype, and every sum of
-products goes through qseries' ``_conv`` or ``_dot``, which decide
-alone when int64 would overflow.
+products goes through qseries' ``_conv``, ``_conv_rows`` or ``_dot``,
+which decide alone when int64 would overflow.
 """
 
 from __future__ import annotations
@@ -42,11 +65,14 @@ from .qseries import (
     QExp24,
     PrecisionError,
     _conv,
+    _conv_rows,
     _dot,
     _inverse,
+    _one,
     _power,
     _reduce,
     _square_strand,
+    _toeplitz,
     _validate_modulus,
 )
 
@@ -89,71 +115,93 @@ def _e4_e6(n: int) -> tuple:
     return [1] + [240 * s for s in s3[1:]], [1] + [-504 * s for s in s5[1:]]
 
 
-# === exact mod-ell kernels on strand matrices ===
+# === per-ell tables and the Miller rows ===
 
-
-def _rref(rows: np.ndarray, pivots, ell: int) -> np.ndarray:
-    """Clear every pivot column outside its pivot row, by back-substitution.
-
-    Rows arrive triangular: rows[i][pivots[i]] == 1, zero left of the
-    pivot.  From the bottom up, row i subtracts its entries at the later
-    pivots times the later rows, which are already reduced: one
-    vector-matrix product per row.  The rows are reduced in place.
-    """
-    assert all(rows[i, p] == 1 for i, p in enumerate(pivots)), "leading coefficient"
-    pivots = list(pivots)
-    for i in range(len(pivots) - 2, -1, -1):
-        p = pivots[i + 1]  # the later rows are zero left of p
-        rows[i, p:] = (rows[i, p:] - _dot(rows[i, pivots[i + 1:]], rows[i + 1:, p:], ell)) % ell
-    return rows
-
-
+# ell -> [E4, E6, t, Delta, [E4^(2^i)], T, P^-1]: the rows of T are t^j
+# for j < D, and P^-1 inverts the leading D x D block of T.  The strands,
+# the squares and T share one length; P^-1 does not depend on it.
 _GENERATOR_CACHE = {}
 
 
-def _generators(ell: int, length: int):
-    """Yield E4, E6, t = Delta / E4^3 and Delta mod ell at integer exponents 0 .. length - 1.
+def _grown(size: int, need: int) -> int:
+    """The size a table grows to when need passes size: at least double."""
+    return max(need, 2 * size)
 
-    E4 and E6 come from one sieve, Delta = (E4^3 - E6^2) / 1728 from the E4^3
-    that t needs anyway.  Each is built when the caller first reads that far:
-    a space of dimension 1 builds no t and no Newton inverse.  The longest of
-    each is cached per ell; shorter are prefixes.
+
+def _tables(ell: int, length: int, dm: int = 1) -> list:
+    """The per-ell cache, holding what a basis of dimension dm at length reads.
+
+    dm = 1 reads E4 and E6 only; dm > 1 also t, Delta, T and P^-1, with
+    D >= dm.  Delta = (E4^3 - E6^2) / 1728 comes from the E4^3 that
+    t = Delta / E4^3 needs anyway.  The tables grow as the module
+    docstring says.  t^j = q^j (t / q)^j is multiplied from q^j on only,
+    and t^1 = t needs no product.
     """
-    cache = _GENERATOR_CACHE.setdefault(ell, [np.zeros(0)] * 4)
+    empty = np.zeros(0, dtype=np.int64)
+    cache = _GENERATOR_CACHE.setdefault(ell, [empty] * 4 + [[], np.zeros((0, 0)), np.zeros((0, 0))])
     if cache[0].size < length:
-        cache[:2] = (_reduce(np.array(c, dtype=object), ell) for c in _e4_e6(length))
-    e4, e6 = cache[0][:length], cache[1][:length]
-    yield from (e4, e6)
-    if cache[2].size < length:
-        e4cube = _conv(_conv(e4, e4, ell, length), e4, ell, length)
-        delta = (e4cube - _conv(e6, e6, ell, length)) * pow(1728, -1, ell) % ell
-        cache[2:] = _conv(delta, _inverse(e4cube, ell, length), ell, length), delta
-    yield from (strand[:length] for strand in cache[2:])
+        e4, e6 = (_reduce(np.array(c, dtype=object), ell) for c in _e4_e6(_grown(cache[0].size, length)))
+        cache[:6] = e4, e6, empty, empty, [e4], np.zeros((0, 0))
+    if dm == 1:
+        return cache
+    e4, e6, t, _, _, powers, inverse = cache
+    size = e4.size
+    if t.size < size:
+        e4cube = _conv(_conv(e4, e4, ell, size), e4, ell, size)
+        delta = (e4cube - _conv(e6, e6, ell, size)) * pow(1728, -1, ell) % ell
+        t = _conv(delta, _inverse(e4cube, ell, size), ell, size)
+        cache[2:4] = t, delta
+    d = len(inverse) if dm <= len(inverse) else min(_grown(len(inverse), dm), size)
+    if len(powers) < d:
+        rows = list(powers) or [_one(ell, size), t]
+        while len(rows) < d:
+            j = len(rows)
+            rows.append(np.zeros_like(t))
+            rows[j][j:] = _conv(rows[j - 1][j - 1 :], t[1:], ell, size - j)
+        cache[5] = powers = np.array(rows)
+    if len(inverse) < d:
+        cache[6] = _unit_triangular_inverse(powers[:, :d], ell)
+    return cache
 
 
-def _spanning_rows(k: int, ell: int, length: int) -> np.ndarray:
-    """Rows Delta^j * E4^a * E6^b mod ell for j = 0..dim M_k - 1.
+def _unit_triangular_inverse(p: np.ndarray, ell: int) -> np.ndarray:
+    """Inverse mod ell of a unit upper-triangular matrix, by back-substitution from the last row."""
+    x = _reduce(np.eye(len(p), dtype=np.int64), ell)
+    for i in range(len(p) - 2, -1, -1):
+        x[i, i + 1 :] = -_dot(p[i, i + 1 :], x[i + 1 :, i + 1 :], ell) % ell
+    return x
 
-    b is 0 or 1 by k mod 4, which makes a = (k - 12j - 6b)/4 integral
-    for every j.  Row j is row 0 times t^j with t = Delta / E4^3, so
-    each row costs one convolution.  Row j has leading term q^j with
-    coefficient 1, so the rows are triangular, and rows j >= 1 are cusp
-    forms.  M_0 is the constants and reads no generator.
+
+def _miller_rows(k: int, ell: int, length: int) -> np.ndarray:
+    """The reduced echelon rows of M_k mod ell at integer exponents 0 .. length - 1.
+
+    R = (C(w) P^-1) S, as the module docstring shows.  row0 = E4^a E6^b
+    is the product of E6^b and the squares E4^(2^i) over the bits of a:
+    popcount(a) - 1 + b products.  b is 0 or 1 by k mod 4, which makes
+    a = (k - 6b)/4 integral.  The leading dm columns of R are the
+    identity; past them, S is each power t^j times row0, one product
+    with the Toeplitz view of row0, which holds 2 length - 1 entries and
+    not length^2.  M_0 is the constants and reads no table.
     """
     if k == 0:
         return _reduce(np.eye(1, length, dtype=np.int64), ell)
     dm = dims(k)[0]
-    generators = _generators(ell, length)
-    e4, e6 = next(generators), next(generators)
-    b = 0 if k % 4 == 0 else 1
-    row = _power(e4, (k - 6 * b) // 4, ell, length)
-    if b:
-        row = _conv(row, e6, ell, length)
-    rows = [row]
-    t = next(generators) if dm > 1 else None
-    for _ in range(dm - 1):
-        rows.append(_conv(rows[-1], t, ell, length))
-    return np.array(rows)
+    cache = _tables(ell, length, dm)
+    b = k % 4 // 2
+    a = (k - 6 * b) // 4
+    squares = cache[4]
+    while len(squares) < a.bit_length():
+        squares.append(_conv(squares[-1], squares[-1], ell, squares[-1].size))
+    factors = [squares[i] for i in range(a.bit_length()) if a >> i & 1] + [cache[1]] * b
+    row0 = factors[0][:length]
+    for factor in factors[1:]:
+        row0 = _conv(row0, factor, ell, length)
+    if dm == 1:
+        return row0[None]
+    powers, inverse = cache[5], cache[6]
+    s = _conv_rows(powers[:dm, :length], row0, ell, dm)
+    m = _dot(_toeplitz(_inverse(row0, ell, dm), dm), inverse[:dm, :dm], ell)
+    return np.concatenate((np.eye(dm, dtype=s.dtype), _dot(m, s, ell)), axis=1)
 
 
 # (k, ell) -> [rows of M_k, {(prec, kind): basis}]
@@ -190,12 +238,8 @@ class SpaceBasis:
 def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     """Reduced echelon basis of the weight-k space mod ell.
 
-    Spanning set Delta^j * E4^a * E6^b for j = 0..dim-1, with b in
-    {0, 1} making the complementary weight divisible by 4.  Leading
-    terms are q^j, so the set row-reduces without pivot search.
-
-    S_k is rows 1.. of the reduced M_k: back-substitution only subtracts
-    later rows, and the spanning rows from j = 1 on are cusp forms.
+    The rows of M_k come from _miller_rows.  S_k is rows 1.. of the
+    reduced M_k: a row with zero constant term is a cusp form.
     _ROW_CACHE[(k, ell)] holds [rows, {(prec, kind): basis}]: the longest
     reduced M_k built so far and every basis served from a prefix of it.
     Empty spaces are not cached.
@@ -219,7 +263,7 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     basis = entry[1].get((prec, kind))
     if basis is None:
         if entry[0] is None or entry[0].shape[1] < length:
-            rows = _rref(_spanning_rows(k, ell, length), range(dm), ell)
+            rows = _miller_rows(k, ell, length)
             rows.flags.writeable = False
             entry[0] = rows
         basis = SpaceBasis(k, kind, ell, prec, entry[0][start:, :length], pivots)
@@ -227,18 +271,29 @@ def miller_basis(k: int, ell: int, prec: int, kind: str = "M") -> SpaceBasis:
     return basis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipCertificate:
     """Echelon coordinates verified against the input below depth (1/24-units).
 
-    checked counts the coefficients on the space's strand below depth
-    that the pivots do not fix, that is, the ones the certificate
-    actually compared.
+    coordinates is a read-only array in the ring's storage dtype: the
+    input's coefficients at the pivots.  checked counts the coefficients
+    on the space's strand below depth that the pivots do not fix, that
+    is, the ones the certificate actually compared.  Certificates are
+    equal when their depth, checked count and coordinates are.
     """
 
-    coordinates: tuple
+    coordinates: np.ndarray
     depth: int
     checked: int
+
+    def __eq__(self, other):
+        if not isinstance(other, MembershipCertificate):
+            return NotImplemented
+        return (self.depth, self.checked) == (other.depth, other.checked) and np.array_equal(
+            self.coordinates, other.coordinates
+        )
+
+    __hash__ = None
 
 
 @dataclass(frozen=True)
@@ -251,11 +306,12 @@ class NotMember:
 def _verify(f: QExp24, r0: int, w: int, depth: int, basis: SpaceBasis | None = None):
     """Certify f's strand r0 as a member of eta^r0 * M_w below depth, or refuse it.
 
-    The coordinates are f's strand at the pivots: basis.pivots, or
-    0 .. dim M_w - 1 with no basis.  checked counts the other strand
-    indices below depth, each compared: f / eta^r0 must equal the
-    combination of basis rows at its own pivots, and as eta^r0 starts
-    with 1, NotMember names the first index where f differs from a member.
+    The coordinates are a read-only view of f's strand at the pivots, a
+    range: basis.pivots, or 0 .. dim M_w - 1 with no basis.  checked
+    counts the other strand indices below depth, each compared: f / eta^r0
+    must equal the combination of basis rows at its own pivots, and as
+    eta^r0 starts with 1, NotMember names the first index where f differs
+    from a member.
     The caller checks ring, precision and off-class indices.  With no basis,
     one index past the pivots at w = 2 (mod 12) costs one functional (the
     lemma), and only a deeper check builds miller_basis.
@@ -275,25 +331,28 @@ def _verify(f: QExp24, r0: int, w: int, depth: int, basis: SpaceBasis | None = N
     its kernel is exactly that image.
     """
     ell = f.modulus
-    pivots = list(range(dims(w)[0]) if basis is None else basis.pivots)
+    dm = dims(w)[0]
+    dim = dm if basis is None else basis.dim
+    start = dm - dim  # the pivots are start .. dm - 1: S_k's start at 1
     strand = f.strand(r0)[: len(range(r0, depth, 24))]
-    n, dim = strand.size, len(pivots)
-    coords = strand[:dim] if basis is None else strand[pivots]
+    n = strand.size
+    coords = strand[start : start + dim]
+    coords.flags.writeable = False
 
     def eta_inverse(e):  # prod (1 - q^n)^(-e) on n entries
         return _power(_inverse(_square_strand(1, n, ell), ell, n), e, ell, n)
-    bad = []
+    bad = ()
     if basis is None and n == dim + 1 and w % 12 == 2:  # the lemma
-        bad = np.flatnonzero(_dot(strand, eta_inverse(r0 + 24 * dim)[::-1, None], ell)) + dim
+        bad = _dot(strand, eta_inverse(r0 + 24 * dim)[::-1, None], ell).nonzero()[0] + dim
     elif basis is not None or n > dim:
         if basis is None:
             basis = miller_basis(w, ell, _basis_prec(w, depth))
         quotient = _conv(strand, eta_inverse(r0), ell, n) if r0 else strand
-        combined = _dot(quotient[pivots] if r0 else coords, basis.rows[:, :n], ell)
-        bad = np.flatnonzero(combined != quotient)
+        combined = _dot(quotient[start : start + dim], basis.rows[:, :n], ell)
+        bad = (combined != quotient).nonzero()[0]
     if len(bad):
         return NotMember(r0 + 24 * int(bad[0]))
-    return MembershipCertificate(tuple(coords.tolist()), depth, n - dim)
+    return MembershipCertificate(coords, depth, n - dim)
 
 
 def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
@@ -312,7 +371,7 @@ def coordinates(f: QExp24, basis: SpaceBasis, depth: int):
         raise ValueError("depth must be positive")
     if depth > f.prec or depth > basis.prec:
         raise PrecisionError("verification depth exceeds available precision")
-    if any(24 * pivot >= depth for pivot in basis.pivots):
+    if basis.pivots and 24 * basis.pivots[-1] >= depth:
         raise PrecisionError("depth does not reach every pivot")
     result = _verify(f, 0, basis.k, depth, basis)
     off = f.first_off_class(0, result.witness if isinstance(result, NotMember) else depth)
@@ -403,7 +462,7 @@ def eta_membership(f: QExp24, lam: int, r: int, depth: int | None = None):
     depth = sturm if depth is None else max(depth, sturm)
     if dims(w)[0] == 0:
         if f.is_zero():
-            return MembershipCertificate((), f.prec, len(range(r0, f.prec, 24)))
+            return MembershipCertificate(f.values[:0], f.prec, len(range(r0, f.prec, 24)))
         return NotMember(f.valuation())
     if f.prec < depth:
         raise PrecisionError(

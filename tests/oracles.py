@@ -311,7 +311,7 @@ def _squarefree_parts(limit):
 
 def _strand_power(base, e, ell):
     """base^e mod ell as a truncated power series in q, by repeated squaring."""
-    out = np.zeros(base.size, dtype=np.int64)
+    out = np.zeros(base.size, dtype=base.dtype)
     out[0] = 1
     while e:
         if e & 1:
@@ -347,12 +347,17 @@ def _row_reduce(mat, ell, ncols):
 
 @functools.lru_cache(maxsize=None)
 def _level_one_strands(ell, L):
-    """prod (1 - q^n), Delta, E4 and E6 mod ell on L coefficients, read-only."""
-    euler = np.array([c % ell for c in _euler_power(1, L)], dtype=np.int64)
-    delta = np.zeros(L, dtype=np.int64)
+    """prod (1 - q^n), Delta, E4 and E6 mod ell on L coefficients, read-only.
+
+    int64 while a sum of L products of residues stays below 2^62, else
+    Python integers.
+    """
+    dtype = np.int64 if L * (ell - 1) ** 2 < 2**62 else object
+    euler = np.array([c % ell for c in _euler_power(1, L)], dtype=dtype)
+    delta = np.zeros(L, dtype=dtype)
     delta[1:] = _strand_power(euler, 24, ell)[: L - 1]
-    e4 = np.array([1] + [240 * sigma_oracle(n, 3) % ell for n in range(1, L)], dtype=np.int64)
-    e6 = np.array([1] + [-504 * sigma_oracle(n, 5) % ell for n in range(1, L)], dtype=np.int64)
+    e4 = np.array([1] + [240 * sigma_oracle(n, 3) % ell for n in range(1, L)], dtype=dtype)
+    e6 = np.array([1] + [-504 * sigma_oracle(n, 5) % ell for n in range(1, L)], dtype=dtype)
     for a in (euler, delta, e4, e6):
         a.flags.writeable = False
     return euler, delta, e4, e6
@@ -399,3 +404,26 @@ def square_class_kernel(ell, lam, r0, classes, L):
     reduced, rank = _row_reduce(np.hstack((rows[:, constrained], rows)), ell, len(constrained))
     kernel, _ = _row_reduce(reduced[rank:, len(constrained):], ell, L)
     return kernel.tolist()
+
+
+def miller_basis_oracle(k, ell, L):
+    """Reduced echelon basis of M_k mod ell on L integer-exponent coefficients.
+
+    Miller's monomials Delta^j E4^a E6^b for 12j <= k - 6b, with b in
+    {0, 1} fixed by k mod 4 and a = (k - 12j - 6b)/4: Delta from
+    prod (1 - q^n), E4 and E6 from sympy's divisor sums, powers by
+    repeated squaring, then Gauss-Jordan with pivot search on all L
+    columns.  Returns the rows as lists, one per pivot.  Any ring: past
+    the int64 bound the strands hold Python integers.
+    """
+    b = k % 4 // 2
+    js = [j for j in range(k // 12 + 1) if k - 12 * j >= 6 * b] if k >= 0 and k % 2 == 0 else []
+    if not js:
+        return []
+    _, delta, e4, e6 = _level_one_strands(ell, L)
+    rows = []
+    for j in js:
+        row = np.convolve(_strand_power(delta, j, ell), _strand_power(e4, (k - 12 * j - 6 * b) // 4, ell))[:L] % ell
+        rows.append(np.convolve(row, e6)[:L] % ell if b else row)
+    reduced, rank = _row_reduce(np.array(rows), ell, L)
+    return reduced[:rank].tolist()

@@ -210,3 +210,14 @@ def test_verify_eta_transform_word_sweep():
 
 def test_epsilon_identities_hold():
     assert epsilon_identities(199) is None
+
+
+def test_eta_value_is_summed_once_per_point():
+    # verify_eta_transform sums eta(z) on every call; the cache keeps the
+    # last 64 points, and a cached value is the summed value, bit for bit
+    eta_value.cache_clear()
+    for b in range(5):  # T^b moves 1j to 1j + b
+        assert verify_eta_transform(UnimodularMatrix(1, b, 0, 1), 1j) < 1e-12
+    assert (eta_value.cache_info().misses, eta_value.cache_info().hits) == (5, 5)
+    for z in (1j, 2 + 1j, 0.3 + 0.7j):
+        assert eta_value(z) == eta_value.__wrapped__(z)

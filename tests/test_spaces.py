@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     eta_membership_oracle,
     eta_product_coeffs,
     eta_space_oracle,
+    miller_basis_oracle,
     sigma_oracle,
 )
 
@@ -69,9 +71,9 @@ TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
 
 def _generated(monkeypatch, ell, length):
-    """E4, E6, t and Delta of spaces._generators, built cold, in the ring's storage dtype."""
+    """E4, E6, t and Delta of spaces._tables, built cold, in the ring's storage dtype."""
     _clear_caches(monkeypatch)
-    strands = list(spaces._generators(ell, length))
+    strands = [strand[:length] for strand in spaces._tables(ell, length, 2)[:4]]
     for strand in strands:
         assert strand.dtype == (np.int64 if ell <= 3037000493 else object) and strand.size == length
     return strands
@@ -224,9 +226,24 @@ def test_coordinates_roundtrip():
     f = b.elements[0].scale(3) + b.elements[1].scale(7) + b.elements[2].scale(10)
     cert = coordinates(f, b, prec)
     assert isinstance(cert, MembershipCertificate)
-    assert cert.coordinates == (3, 7, 10)
+    assert tuple(cert.coordinates) == (3, 7, 10)
     assert cert.depth == prec
     assert cert.checked == 8 - 3  # integer exponents below depth minus pivots
+
+
+def test_certificate_coordinates_are_a_read_only_array_in_the_storage_dtype():
+    prec = 24 * 8
+    for ell in (11, 2**64 + 13):
+        b = miller_basis(24, ell, prec)
+        f = b.elements[0].scale(3) + b.elements[2].scale(10)
+        cert = coordinates(f, b, prec)
+        assert cert.coordinates.dtype == (np.int64 if ell == 11 else object)
+        assert not cert.coordinates.flags.writeable
+        assert tuple(cert.coordinates) == (3, 0, 10)
+        # certificates compare by value
+        assert coordinates(b.elements[2].scale(10) + b.elements[0].scale(3), b, prec) == cert
+        assert coordinates(f, b, prec - 24) != cert
+        assert coordinates(f + b.elements[1], b, prec) != cert
 
 
 def test_coordinates_rejects_outsider():
@@ -266,7 +283,7 @@ def test_random_members_certify():
                     f = f + e.scale(c)
                 cert = coordinates(f, b, prec)
                 assert isinstance(cert, MembershipCertificate)
-                assert cert.coordinates == tuple(coeffs)
+                assert tuple(cert.coordinates) == tuple(coeffs)
 
 
 # === filtration ===
@@ -417,7 +434,7 @@ def test_eta_membership_eta_powers():
         f = (eta_series(depth + 24, ell) ** r).truncate(depth)
         cert = eta_membership(f, lam, r)
         assert isinstance(cert, MembershipCertificate), (ell, r)
-        assert cert.coordinates == (1,)
+        assert tuple(cert.coordinates) == (1,)
         assert cert.depth == depth
 
 
@@ -434,7 +451,7 @@ def test_eta_membership_empty_space():
     z = QExp24.zero(40, modulus=ell, residue=5)
     cert = eta_membership(z, 0, 5)
     assert isinstance(cert, MembershipCertificate)
-    assert cert.coordinates == ()
+    assert tuple(cert.coordinates) == ()
     assert cert.depth == 40
     nz = QExp24.from_dict({5: 1}, prec=40, modulus=ell, residue=5)
     res = eta_membership(nz, 0, 5)
@@ -459,7 +476,7 @@ def test_eta_membership_two_dim_coords():
     f = eta_e4_cube.scale(4) + (eta * delta).truncate(prec).scale(6 - 4 * c)
     cert = eta_membership(f, lam, r)
     assert isinstance(cert, MembershipCertificate)
-    assert cert.coordinates == (4, 6)
+    assert tuple(cert.coordinates) == (4, 6)
 
 
 def test_eta_membership_precision_gate():
@@ -553,6 +570,88 @@ def test_a_basis_builds_only_the_generators_its_rows_read(monkeypatch):
     assert lengths == [10] and spaces._GENERATOR_CACHE[13][2].size == 0
 
 
+# the eight rings of test_strands.py, and 2^61 - 1
+ORACLE_RINGS = (5, 7, 13, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**61 - 1, 2**64 + 13)
+
+
+def _matches_oracle(k, ell, length):
+    b = miller_basis(k, ell, 24 * length)
+    assert b.rows.tolist() == miller_basis_oracle(k, ell, length), (k, ell, length)
+    assert b.rows.dtype == (np.int64 if ell <= 3037000493 else object)
+
+
+def test_miller_rows_equal_the_oracle_in_every_ring(monkeypatch):
+    # every even weight up to 120 from cold tables, at the shortest length
+    # each allows: the tables grow in length and in D along the way
+    for ell in ORACLE_RINGS:
+        _clear_caches(monkeypatch)
+        for k in range(4, 121, 2):
+            _matches_oracle(k, ell, dims(k)[0] + k // 12 + 1)
+
+
+@pytest.mark.parametrize("ell", (13, 3037000507))
+def test_miller_rows_equal_the_oracle_across_table_growth(monkeypatch, ell):
+    _clear_caches(monkeypatch)
+    tables = spaces._GENERATOR_CACHE
+    # length: built at 8, grown to 16 one past it, to 32 one past that
+    for length, size in ((8, 8), (9, 16), (16, 16), (17, 32)):
+        _matches_oracle(24, ell, length)
+        assert tables[ell][0].size == size
+    # D: 3 from dim M_24, then 6 one past it, then 12 one past that
+    for k, d in ((36, 6), (60, 6), (72, 12)):
+        _matches_oracle(k, ell, 17)
+        assert len(tables[ell][6]) == d
+    # long then short: a small dimension reads the leading blocks of D = 11
+    _clear_caches(monkeypatch)
+    _matches_oracle(120, ell, 30)
+    for k in (12, 24, 26, 50, 70):
+        _matches_oracle(k, ell, dims(k)[0] + k // 12 + 1)
+
+
+def test_a_basis_from_warm_tables_costs_a_fixed_number_of_products(monkeypatch):
+    # once an ell's tables cover the length and dimension, a basis costs the
+    # popcount(a) - 1 + b products of row0 = E4^a E6^b and, past dimension
+    # 1, one product of the powers t^j with row0, two matrix products and
+    # one short inverse, whatever k and dm are
+    _clear_caches(monkeypatch)
+    ell = 97
+    miller_basis(120, ell, 24 * 30)  # E4^30: squares up to E4^16; D = 11
+    counts = {"_conv": 0, "_conv_rows": 0, "_dot": 0, "_inverse": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(spaces, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(spaces, name, counted)
+    for k in range(4, 119, 2):
+        counts.update(dict.fromkeys(counts, 0))
+        miller_basis(k, ell, 24 * (dims(k)[0] + k // 12 + 1))
+        b = k % 4 // 2
+        a = (k - 6 * b) // 4
+        products = 1 if dims(k)[0] > 1 else 0
+        assert counts == {
+            "_conv": bin(a).count("1") - 1 + b,
+            "_conv_rows": products,
+            "_dot": 2 * products,
+            "_inverse": products,
+        }, k
+
+
+def test_a_long_basis_stores_no_length_squared_matrix(monkeypatch):
+    # the rows t^j row0 come from a Toeplitz view of row0 (2 L - 1 entries):
+    # at L = 4000 one int64 L x L matrix would take 128 MB
+    _clear_caches(monkeypatch)
+    length = 4000
+    tracemalloc.start()
+    try:
+        b = miller_basis(24, 13, 24 * length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.rows.shape == (3, length)
+    assert b.rows[:, :8].tolist() == miller_basis_oracle(24, 13, 8)
+    assert peak < 8 * length * length / 16, peak
+
+
 def test_repeated_calls_return_the_same_object():
     b = miller_basis(20, 13, 24 * 9)
     miller_basis(20, 13, 24 * 20)  # a longer build replaces the cached rows
@@ -578,7 +677,7 @@ def test_cusp_rows_are_rows_of_the_full_space(monkeypatch):
         _clear_caches(monkeypatch)
         full = miller_basis(k, ell, prec)
         with monkeypatch.context() as m:
-            m.setattr(spaces, "_spanning_rows", None)  # a build would call it
+            m.setattr(spaces, "_miller_rows", None)  # a build would call it
             cusp = miller_basis(k, ell, prec, "S")
         assert (cusp.rows == full.rows[1:]).all() and cusp.pivots == full.pivots[1:]
         assert list(spaces._ROW_CACHE) == [(k, ell)]
@@ -592,7 +691,7 @@ def test_delta_certifies_at_mersenne_prime():
     delta = _delta(prec, MERSENNE31)
     cert = coordinates(delta, miller_basis(12, MERSENNE31, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
-    assert cert.coordinates == (1,)
+    assert tuple(cert.coordinates) == (1,)
 
 
 def test_delta_certifies_above_2_to_32():
@@ -601,7 +700,7 @@ def test_delta_certifies_above_2_to_32():
     delta = _delta(prec, ell)
     cert = coordinates(delta, miller_basis(12, ell, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
-    assert cert.coordinates == (1,)
+    assert tuple(cert.coordinates) == (1,)
 
 
 def test_delta_squared_certifies_at_mersenne_prime():
@@ -610,7 +709,7 @@ def test_delta_squared_certifies_at_mersenne_prime():
     f = (d * d).truncate(prec)
     cert = coordinates(f, miller_basis(24, MERSENNE31, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
-    assert cert.coordinates == (0, 1)
+    assert tuple(cert.coordinates) == (0, 1)
     bent = QExp24.from_dict({**dict(f.nonzero_items()), 96: 5}, prec, MERSENNE31)
     assert coordinates(bent, miller_basis(24, MERSENNE31, prec, "S"), prec) == NotMember(96)
 
@@ -620,9 +719,9 @@ def test_delta_and_its_square_certify_at_2_61_minus_1():
     ell, prec = 2**61 - 1, 193
     d = _delta(prec, ell)
     cert = coordinates(d, miller_basis(12, ell, prec, "S"), prec)
-    assert cert.coordinates == (1,)
+    assert tuple(cert.coordinates) == (1,)
     cert = coordinates((d * d).truncate(prec), miller_basis(24, ell, prec, "S"), prec)
-    assert cert.coordinates == (0, 1)
+    assert tuple(cert.coordinates) == (0, 1)
 
 
 def _dense_witness(f, elements, coords, depth):

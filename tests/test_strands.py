@@ -12,13 +12,14 @@ Python integers like 4294967311 and 2^64 + 13.
 import ast
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit.halfint import hecke_tp2
-from etakit.qseries import QExp24, _square_strand, theta_op, u_op, v_op
+from etakit.qseries import QExp24, _inverse, _square_strand, theta_op, u_op, v_op
 
 from oracles import (
     DenseSeries,
@@ -217,6 +218,18 @@ def test_first_power_is_the_series_and_a_short_truncation_copies(fs, cut):
     g = f.truncate(max(1, f.prec - cut))
     if g.values.size:
         assert np.shares_memory(g.values, f.values) == (2 * g.values.size >= f.values.size)
+
+
+@pytest.mark.parametrize("modulus", RINGS)
+def test_inverse_on_both_sides_of_the_newton_crossover(modulus):
+    # _inverse follows the recurrence below 32 terms and Newton from there
+    rng = random.Random(modulus)
+    a = np.array([1] + [rng.randrange(modulus) for _ in range(99)], dtype=storage_dtype(modulus))
+    for length in (1, 2, 31, 32, 33, 64, 100):
+        inv = _inverse(a, modulus, length)
+        assert inv.dtype == storage_dtype(modulus) and inv.size == length
+        product = [sum(int(a[i]) * int(inv[n - i]) for i in range(n + 1)) % modulus for n in range(length)]
+        assert product == [1] + [0] * (length - 1), length
 
 
 def _package_nodes(but=None):
