@@ -67,7 +67,7 @@ class HalfIntForm:
 
     def __post_init__(self):
         _check_eta_args(self.lam, self.r)
-        if self.series.residue is not None and self.series.residue != self.r % 24:
+        if self.series.residue != self.r % 24:
             raise ValueError("series residue disagrees with r mod 24")
 
     @property
@@ -102,8 +102,6 @@ def certify(series: QExp24, lam: int, r: int, depth: int | None = None) -> HalfI
             f"series is not in the weight {lam}+1/2 space with multiplier "
             f"power {r}: first bad index {result.witness}"
         )
-    if series.residue is None:
-        series = series.with_residue(r % 24)
     return HalfIntForm(series, lam, r, result)
 
 
@@ -171,8 +169,8 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     preserved since p^2 = 1 mod 24.
 
     Since p^2 = 1 mod 24, p^2 n lies on the strand of n: with strand
-    indices n = o + s j, index p^2 n sits at entry k0 + p^2 j with
-    k0 = (p^2 - 1) o / s, so a(p^2 n) and a(n / p^2) are strided slices
+    indices n = r0 + 24 j, index p^2 n sits at entry k0 + p^2 j with
+    k0 = (p^2 - 1) r0 / 24, so a(p^2 n) and a(n / p^2) are strided slices
     of f's strand.  Only the output's indices n are built, and each
     product of residues is reduced before the three terms are summed.
     """
@@ -185,9 +183,9 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     parity_sign = kronecker(-1, p) if lam_int % 2 else 1
     c1 = kronecker(12, p) * parity_sign * pow(p, lam_int - 1, ell) % ell
     c2 = pow(p, 2 * lam_int - 1, ell)
-    a = f.values
-    n = f.offset + f.step * np.arange(len(range(f.offset, new_prec, f.step)))
-    k0 = (p2 - 1) * f.offset // f.step
+    a, r0 = f.values, f.residue
+    n = r0 + 24 * np.arange(len(range(r0, new_prec, 24)))
+    k0 = (p2 - 1) * r0 // 24
     chi_n = _legendre(n, p).astype(a.dtype) * c1 % ell
     out = a[k0::p2][: n.size] + chi_n * a[: n.size] % ell
     out[k0::p2] += c2 * a[: len(range(k0, n.size, p2))] % ell
@@ -252,10 +250,10 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
     if lam < 1 and n_max >= ell:
         raise ValueError(f"d^({lam - 1}) is undefined mod {ell} at d = {ell}; need n_max < {ell}")
     m = np.arange(n_max + 1)
-    index = t * m * m - f.offset
-    on = index % f.step == 0
+    index = t * m * m - f.residue
+    on = index % 24 == 0
     a = np.zeros(n_max + 1, dtype=f.values.dtype)
-    a[on] = f.values[index[on] // f.step]
+    a[on] = f.values[index[on] // 24]
     size = min(12 * t, n_max + 1)
     residues, rest = np.arange(size), 3 * t
     sign = residues % 2 * np.where(residues % 4 == 3, -1 if (lam + rest // 2) % 2 else 1, 1)

@@ -1,14 +1,15 @@
 """Exact truncated q-expansions indexed in 1/24-integral powers.
 
 A series is sum_{0 <= n < prec} a(n) q^(n/24) with coefficients in F_ell
-for a prime ell >= 5, the one ring of the package.  An optional residue
-class r0 records the support claim a(n) != 0  =>  n = r0 (mod 24).
-Integer-exponent forms are the special case r0 = 0.
+for a prime ell >= 5, the one ring of the package, supported on one
+residue class r0 mod 24: a(n) != 0  =>  n = r0 (mod 24).  Every form of
+the paper is eta^r0 times a level-one form, and theta, U_ell, V_ell,
+T(p^2), products and powers keep a series on one class.  Integer-exponent
+forms are the class r0 = 0.
 
-Storage is one numpy strand per series.  With the residue tag set, entry
-m of ``values`` is the coefficient at index r0 + 24 m; without it, entry
-m is the coefficient at index m.  Coefficients off the tagged class have
-no slot, so the support claim holds by construction.  Input is checked
+Storage is one numpy strand per series: entry m of ``values`` is the
+coefficient at index r0 + 24 m.  Coefficients off the class have no
+slot, so the support claim holds by construction.  Input is checked
 once, where it enters: the public constructor, which ``zero``, ``one``,
 ``from_dict`` and ``series_from_text`` go through.  Every operation
 computes its output strand, reduced, from its input strands and wraps it
@@ -279,33 +280,9 @@ def _inverse(a: np.ndarray, ell: int, length: int) -> np.ndarray:
     return inv
 
 
-def _lattice(residue) -> tuple:
-    """(offset, step): entry m of a strand is the coefficient at offset + step m."""
-    return (0, 1) if residue is None else (residue, 24)
-
-
-def _length(prec: int, residue) -> int:
-    """Number of strand entries below prec."""
-    offset, step = _lattice(residue)
-    return len(range(offset, prec, step))
-
-
-def _claim(dense: np.ndarray, residue) -> np.ndarray:
-    """The strand of a dense array for the class residue.
-
-    ValueError names the first index off the class with a nonzero
-    coefficient.
-    """
-    if residue is None:
-        return dense
-    strand = dense[residue::24]
-    if np.count_nonzero(strand) < np.count_nonzero(dense):  # counting is the cheap test
-        support = np.flatnonzero(dense)
-        off = support[support % 24 != residue]
-        raise ValueError(
-            f"coefficient at index {off[0]} violates support class {residue} (mod 24)"
-        )
-    return strand.copy()
+def _length(prec: int, residue: int) -> int:
+    """Number of strand entries below prec: the indices residue + 24 m."""
+    return len(range(residue, prec, 24))
 
 
 def _pow_mod(x: np.ndarray, e: int, ell: int) -> np.ndarray:
@@ -364,36 +341,40 @@ class QExp24:
     """Truncated expansion sum a(n) q^(n/24), stored as one strand.
 
     modulus is the prime ell >= 5 of F_ell; coefficients are stored
-    reduced to [0, ell).  residue, when set, asserts the support lies in
-    the class residue (mod 24).
+    reduced to [0, ell).  residue, required, is the class in [0, 24) that
+    holds the support.
 
     values is a read-only numpy array: values[m] is the coefficient at
-    index offset + step m below prec, with (offset, step) = (residue, 24)
-    when the residue tag is set and (0, 1) otherwise.  coeffs is the
-    dense tuple a(0), ..., a(prec - 1), built and cached on first access.
+    index residue + 24 m below prec.  coeffs is the dense tuple a(0), ...,
+    a(prec - 1), scattered from the strand and cached on first access.
 
     The public constructor, where outside data enters, takes the dense
     coefficient list coeffs (at most prec entries, zero past its end),
-    reduces it mod ell and checks its support against the residue claim;
+    reduces it mod ell and checks its support against the class;
     operations use _of instead.
 
-    Equality compares ring, precision, and coefficients; the residue
-    tag is a support claim, not part of the value.
+    Equality compares ring, precision, and coefficients: a zero series
+    equals the zero series of any class.
     """
 
     __slots__ = ("values", "prec", "modulus", "residue", "_coeffs")
 
-    def __init__(self, coeffs, prec: int, modulus: int, residue=None):
+    def __init__(self, coeffs, prec: int, modulus: int, residue: int):
         coeffs = list(coeffs)
         if prec < 1:
             raise ValueError("prec must be a positive integer")
         if len(coeffs) > prec:
             raise ValueError("coefficient list longer than declared prec")
         _validate_modulus(modulus)
-        if residue is not None and not 0 <= residue < 24:
+        if not 0 <= residue < 24:
             raise ValueError("residue must lie in [0, 24)")
         # only the given prefix is scanned; the strand past it stays zero
-        head = _claim(np.array([int(c) % modulus for c in coeffs], dtype=_dtype(modulus)), residue)
+        dense = np.array([int(c) % modulus for c in coeffs], dtype=_dtype(modulus))
+        head = dense[residue::24]
+        if np.count_nonzero(head) < np.count_nonzero(dense):  # counting is the cheap test
+            support = np.flatnonzero(dense)
+            off = support[support % 24 != residue]
+            raise ValueError(f"coefficient at index {off[0]} violates support class {residue} (mod 24)")
         values = np.zeros(_length(prec, residue), dtype=head.dtype)
         values[: head.size] = head
         values.flags.writeable = False
@@ -414,7 +395,7 @@ class QExp24:
         return f
 
     @classmethod
-    def zero(cls, prec: int, modulus: int, residue=None) -> "QExp24":
+    def zero(cls, prec: int, modulus: int, residue: int) -> "QExp24":
         return cls((), prec, modulus, residue)
 
     @classmethod
@@ -422,7 +403,7 @@ class QExp24:
         return cls([1], prec, modulus, 0)
 
     @classmethod
-    def from_dict(cls, terms: dict, prec: int, modulus: int, residue=None) -> "QExp24":
+    def from_dict(cls, terms: dict, prec: int, modulus: int, residue: int) -> "QExp24":
         c = [0] * prec
         for n, v in terms.items():
             if not 0 <= n < prec:
@@ -433,67 +414,49 @@ class QExp24:
     # === inspection ===
 
     @property
-    def offset(self) -> int:
-        return _lattice(self.residue)[0]
-
-    @property
-    def step(self) -> int:
-        return _lattice(self.residue)[1]
-
-    def indices(self) -> np.ndarray:
-        """The index of every strand entry: offset + step m."""
-        return self.offset + self.step * np.arange(self.values.size)
-
-    @property
     def coeffs(self) -> tuple:
-        """The dense coefficient tuple, built on first access."""
+        """The dense coefficient tuple, scattered from the strand on first access."""
         if self._coeffs is None:
-            self._coeffs = tuple(self.strand(None).tolist())
+            dense = np.zeros(self.prec, dtype=self.values.dtype)
+            dense[self.residue :: 24] = self.values
+            self._coeffs = tuple(dense.tolist())
         return self._coeffs
 
-    def strand(self, residue) -> np.ndarray:
-        """Coefficients at the indices residue + 24 m below prec; all of them for None."""
+    def strand(self, residue: int) -> np.ndarray:
+        """Coefficients at the indices residue + 24 m below prec: zeros off the series' class."""
         if residue == self.residue:
             return self.values
-        if self.residue is None:
-            return self.values[residue::24]
-        out = np.zeros(_length(self.prec, residue), dtype=self.values.dtype)
-        if residue is None:
-            out[self.residue :: 24] = self.values
-        return out
+        return np.zeros(_length(self.prec, residue), dtype=self.values.dtype)
 
     def coeff(self, n: int) -> int:
         if n < 0:
             raise ValueError("negative index")
         if n >= self.prec:
             raise PrecisionError(f"index {n} beyond precision {self.prec}")
-        m, off = divmod(n - self.offset, self.step)
+        m, off = divmod(n - self.residue, 24)
         return 0 if off else int(self.values[m])
 
     def valuation(self) -> int:
         """Smallest index with a nonzero coefficient, or prec if none."""
         nz = np.flatnonzero(self.values)
-        return self.offset + self.step * int(nz[0]) if nz.size else self.prec
+        return self.residue + 24 * int(nz[0]) if nz.size else self.prec
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.values)
 
     def support(self):
-        return (self.offset + self.step * np.flatnonzero(self.values)).tolist()
+        return (self.residue + 24 * np.flatnonzero(self.values)).tolist()
 
     def nonzero_items(self):
         nz = np.flatnonzero(self.values)
-        return list(zip((self.offset + self.step * nz).tolist(), self.values[nz].tolist()))
+        return list(zip((self.residue + 24 * nz).tolist(), self.values[nz].tolist()))
 
     def first_off_class(self, residue: int, depth: int | None = None):
         """First index below depth (default prec) with a nonzero coefficient outside residue mod 24."""
         if self.residue == residue:
             return None
-        support = self.offset + self.step * np.flatnonzero(self.values)
-        off = support[support % 24 != residue]
-        if off.size and (depth is None or off[0] < depth):
-            return int(off[0])
-        return None
+        first = self.valuation()  # every nonzero coefficient is off the class
+        return first if first < (self.prec if depth is None else depth) else None
 
     def __eq__(self, other):
         if not isinstance(other, QExp24):
@@ -515,11 +478,12 @@ class QExp24:
         self._same_ring(other)
         if depth > self.prec or depth > other.prec:
             raise PrecisionError("comparison depth exceeds available precision")
-        residue = self.residue if self.residue == other.residue else None
-        n = _length(depth, residue)
-        bad = np.flatnonzero(self.strand(residue)[:n] != other.strand(residue)[:n])
-        offset, step = _lattice(residue)
-        return offset + step * int(bad[0]) if bad.size else None
+        if self.residue != other.residue:  # two classes agree only where both are zero
+            first = min(self.valuation(), other.valuation())
+            return first if first < depth else None
+        n = _length(depth, self.residue)
+        bad = np.flatnonzero(self.values[:n] != other.values[:n])
+        return self.residue + 24 * int(bad[0]) if bad.size else None
 
     # === ring operations ===
 
@@ -532,14 +496,12 @@ class QExp24:
     def _addsub(self, other, op):
         self._same_ring(other)
         prec = min(self.prec, other.prec)
-        if self.residue == other.residue:
-            residue = self.residue
-        elif self.is_zero():
-            residue = other.residue
-        elif other.is_zero():
-            residue = self.residue
-        else:
-            residue = None
+        residue = self.residue
+        if other.residue != residue:  # a zero operand takes the other's class
+            if self.is_zero():
+                residue = other.residue
+            elif not other.is_zero():
+                raise ValueError(f"series on classes {self.residue} and {other.residue} (mod 24) have no sum")
         n = _length(prec, residue)
         out = op(self.strand(residue)[:n], other.strand(residue)[:n]) % self.modulus
         return QExp24._of(out, prec, self.modulus, residue)
@@ -563,18 +525,12 @@ class QExp24:
         self._same_ring(other)
         vf, vg = self.valuation(), other.valuation()
         prec = min(self.prec + vg, other.prec + vf)
-        if self.residue is not None and other.residue is not None:
-            # index rf + rg + 24 m of the product sits at strand entry
-            # m + 1 when rf + rg >= 24
-            base = self.residue + other.residue
-            residue, shift = base % 24, base // 24
-            a, b = self.values, other.values
-        else:
-            residue, shift = None, 0
-            a, b = self.strand(None), other.strand(None)
+        # index rf + rg + 24 m of the product sits at strand entry m + 1
+        # when rf + rg >= 24
+        shift, residue = divmod(self.residue + other.residue, 24)
         n = _length(prec, residue)
         out = np.zeros(n, dtype=self.values.dtype)
-        out[shift:] = _conv(a, b, self.modulus, max(n - shift, 0))
+        out[shift:] = _conv(self.values, other.values, self.modulus, max(n - shift, 0))
         return QExp24._of(out, prec, self.modulus, residue)
 
     __rmul__ = __mul__
@@ -588,9 +544,7 @@ class QExp24:
             return self if e else QExp24.one(self.prec, self.modulus)
         # the precision, residue and shift of e - 1 products
         prec = self.prec + (e - 1) * self.valuation()
-        residue, shift = None, 0
-        if self.residue is not None:
-            shift, residue = divmod(self.residue * e, 24)
+        shift, residue = divmod(self.residue * e, 24)
         n = _length(prec, residue)
         out = np.zeros(n, dtype=self.values.dtype)
         out[shift:] = _power(self.values, e, self.modulus, max(n - shift, 0))
@@ -607,13 +561,6 @@ class QExp24:
         if 2 * values.size < self.values.size:  # a short view would keep the long strand alive
             values = values.copy()
         return QExp24._of(values, prec, self.modulus, self.residue)
-
-    def with_residue(self, residue) -> "QExp24":
-        """Attach (and validate) a support-class claim; None drops the claim."""
-        if residue is not None and not 0 <= residue < 24:
-            raise ValueError("residue must lie in [0, 24)")
-        values = _claim(self.strand(None), residue)
-        return QExp24._of(values, self.prec, self.modulus, residue)
 
 
 # === canonical series and operators ===
@@ -639,24 +586,24 @@ def theta_op(f: QExp24, j: int = 1) -> QExp24:
         raise ValueError(f"theta_op needs a power j >= 0, got {j}")
     ell = f.modulus
     inv24 = pow(24, -1, ell)
-    weight = f.indices().astype(f.values.dtype, copy=False) % ell * inv24 % ell
+    n = f.residue + 24 * np.arange(f.values.size)  # the index of each strand entry
+    weight = n.astype(f.values.dtype, copy=False) % ell * inv24 % ell
     out = _pow_mod(weight, j, ell) * f.values % ell
     return QExp24._of(out, f.prec, ell, f.residue)
 
 
 def u_op(f: QExp24, m: int) -> QExp24:
-    """U_m: b(n) = a(m n).  Precision contracts to ceil(prec/m)."""
-    if m < 1:
-        raise ValueError("U_m needs m >= 1")
+    """U_m: b(n) = a(m n), for m prime to 24.  Precision contracts to ceil(prec/m).
+
+    For gcd(m, 24) > 1 the image leaves one class mod 24: ValueError.
+    """
+    if m < 1 or math.gcd(m, 24) > 1:
+        raise ValueError(f"U_m needs m >= 1 prime to 24, got {m}")
     prec = -(-f.prec // m)
-    if f.residue is not None and math.gcd(m, 24) == 1:
-        residue = f.residue * pow(m, -1, 24) % 24
-        # m (residue + 24 j) = f.residue (mod 24) sits at entry start + m j of f
-        start = (m * residue - f.residue) // 24
-        values = f.values[start::m][: _length(prec, residue)].copy()
-    else:
-        residue = None
-        values = f.strand(None)[::m].copy()
+    residue = f.residue * pow(m, -1, 24) % 24
+    # m (residue + 24 j) = f.residue (mod 24) sits at entry start + m j of f
+    start = (m * residue - f.residue) // 24
+    values = f.values[start::m][: _length(prec, residue)].copy()
     return QExp24._of(values, prec, f.modulus, residue)
 
 
@@ -665,10 +612,10 @@ def v_op(f: QExp24, m: int) -> QExp24:
     if m < 1:
         raise ValueError("V_m needs m >= 1")
     prec = m * f.prec
-    residue = None if f.residue is None else (m * f.residue) % 24
+    residue = m * f.residue % 24
     out = np.zeros(_length(prec, residue), dtype=f.values.dtype)
-    # m (offset + step k) sits at entry start + m k of the output strand
-    start = (m * f.offset - _lattice(residue)[0]) // f.step
+    # m (f.residue + 24 k) sits at entry start + m k of the output strand
+    start = (m * f.residue - residue) // 24
     out[start : start + m * f.values.size : m] = f.values
     return QExp24._of(out, prec, f.modulus, residue)
 
@@ -690,6 +637,12 @@ def support_square_classes(f: QExp24) -> dict:
 
 # === text serialization ===
 
+# series_from_text's largest prec.  Reading costs about 32 bytes per unit of
+# prec whatever the file holds: 1.4 s and 333 MB peak RSS at this budget (2
+# cores).  No file past it could be checked at full depth in useful time:
+# that check is quadratic in prec, 6.4 s at 10^6.
+SERIES_MAX_PREC = 10**7
+
 
 def series_to_text(f: QExp24, extra: dict | None = None) -> str:
     """Delimited text form: a header line then one 'n c' line per nonzero index.
@@ -697,8 +650,7 @@ def series_to_text(f: QExp24, extra: dict | None = None) -> str:
     Absent indices are zero.  extra key=value pairs are appended to the
     header (used by basis dumps for weight/kind/index).
     """
-    residue = "none" if f.residue is None else str(f.residue)
-    header = f"# ring=Fp:{f.modulus} prec={f.prec} residue={residue}"
+    header = f"# ring=Fp:{f.modulus} prec={f.prec} residue={f.residue}"
     if extra:
         header += "".join(f" {k}={v}" for k, v in extra.items())
     lines = [header]
@@ -710,6 +662,8 @@ def series_from_text(text: str, ell: int) -> QExp24:
     """The series of series_to_text's form, over F_ell.
 
     A ring=Z file is reduced mod ell; a ring=Fp:p file needs p = ell.
+    The header names one class, residue=r0 with 0 <= r0 < 24, and a prec
+    of at most SERIES_MAX_PREC, checked before any coefficient is stored.
     """
     header = None
     terms = {}
@@ -739,10 +693,13 @@ def series_from_text(text: str, ell: int) -> QExp24:
         residue_s = fields["residue"]
     except KeyError as exc:
         raise ValueError(f"series header missing {exc} field") from exc
+    if prec > SERIES_MAX_PREC:
+        raise ValueError(f"series prec {prec} exceeds the budget SERIES_MAX_PREC = {SERIES_MAX_PREC}")
+    if residue_s == "none":
+        raise ValueError("series header residue=none: a series lives on one class, residue=0..23")
     if ring != "Z":
         if not ring.startswith("Fp:"):
             raise ValueError(f"unknown ring tag {ring!r}")
         if int(ring[3:]) != ell:
             raise ValueError(f"series ring {ring} disagrees with ell {ell}")
-    residue = None if residue_s == "none" else int(residue_s)
-    return QExp24.from_dict(terms, prec, ell, residue)
+    return QExp24.from_dict(terms, prec, ell, int(residue_s))

@@ -104,22 +104,21 @@ class DenseSeries:
     """Reference q^(1/24)-series: the plain list a(0), ..., a(prec - 1) mod modulus.
 
     This is how the package stored series before strands, with the same
-    reduction, residue-claim, residue-tag and precision rules, written
-    with Python loops over every index.  The functions below apply the
-    package's operators to it, by their defining formulas.
+    reduction, support-class and precision rules, written with Python
+    loops over every index.  The functions below apply the package's
+    operators to it, by their defining formulas.
     """
 
-    def __init__(self, coeffs, prec, modulus, residue=None):
+    def __init__(self, coeffs, prec, modulus, residue):
         coeffs = [int(c) % modulus for c in coeffs] + [0] * (prec - len(coeffs))
-        if residue is not None:
-            if not 0 <= residue < 24:
-                raise ValueError("residue must lie in [0, 24)")
-            for n, c in enumerate(coeffs):
-                if c and n % 24 != residue:
-                    raise ValueError(
-                        f"coefficient at index {n} violates support class "
-                        f"{residue} (mod 24)"
-                    )
+        if not 0 <= residue < 24:
+            raise ValueError("residue must lie in [0, 24)")
+        for n, c in enumerate(coeffs):
+            if c and n % 24 != residue:
+                raise ValueError(
+                    f"coefficient at index {n} violates support class "
+                    f"{residue} (mod 24)"
+                )
         self.coeffs, self.prec, self.modulus, self.residue = coeffs, prec, modulus, residue
 
     def valuation(self):
@@ -130,6 +129,7 @@ class DenseSeries:
 
 
 def dense_add(f, g, sign=1):
+    """f + sign g; a zero operand takes the other's class, two other classes have no sum."""
     prec = min(f.prec, g.prec)
     if f.residue == g.residue:
         residue = f.residue
@@ -138,7 +138,7 @@ def dense_add(f, g, sign=1):
     elif g.is_zero():
         residue = f.residue
     else:
-        residue = None
+        raise ValueError(f"series on classes {f.residue} and {g.residue} (mod 24) have no sum")
     out = [f.coeffs[n] + sign * g.coeffs[n] for n in range(prec)]
     return DenseSeries(out, prec, f.modulus, residue)
 
@@ -154,10 +154,7 @@ def dense_mul(f, g):
         for j, b in enumerate(g.coeffs):
             if i + j < prec:
                 out[i + j] += a * b
-    residue = None
-    if f.residue is not None and g.residue is not None:
-        residue = (f.residue + g.residue) % 24
-    return DenseSeries(out, prec, f.modulus, residue)
+    return DenseSeries(out, prec, f.modulus, (f.residue + g.residue) % 24)
 
 
 def dense_theta(f):
@@ -167,10 +164,11 @@ def dense_theta(f):
 
 
 def dense_u(f, m):
+    """U_m for m prime to 6; for other m the image leaves one class mod 24."""
+    if m % 2 == 0 or m % 3 == 0:
+        raise ValueError(f"U_m needs m >= 1 prime to 24, got {m}")
     prec = -(-f.prec // m)
-    residue = None
-    if f.residue is not None and m % 2 and m % 3:
-        residue = f.residue * pow(m, -1, 24) % 24
+    residue = f.residue * pow(m, -1, 24) % 24
     return DenseSeries([f.coeffs[m * n] for n in range(prec)], prec, f.modulus, residue)
 
 
@@ -178,8 +176,7 @@ def dense_v(f, m):
     out = [0] * (m * f.prec)
     for n, a in enumerate(f.coeffs):
         out[m * n] = a
-    residue = None if f.residue is None else m * f.residue % 24
-    return DenseSeries(out, m * f.prec, f.modulus, residue)
+    return DenseSeries(out, m * f.prec, f.modulus, m * f.residue % 24)
 
 
 def dense_hecke_tp2(f, p, lam_int):

@@ -158,10 +158,10 @@ def test_criterion_07_filtration_laws():
 
 def test_criterion_08_theta_projector():
     rng = random.Random(88)
-    prec = 150
+    prec = 24 * 150
     for trial in range(100):
-        ell = (5, 7, 11, 13)[trial % 4]
-        f = QExp24([rng.randrange(ell) for _ in range(prec)], prec, ell)
+        ell, r = (5, 7, 11, 13)[trial % 4], rng.randrange(24)
+        f = QExp24([rng.randrange(ell) if n % 24 == r else 0 for n in range(prec)], prec, ell, r)
         g = f
         for _ in range(ell - 1):
             g = theta_op(g)
@@ -177,9 +177,11 @@ def test_criterion_09_shimura_oracle():
     for trial in range(20):
         ell = (5, 7, 11, 13)[trial % 4]
         lam = rng.randrange(1, 9)
-        coeffs = [rng.randrange(ell) for _ in range(prec)]
-        f = QExp24(coeffs, prec, ell)
         for t in (1, 5, 7, 11):
+            # a series on one of the classes of t m^2: t, 4t, 9t, 16t, 0 or 12t mod 24
+            r = rng.choice(sorted({t * m * m % 24 for m in range(12)}))
+            coeffs = [rng.randrange(ell) if n % 24 == r else 0 for n in range(prec)]
+            f = QExp24(coeffs, prec, ell, r)
             got = shimura_coeffs(f, t, lam, 50)
             for n in range(1, 51):
                 assert got[n - 1] == shimura_sum_oracle(coeffs, t, lam, n, ell)

@@ -72,18 +72,20 @@ def test_two_classes_on_eta_ell_power():
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(
     st.sampled_from((5, 7, 13, 97, 1009, 3037000507)),
+    st.integers(0, 23),
     st.lists(st.integers(1, 60), max_size=12),
-    st.lists(st.integers(1, 4000), max_size=12),
+    st.lists(st.integers(0, 4000), max_size=12),
 )
-def test_two_classes_match_a_factoring_reference(ell, roots, others):
+def test_two_classes_match_a_factoring_reference(ell, r, roots, others):
     # squares, ell times squares, ell^2 and ell^3 times squares, and any
-    # index, below 10^5 so that the dense series stays small
-    terms = {n: 1 for n in others}
+    # positive index, on the class r mod 24 and below 10^5 so that the
+    # dense series stays small
+    terms = {r + 24 * m: 1 for m in others if r + 24 * m}
     for k in roots:
         for n in (k * k, ell * k * k, ell**2 * k * k, ell**3 * k * k):
-            if n < 10**5:
+            if n < 10**5 and n % 24 == r:
                 terms[n] = 2
-    f = QExp24.from_dict(terms, prec=max(terms, default=0) + 1, modulus=ell)
+    f = QExp24.from_dict(terms, prec=max(terms, default=0) + 1, modulus=ell, residue=r)
     classes, _ = check_two_classes(f)
     want = _square_classes(f)
     assert classes == want and list(classes) == list(want)
@@ -101,21 +103,23 @@ def test_two_classes_of_case_three_factor_nothing(monkeypatch):
 
 
 def test_two_classes_rejects_stray_class():
+    # on the class 5 mod 24: ell = 5 times squares and the prime 29
     ell = 5
-    f = QExp24.from_dict({1: 1, 2: 3, 50: 1}, prec=60, modulus=ell)
+    f = QExp24.from_dict({5: 1, 29: 3, 125: 1}, prec=130, modulus=ell, residue=5)
     classes, res = check_two_classes(f)
-    assert set(classes) == {1, 2}
+    assert set(classes) == {5, 29}
     assert not res.passed
-    assert res.witness == 2
+    assert res.witness == 29
 
 
 @pytest.mark.parametrize(
     "ell, residue, terms",
     [
-        # two extraneous classes, 3 (12, 27) and 2 (18, 32), among classes 1 and ell
-        (5, None, {1: 1, 4: 2, 5: 1, 9: 3, 12: 1, 18: 4, 20: 2, 27: 1, 32: 3}),
-        # three: 11 (11, 44), 2 (18, 50) and 3 (27, 48), interleaved
-        (5, None, {1: 2, 5: 1, 11: 1, 18: 3, 27: 2, 44: 4, 45: 1, 48: 1, 50: 2}),
+        # on the strand n = 5 mod 24, two extraneous classes, 53 (53, 53 * 25)
+        # and 29 (29 * 25), among the class ell (5, 125, 245)
+        (5, 5, {5: 1, 53: 2, 125: 1, 245: 3, 29 * 25: 4, 53 * 25: 1}),
+        # three: 77 = 7 * 11 (77, 77 * 25), 101 and 221 = 13 * 17, interleaved
+        (5, 5, {5: 2, 77: 1, 101: 3, 125: 1, 221: 2, 245: 1, 77 * 25: 4}),
         # three on the strand n = 1 mod 24: 145 = 5 * 29, 193, 217 = 7 * 31
         (13, 1, {1: 1, 49: 2, 145: 3, 169: 1, 193: 4, 217: 5, 289: 6, 145 * 25: 7}),
     ],

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit import cli, halfint, spaces
+from etakit import cli, halfint, qseries, spaces
 from etakit.halfint import certify, theta_lift
 from etakit.qseries import eta_series, series_from_text, u_op
 from etakit.spaces import membership_depth, miller_basis
@@ -540,6 +540,27 @@ def test_cli_series_is_certified_at_every_coefficient_it_gives(tmp_path, capsys)
     report = json.loads(capsys.readouterr().out)
     assert report["case"] == "1" and report["a1"] == 3
     assert report["depth"] == 200
+
+
+@pytest.mark.parametrize(
+    "header, lines, message",
+    [
+        # a file with no class: every series lives on one class mod 24
+        ("# ring=Fp:13 prec=200 residue=none", "1 1\n25 12\n", "residue=none: a series lives on one class"),
+        # one past the (patched) precision budget, refused before any coefficient is stored
+        ("# ring=Fp:13 prec=241 residue=1", "1 1\n", "series prec 241 exceeds the budget SERIES_MAX_PREC = 240"),
+    ],
+    ids=["residue-none", "past-the-budget"],
+)
+def test_cli_refuses_a_bad_series_file_in_one_line(tmp_path, capsys, monkeypatch, header, lines, message):
+    monkeypatch.setattr(qseries, "SERIES_MAX_PREC", 240)
+    path = tmp_path / "bad.series"
+    path.write_text(f"{header}\n{lines}")
+    assert main(["classify", "--series", str(path), "--assert-member",
+                 "--ell", "13", "--lambda", "0", "--r", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, capsys, monkeypatch):

@@ -125,11 +125,11 @@ def test_squarefree_part_random():
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        QExp24([], prec=0, modulus=5)
+        QExp24([], prec=0, modulus=5, residue=0)
     with pytest.raises(ValueError):
-        QExp24([1, 2], prec=2, modulus=4)  # modulus must be prime >= 5
+        QExp24([1, 0], prec=2, modulus=4, residue=0)  # modulus must be prime >= 5
     with pytest.raises(ValueError):
-        QExp24([1], prec=1, modulus=3)
+        QExp24([1], prec=1, modulus=3, residue=0)
     with pytest.raises(ValueError):
         QExp24([1], prec=1, modulus=5, residue=24)
     with pytest.raises(ValueError):
@@ -139,12 +139,12 @@ def test_constructor_validation():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: QExp24([1], 1, None),
-        lambda: QExp24.zero(4, None),
+        lambda: QExp24([1], 1, None, 0),
+        lambda: QExp24.zero(4, None, 0),
         lambda: QExp24.one(4, None),
-        lambda: QExp24.from_dict({1: 1}, 4, None),
+        lambda: QExp24.from_dict({1: 1}, 4, None, 1),
         lambda: eta_series(48, None),
-        lambda: series_from_text("# ring=Z prec=2 residue=none\n1 1\n", None),
+        lambda: series_from_text("# ring=Z prec=2 residue=1\n1 1\n", None),
     ],
     ids=["QExp24", "zero", "one", "from_dict", "eta_series", "series_from_text"],
 )
@@ -155,7 +155,7 @@ def test_each_public_constructor_refuses_a_missing_ring(build):
 
 
 def test_from_dict_and_coeff():
-    f = QExp24.from_dict({1: 3, 25: -2}, prec=30, modulus=7)
+    f = QExp24.from_dict({1: 3, 25: -2}, prec=30, modulus=7, residue=1)
     assert f.coeff(1) == 3
     assert f.coeff(25) == 5
     assert f.coeff(7) == 0
@@ -164,12 +164,13 @@ def test_from_dict_and_coeff():
     with pytest.raises(PrecisionError):
         f.coeff(30)
     with pytest.raises(PrecisionError):
-        QExp24.from_dict({30: 1}, prec=30, modulus=7)
+        QExp24.from_dict({30: 1}, prec=30, modulus=7, residue=6)
 
 
 def test_mod_coefficients_are_reduced():
-    f = QExp24([10, -3, 7], prec=3, modulus=5)
-    assert list(f.coeffs) == [0, 2, 2]
+    f = QExp24([10] + [0] * 23 + [-3] + [0] * 23 + [7], prec=49, modulus=5, residue=0)
+    assert f.values.tolist() == [0, 2, 2]
+    assert [f.coeff(n) for n in (0, 24, 48)] == [0, 2, 2]
 
 
 def test_int64_strand_is_reduced_into_a_python_integer_ring():
@@ -180,16 +181,16 @@ def test_int64_strand_is_reduced_into_a_python_integer_ring():
 
 def test_int64_storage_stops_where_a_product_of_residues_would_overflow():
     # (ell - 1)^2 < 2^63 holds up to 3037000493 and fails at the next prime
-    assert QExp24([1], prec=1, modulus=3037000493).values.dtype == np.int64
-    assert QExp24([1], prec=1, modulus=3037000507).values.dtype == object
+    assert QExp24([1], prec=1, modulus=3037000493, residue=0).values.dtype == np.int64
+    assert QExp24([1], prec=1, modulus=3037000507, residue=0).values.dtype == object
 
 
 def test_valuation_support():
-    f = QExp24.from_dict({5: 1, 12: 4}, prec=20, modulus=7)
+    f = QExp24.from_dict({5: 1, 29: 4}, prec=40, modulus=7, residue=5)
     assert f.valuation() == 5
-    assert f.support() == [5, 12]
-    assert f.nonzero_items() == [(5, 1), (12, 4)]
-    z = QExp24.zero(8, 7)
+    assert f.support() == [5, 29]
+    assert f.nonzero_items() == [(5, 1), (29, 4)]
+    z = QExp24.zero(8, 7, 0)
     assert z.is_zero()
     assert z.valuation() == 8  # zero series: valuation pinned at prec
     assert z.support() == []
@@ -202,35 +203,43 @@ def test_residue_claim_checked_against_support():
 
 
 def test_eq_ignores_residue():
+    # the zero series of every class is one value; nonzero series on two
+    # classes differ at the first index where either is nonzero
     a = QExp24([0, 1], prec=2, modulus=5, residue=1)
-    c = QExp24([0, 1], prec=2, modulus=5)
+    c = QExp24.from_dict({1: 1}, prec=2, modulus=5, residue=1)
     assert a == c
     za = QExp24.zero(4, modulus=5, residue=1)
     zb = QExp24.zero(4, modulus=5, residue=5)
     assert za == zb
-    assert a != QExp24([0, 1], prec=2, modulus=7)  # ring mismatch
-    assert a != QExp24([0, 1, 0], prec=3, modulus=5)  # prec is part of identity
+    assert QExp24.from_dict({1: 1}, 30, 5, 1) != QExp24.from_dict({5: 1}, 30, 5, 5)
+    assert a != QExp24([0, 1], prec=2, modulus=7, residue=1)  # ring mismatch
+    assert a != QExp24([0, 1, 0], prec=3, modulus=5, residue=1)  # prec is part of identity
 
 
 def test_first_difference():
-    a = QExp24([1, 2, 3, 4], prec=4, modulus=5)
-    b = QExp24([1, 2, 0, 4], prec=4, modulus=5)
-    assert a.first_difference(b, 4) == 2
-    assert a.first_difference(b, 2) is None
-    assert a.first_difference(b, 3) == 2
+    a = QExp24.from_dict({0: 1, 24: 2, 48: 3, 72: 4}, prec=96, modulus=5, residue=0)
+    b = QExp24.from_dict({0: 1, 24: 2, 72: 4}, prec=96, modulus=5, residue=0)
+    assert a.first_difference(b, 96) == 48
+    assert a.first_difference(b, 48) is None
+    assert a.first_difference(b, 49) == 48
     with pytest.raises(PrecisionError):
-        a.first_difference(b, 5)
+        a.first_difference(b, 97)
+    # on two classes: the first index where either is nonzero
+    c = QExp24.from_dict({53: 1}, prec=96, modulus=5, residue=5)
+    assert b.first_difference(c, 96) == 0 and c.first_difference(b, 96) == 0
+    assert c.first_difference(QExp24.zero(96, 5, 0), 96) == 53
+    assert c.first_difference(QExp24.zero(96, 5, 0), 53) is None
 
 
 # === addition, subtraction, residue bookkeeping ===
 
 
 def test_add_prec_is_min():
-    a = QExp24([1, 1, 1, 1], prec=4, modulus=5)
-    b = QExp24([2, 0], prec=2, modulus=5)
+    a = QExp24.from_dict({0: 1, 24: 1, 48: 1, 72: 1}, prec=96, modulus=5, residue=0)
+    b = QExp24.from_dict({0: 2}, prec=48, modulus=5, residue=0)
     s = a + b
-    assert s.prec == 2
-    assert list(s.coeffs) == [3, 1]
+    assert s.prec == 48
+    assert s.values.tolist() == [3, 1]
 
 
 def test_add_residue_rules():
@@ -238,13 +247,16 @@ def test_add_residue_rules():
     a = QExp24.from_dict({1: 1}, prec=30, modulus=ell, residue=1)
     b = QExp24.from_dict({25: 2}, prec=30, modulus=ell, residue=1)
     assert (a + b).residue == 1
-    # zero side gives way
-    z = QExp24.zero(30, modulus=ell)
-    assert (a + z).residue == 1
-    assert (z + a).residue == 1
-    # conflicting claims drop the tag
+    # a zero side on another class gives way
+    z = QExp24.zero(30, modulus=ell, residue=13)
+    assert (a + z).residue == 1 and a + z == a
+    assert (z - a).residue == 1 and z - a == -a
+    # two nonzero series on two classes have no sum on one class
     c = QExp24.from_dict({5: 1}, prec=30, modulus=ell, residue=5)
-    assert (a + c).residue is None
+    with pytest.raises(ValueError, match="series on classes 1 and 5 \\(mod 24\\) have no sum"):
+        a + c
+    with pytest.raises(ValueError, match="have no sum"):
+        c - a
     # subtraction to zero keeps the shared claim
     d = a - a
     assert d.is_zero()
@@ -252,12 +264,12 @@ def test_add_residue_rules():
 
 
 def test_ring_mismatch_rejected():
-    a = QExp24([1], prec=1, modulus=5)
-    b = QExp24([1], prec=1, modulus=7)
+    a = QExp24([1], prec=1, modulus=5, residue=0)
+    b = QExp24([1], prec=1, modulus=7, residue=0)
     with pytest.raises(ValueError):
         a + b
     with pytest.raises(ValueError):
-        a * QExp24([1], prec=1, modulus=11)
+        a * QExp24([1], prec=1, modulus=11, residue=0)
 
 
 def test_scale_and_neg():
@@ -276,16 +288,16 @@ def test_scale_and_neg():
 
 def test_mul_precision_rule():
     # prec of product is min(P_f + v_g, P_g + v_f)
-    f = QExp24.from_dict({2: 1}, prec=10, modulus=5)  # v = 2
-    g = QExp24.from_dict({3: 1}, prec=7, modulus=5)  # v = 3
+    f = QExp24.from_dict({2: 1}, prec=10, modulus=5, residue=2)  # v = 2
+    g = QExp24.from_dict({3: 1}, prec=7, modulus=5, residue=3)  # v = 3
     h = f * g
     assert h.prec == min(10 + 3, 7 + 2)  # 9
-    assert h.coeff(5) == 1
+    assert h.coeff(5) == 1 and h.residue == 5
 
 
 def test_mul_zero_operand():
-    f = QExp24.from_dict({1: 1}, prec=6, modulus=5)
-    z = QExp24.zero(4, 5)
+    f = QExp24.from_dict({1: 1}, prec=6, modulus=5, residue=1)
+    z = QExp24.zero(4, 5, 0)
     p = f * z
     assert p.is_zero()
     # zero factor contributes valuation = its prec
@@ -302,7 +314,12 @@ def test_mul_residues_add_mod_24():
 
 
 def _same_as_dense(f: QExp24, ref: DenseSeries):
-    assert (f.coeffs, f.prec) == (tuple(ref.coeffs), ref.prec)
+    assert (f.coeffs, f.prec, f.residue) == (tuple(ref.coeffs), ref.prec, ref.residue)
+
+
+def _on_class(rng, residue, n, low, high):
+    """A dense list of n coefficients, random in [low, high] on the class residue and 0 off it."""
+    return [rng.randint(low, high) if i % 24 == residue else 0 for i in range(n)]
 
 
 def test_mul_exact_vs_mod_agree():
@@ -311,11 +328,10 @@ def test_mul_exact_vs_mod_agree():
     rng = random.Random(7331)
     for ell in (5, 11):
         for _ in range(10):
-            n = rng.randint(4, 40)
-            fa = [rng.randint(-9, 9) for _ in range(n)]
-            fb = [rng.randint(-9, 9) for _ in range(n)]
-            fm = QExp24(fa, prec=n, modulus=ell) * QExp24(fb, prec=n, modulus=ell)
-            _same_as_dense(fm, dense_mul(DenseSeries(fa, n, ell), DenseSeries(fb, n, ell)))
+            n, ra, rb = rng.randint(4, 240), rng.randrange(24), rng.randrange(24)
+            fa, fb = _on_class(rng, ra, n, -9, 9), _on_class(rng, rb, n, -9, 9)
+            fm = QExp24(fa, prec=n, modulus=ell, residue=ra) * QExp24(fb, prec=n, modulus=ell, residue=rb)
+            _same_as_dense(fm, dense_mul(DenseSeries(fa, n, ell, ra), DenseSeries(fb, n, ell, rb)))
 
 
 def test_mul_mod_compressed_path():
@@ -324,7 +340,7 @@ def test_mul_mod_compressed_path():
     ell = 13
     f = eta_series(24 * 40, modulus=ell)
     g = f * f
-    eta = DenseSeries(eta_product_coeffs(24 * 40), 24 * 40, ell)
+    eta = DenseSeries(eta_product_coeffs(24 * 40), 24 * 40, ell, 1)
     _same_as_dense(g, dense_mul(eta, eta))
     assert g.residue == 2
 
@@ -332,14 +348,14 @@ def test_mul_mod_compressed_path():
 def test_mul_mod_int64_guard():
     # modulus large enough that n*(ell-1)^2 overflows int64, forcing the
     # exact fallback; answers must still match the dense reference
+    # (classes 13 and 17 put the product one strand entry in, at 30 - 24)
     ell = 2147483647
-    n = 800
+    n = 24 * 40
     rng = random.Random(99)
-    fa = [rng.randint(1, ell - 1) for _ in range(n)]
-    fb = [rng.randint(1, ell - 1) for _ in range(n)]
-    assert n * (ell - 1) ** 2 >= 2**62
-    fm = QExp24(fa, prec=n, modulus=ell) * QExp24(fb, prec=n, modulus=ell)
-    _same_as_dense(fm, dense_mul(DenseSeries(fa, n, ell), DenseSeries(fb, n, ell)))
+    fa, fb = _on_class(rng, 13, n, 1, ell - 1), _on_class(rng, 17, n, 1, ell - 1)
+    assert len(range(13, n, 24)) * (ell - 1) ** 2 >= 2**63
+    fm = QExp24(fa, prec=n, modulus=ell, residue=13) * QExp24(fb, prec=n, modulus=ell, residue=17)
+    _same_as_dense(fm, dense_mul(DenseSeries(fa, n, ell, 13), DenseSeries(fb, n, ell, 17)))
 
 
 def test_pow():
@@ -427,12 +443,10 @@ def test_theta_iterate_ell_is_identity_on_unit_class():
 
 
 def _random_strands(ell, seed):
-    # one residue-tagged and one untagged series with random residues mod ell
+    # series on the classes 0, 7 and 23 with random residues mod ell
     rng = random.Random(seed)
     prec = 24 * 12
-    tagged = QExp24.from_dict({7 + 24 * m: rng.randrange(ell) for m in range(12)}, prec, ell, 7)
-    untagged = QExp24([rng.randrange(ell) for _ in range(prec)], prec, ell)
-    return tagged, untagged
+    return [QExp24.from_dict({r + 24 * m: rng.randrange(ell) for m in range(12)}, prec, ell, r) for r in (0, 7, 23)]
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11, 13])
@@ -489,11 +503,11 @@ def test_legendre_table_matches_kronecker():
 
 
 def test_u_op_extracts_arithmetic_progression():
-    f = QExp24(list(range(36)), prec=36, modulus=7)
-    g = u_op(f, 3)
-    assert g.prec == 12
-    for n in range(12):
-        assert g.coeff(n) == (3 * n) % 7
+    f = QExp24.from_dict({1 + 24 * j: j + 1 for j in range(30)}, prec=24 * 30, modulus=7, residue=1)
+    g = u_op(f, 5)
+    assert g.prec == 144 and g.residue == 5
+    for n in range(144):
+        assert g.coeff(n) == f.coeff(5 * n)
 
 
 def test_u_op_residue_transform():
@@ -502,16 +516,18 @@ def test_u_op_residue_transform():
     g = u_op(f, ell)
     # r -> r * m^{-1} mod 24; 5^{-1} = 5 mod 24
     assert g.residue == 5
-    h = u_op(f, 2)
-    assert h.residue is None  # gcd(2, 24) > 1 drops the claim
+    # gcd(m, 24) > 1: the image leaves one class
+    for m in (2, 3, 4, 6, 24):
+        with pytest.raises(ValueError, match=f"U_m needs m >= 1 prime to 24, got {m}"):
+            u_op(f, m)
 
 
 def test_v_op_inflates():
-    f = QExp24([1, 2, 3], prec=3, modulus=5)
+    f = QExp24.from_dict({1: 1, 25: 2, 49: 3}, prec=50, modulus=5, residue=1)
     g = v_op(f, 5)
-    assert g.prec == 15
-    assert g.coeff(0) == 1 and g.coeff(5) == 2 and g.coeff(10) == 3
-    assert g.coeff(3) == 0
+    assert g.prec == 250
+    assert g.coeff(5) == 1 and g.coeff(125) == 2 and g.coeff(245) == 3
+    assert g.coeff(3) == 0 and g.residue == 5
     # the residue tag is rescaled: r -> m r mod 24
     h = v_op(QExp24.from_dict({2: 1}, prec=3, modulus=5, residue=2), 5)
     assert h.residue == 10
@@ -519,8 +535,7 @@ def test_v_op_inflates():
 
 def test_u_after_v_is_identity():
     rng = random.Random(88)
-    coeffs = [rng.randint(0, 6) for _ in range(40)]
-    f = QExp24(coeffs, prec=40, modulus=7)
+    f = QExp24(_on_class(rng, 7, 24 * 40, 0, 6), prec=24 * 40, modulus=7, residue=7)
     for m in (5, 7, 25):
         assert u_op(v_op(f, m), m) == f
 
@@ -551,9 +566,9 @@ def _square_and_multiply(f: QExp24, e: int) -> QExp24:
 def test_power_past_ell_equals_repeated_squaring(data):
     # past e = ell, a^(ell h + d) is built as a^d a(x^ell)^h
     ell = data.draw(st.sampled_from((5, 7, 11, 13)))
-    residue = data.draw(st.one_of(st.none(), st.integers(0, 23)))  # tagged or untagged
-    prec = data.draw(st.integers(1, 60))
-    lattice = range(0 if residue is None else residue, prec, 1 if residue is None else 24)
+    residue = data.draw(st.integers(0, 23))
+    prec = data.draw(st.integers(1, 240))
+    lattice = range(residue, prec, 24)
     values = data.draw(st.lists(st.integers(0, ell - 1), min_size=len(lattice), max_size=len(lattice)))
     f = QExp24.from_dict(dict(zip(lattice, values)), prec, ell, residue)
     e = data.draw(st.integers(ell, 4 * ell + 3))
@@ -566,12 +581,13 @@ def test_power_past_ell_equals_repeated_squaring(data):
 
 
 def test_support_square_classes():
-    f = QExp24.from_dict({1: 1, 4: 2, 5: 1, 20: 3, 9: 7}, prec=24, modulus=23)
+    # 73 is prime, 145 = 5 * 29 and 1825 = 73 * 5^2, all 1 mod 24
+    f = QExp24.from_dict({1: 1, 25: 2, 49: 1, 73: 3, 145: 7, 1825: 4}, prec=1900, modulus=23, residue=1)
     classes = support_square_classes(f)
-    assert set(classes) == {1, 5}
-    assert classes[1] == [1, 4, 9]
-    assert classes[5] == [5, 20]
-    assert support_square_classes(QExp24.zero(5, 23)) == {}
+    assert set(classes) == {1, 73, 145}
+    assert classes[1] == [1, 25, 49]
+    assert classes[73] == [73, 1825]
+    assert support_square_classes(QExp24.zero(5, 23, 0)) == {}
 
 
 def test_support_square_classes_eta_power():
@@ -586,23 +602,24 @@ def test_support_square_classes_eta_power():
 
 
 def test_truncate():
-    f = QExp24(list(range(10)), prec=10, modulus=11)
-    g = f.truncate(4)
-    assert g.prec == 4 and list(g.coeffs) == [0, 1, 2, 3]
+    f = QExp24.from_dict({24 * j: j for j in range(10)}, prec=240, modulus=11, residue=0)
+    g = f.truncate(96)
+    assert g.prec == 96 and g.values.tolist() == [0, 1, 2, 3]
     with pytest.raises(PrecisionError):
-        f.truncate(11)
+        f.truncate(241)
     with pytest.raises(ValueError):
         f.truncate(0)
 
 
 def test_with_residue():
-    e = QExp24.from_dict({1: 3}, prec=30, modulus=5)
-    h = e.with_residue(1)
+    # a series is given its class where it is built, and no method re-tags it
+    assert not hasattr(QExp24, "with_residue")
+    h = QExp24.from_dict({1: 3}, prec=30, modulus=5, residue=1)
     assert h.residue == 1
     with pytest.raises(ValueError):
-        e.with_residue(30)
+        QExp24.from_dict({1: 3}, prec=30, modulus=5, residue=30)
     with pytest.raises(ValueError):
-        e.with_residue(5)  # inconsistent with support
+        QExp24.from_dict({1: 3}, prec=30, modulus=5, residue=5)  # inconsistent with support
 
 
 # === text round trip ===
@@ -621,36 +638,53 @@ def test_series_text_roundtrip():
 
 
 def test_series_text_integer_ring_and_extra():
-    f = QExp24.from_dict({0: -5}, prec=3, modulus=7)
+    f = QExp24.from_dict({0: -5}, prec=3, modulus=7, residue=0)
     text = series_to_text(f, extra={"weight": 12})
-    assert "ring=Fp:7" in text and "residue=none" in text and "weight=12" in text
+    assert "ring=Fp:7" in text and "residue=0" in text and "weight=12" in text
     assert series_from_text(text, 7) == f
     # a file over Z is read reduced mod ell
-    assert series_from_text("# ring=Z prec=3 residue=none\n0 -5\n", 7) == f
+    assert series_from_text("# ring=Z prec=3 residue=0\n0 -5\n", 7) == f
 
 
 def test_series_text_rejects_garbage():
     with pytest.raises(ValueError):
         series_from_text("no header\n1 1\n", 7)
     with pytest.raises(ValueError, match="unknown ring tag"):
-        series_from_text("# ring=F7 prec=2 residue=none\n1 1\n", 7)
+        series_from_text("# ring=F7 prec=2 residue=1\n1 1\n", 7)
     with pytest.raises(PrecisionError):
-        series_from_text("# ring=Fp:7 prec=2 residue=none\n5 1\n", 7)  # index >= prec
+        series_from_text("# ring=Fp:7 prec=2 residue=5\n5 1\n", 7)  # index >= prec
     with pytest.raises(ValueError, match="index 1 "):
-        series_from_text("# ring=Fp:7 prec=9 residue=none\n1 1\n1 3\n", 7)
+        series_from_text("# ring=Fp:7 prec=9 residue=1\n1 1\n1 3\n", 7)
+    # a series lives on one class: a file without one is refused in one line
+    with pytest.raises(ValueError, match="residue=none: a series lives on one class") as info:
+        series_from_text("# ring=Fp:7 prec=9 residue=none\n1 1\n", 7)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match="violates support class 1"):
+        series_from_text("# ring=Fp:7 prec=9 residue=1\n1 1\n2 3\n", 7)
+
+
+def test_series_text_precision_budget(monkeypatch):
+    # the budget is checked before any coefficient is stored: a prec one past
+    # a small budget is refused without reaching from_dict
+    monkeypatch.setattr(qseries, "SERIES_MAX_PREC", 240)
+    assert series_from_text("# ring=Fp:5 prec=240 residue=1\n1 1\n", 5).prec == 240
+    monkeypatch.setattr(QExp24, "from_dict", None)
+    for ring in ("Fp:5", "Z"):
+        with pytest.raises(ValueError, match="series prec 241 exceeds the budget SERIES_MAX_PREC = 240"):
+            series_from_text(f"# ring={ring} prec=241 residue=1\n1 1\n", 5)
 
 
 def test_series_text_random_roundtrip():
     rng = random.Random(2601)
     for _ in range(25):
-        prec = rng.randint(2, 120)
+        prec, r = rng.randint(2, 24 * 12), rng.randrange(24)
         terms = {}
-        for _ in range(rng.randint(0, 12)):
-            terms[rng.randrange(prec)] = rng.randint(-50, 50)
+        for _ in range(rng.randint(0, 12) if r < prec else 0):
+            terms[rng.randrange(r, prec, 24)] = rng.randint(-50, 50)
         mod = rng.choice([None, 5, 11])
         if mod is None:  # an integer file, read mod 13
-            lines = [f"# ring=Z prec={prec} residue=none"] + [f"{n} {c}" for n, c in terms.items()]
-            assert series_from_text("\n".join(lines), 13) == QExp24.from_dict(terms, prec, 13)
+            lines = [f"# ring=Z prec={prec} residue={r}"] + [f"{n} {c}" for n, c in terms.items()]
+            assert series_from_text("\n".join(lines), 13) == QExp24.from_dict(terms, prec, 13, r)
         else:
-            f = QExp24.from_dict(terms, prec=prec, modulus=mod)
+            f = QExp24.from_dict(terms, prec=prec, modulus=mod, residue=r)
             assert series_from_text(series_to_text(f), mod) == f

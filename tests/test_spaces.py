@@ -250,10 +250,14 @@ def test_coordinates_rejects_outsider():
     ell = 5
     prec = 24 * 6
     b = miller_basis(12, ell, prec)
-    f = b.elements[1] + QExp24.from_dict({30: 1}, prec=prec, modulus=ell)
+    # a series off the integer exponents is refused at its first nonzero
+    # index; no series holds both it and a member
+    f = QExp24.from_dict({30: 1, 54: 2}, prec=prec, modulus=ell, residue=6)
     res = coordinates(f, b, prec)
     assert isinstance(res, NotMember)
     assert res.witness == 30
+    with pytest.raises(ValueError, match="have no sum"):
+        b.elements[1] + f
 
 
 def test_coordinates_depth_validation():
@@ -267,7 +271,7 @@ def test_coordinates_depth_validation():
     with pytest.raises(ValueError):
         coordinates(f, b, 0)
     with pytest.raises(ValueError):
-        coordinates(QExp24.zero(60, modulus=7), b, 30)  # ring mismatch
+        coordinates(QExp24.zero(60, modulus=7, residue=0), b, 30)  # ring mismatch
 
 
 def test_random_members_certify():
@@ -278,7 +282,7 @@ def test_random_members_certify():
             b = miller_basis(k, ell, prec)
             for _ in range(5):
                 coeffs = [rng.randrange(ell) for _ in range(b.dim)]
-                f = QExp24.zero(prec, modulus=ell)
+                f = QExp24.zero(prec, modulus=ell, residue=0)
                 for c, e in zip(coeffs, b.elements):
                     f = f + e.scale(c)
                 cert = coordinates(f, b, prec)
@@ -320,7 +324,7 @@ def test_filtration_after_theta():
 
 def test_filtration_validation():
     ell = 5
-    z = QExp24.zero(24 * 4, modulus=ell)
+    z = QExp24.zero(24 * 4, modulus=ell, residue=0)
     with pytest.raises(ValueError):
         filtration(z, 12)
     f = _delta(24 * 4, ell)
@@ -372,7 +376,7 @@ def test_filtration_scan_down_equals_the_upward_scan(ell):
 def test_filtration_rejects_non_member():
     ell = 5
     junk = QExp24.from_dict({0: 1, 24: 2, 48: 4, 72: 3, 96: 1, 120: 2},
-                            prec=24 * 6 + 1, modulus=ell)
+                            prec=24 * 6 + 1, modulus=ell, residue=0)
     with pytest.raises(CertificationError):
         filtration(junk, 4)
 
@@ -423,7 +427,7 @@ def test_eta_space_empty_cases():
     with pytest.raises(ValueError):
         eta_membership(eta_series(48, 5), -1, 1)
     with pytest.raises(ValueError):
-        eta_membership(QExp24.zero(48, modulus=6), 0, 1)  # no ring F_6
+        eta_membership(QExp24.zero(48, modulus=6, residue=1), 0, 1)  # no ring F_6
 
 
 def test_eta_membership_eta_powers():
@@ -467,10 +471,10 @@ def test_eta_membership_two_dim_coords():
     lam, r = 12, 1
     w, depth = membership_depth(lam, r)
     prec = depth + 24
-    eta = QExp24(eta_product_coeffs(prec), prec, ell)
+    eta = QExp24(eta_product_coeffs(prec), prec, ell, 1)
     e4_terms = {24 * n: 240 * sigma_oracle(n, 3) for n in range(1, 4)}
-    e4 = QExp24.from_dict({0: 1, **e4_terms}, prec, ell)
-    delta = QExp24(delta_product_coeffs(prec), prec, ell)
+    e4 = QExp24.from_dict({0: 1, **e4_terms}, prec, ell, 0)
+    delta = QExp24(delta_product_coeffs(prec), prec, ell, 0)
     eta_e4_cube = (eta * e4 * e4 * e4).truncate(prec)
     c = eta_e4_cube.coeff(25)
     f = eta_e4_cube.scale(4) + (eta * delta).truncate(prec).scale(6 - 4 * c)
@@ -710,7 +714,7 @@ def test_delta_squared_certifies_at_mersenne_prime():
     cert = coordinates(f, miller_basis(24, MERSENNE31, prec, "S"), prec)
     assert isinstance(cert, MembershipCertificate)
     assert tuple(cert.coordinates) == (0, 1)
-    bent = QExp24.from_dict({**dict(f.nonzero_items()), 96: 5}, prec, MERSENNE31)
+    bent = QExp24.from_dict({**dict(f.nonzero_items()), 96: 5}, prec, MERSENNE31, 0)
     assert coordinates(bent, miller_basis(24, MERSENNE31, prec, "S"), prec) == NotMember(96)
 
 
@@ -735,9 +739,12 @@ def _dense_witness(f, elements, coords, depth):
 
 
 def _perturbed(f, n, delta):
+    """f with delta added at index n; off f's class, which no series shares with f, delta at n alone."""
+    if n % 24 != f.residue:
+        return QExp24.from_dict({n: delta}, f.prec, f.modulus, n % 24)
     coeffs = list(f.coeffs)
     coeffs[n] = (coeffs[n] + delta) % f.modulus
-    return QExp24(coeffs, f.prec, f.modulus)
+    return QExp24(coeffs, f.prec, f.modulus, f.residue)
 
 
 def _agree(result, witness) -> int:
@@ -757,7 +764,7 @@ def test_verifier_witness_matches_dense_reference():
         k = rng.choice((12, 16, 24, 36))
         prec = 24 * (dims(k)[0] + k // 12 + 2)
         b = miller_basis(k, ell, prec)
-        f = QExp24.zero(prec, ell)
+        f = QExp24.zero(prec, ell, 0)
         for e in b.elements:
             f = f + e.scale(rng.randrange(ell))
         n = rng.randrange(prec)  # on strand when n % 24 == 0, off it otherwise
@@ -770,8 +777,8 @@ def test_verifier_witness_matches_dense_reference():
         lam, r = rng.choice(((12, 1), (14, 5), (24, 1), (20, 13)))
         w, depth = membership_depth(lam, r)
         pivots, dense = eta_space_oracle(lam, r, ell, depth)
-        elements = [QExp24(e, depth, ell) for e in dense]
-        h = QExp24.zero(depth, ell)
+        elements = [QExp24(e, depth, ell, r % 24) for e in dense]
+        h = QExp24.zero(depth, ell, r % 24)
         for e in elements:
             h = h + e.scale(rng.randrange(ell))
         n = rng.randrange(depth)
@@ -792,12 +799,13 @@ PRIME_TO_6 = [r for r in range(1, 100) if math.gcd(r, 6) == 1]
 
 @st.composite
 def eta_membership_cases(draw):
-    """(coeffs, prec, ell, lam, r, tag): an input series and the space it is tested in.
+    """(coeffs, prec, ell, lam, r, residue): an input series on its class and the space it is tested in.
 
     The quotient weight w is drawn from w = 2 (mod 12) with dim M_w > 0,
     where one coefficient past the pivots is checked, from the even
     weights, and from every weight, including the empty spaces (w < 0,
-    w odd or w = 2).
+    w odd or w = 2).  The series lies on the space's class r0, or on
+    another class, and zero lies on any class.
     """
     ell = draw(st.sampled_from(ORACLE_ELLS))
     r = draw(st.sampled_from(PRIME_TO_6))
@@ -814,22 +822,23 @@ def eta_membership_cases(draw):
     kind = draw(st.sampled_from(("on-strand", "perturbed member", "off-class", "zero")))
     rng = draw(st.randoms(use_true_random=False))
     coeffs = [0] * prec
-    if kind == "on-strand" or kind == "off-class":
+    if kind == "on-strand":
         coeffs[r0::24] = [rng.randrange(ell) for _ in range(r0, prec, 24)]
     if kind == "off-class":
         n = draw(st.integers(0, prec - 1).filter(lambda n: n % 24 != r0))
+        coeffs[n % 24 :: 24] = [rng.randrange(ell) for _ in range(n % 24, prec, 24)]
         coeffs[n] = rng.randrange(1, ell)
     if kind == "perturbed member":
         for e in eta_space_oracle(lam, r, ell, prec)[1]:
             c = rng.randrange(ell)
             coeffs = [(a + c * b) % ell for a, b in zip(coeffs, e)]
-        n = draw(st.integers(0, prec - 1))
-        if draw(st.booleans()) and r0 < prec:  # half of them on the strand, where the space constrains it
-            n = r0 + 24 * (n // 24) if r0 + 24 * (n // 24) < prec else r0
-        coeffs[n] = (coeffs[n] + draw(st.integers(0, ell - 1))) % ell
-    on_class = all(c == 0 for n, c in enumerate(coeffs) if n % 24 != r0)
-    tag = r0 if on_class and draw(st.booleans()) else None
-    return coeffs, prec, ell, lam, r, tag
+        n = r0 + 24 * draw(st.integers(0, prec // 24))  # on the strand, where the space constrains it
+        if n < prec:
+            coeffs[n] = (coeffs[n] + draw(st.integers(0, ell - 1))) % ell
+    support = {n % 24 for n, c in enumerate(coeffs) if c}
+    assert len(support) <= 1
+    residue = support.pop() if support else draw(st.one_of(st.just(r0), st.integers(0, 23)))
+    return coeffs, prec, ell, lam, r, residue
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -837,9 +846,9 @@ def eta_membership_cases(draw):
 def test_eta_membership_matches_oracle(case, full):
     # depth None is the Sturm depth, for a series in its space by
     # construction; depth = prec compares every coefficient a series has
-    coeffs, prec, ell, lam, r, tag = case
+    coeffs, prec, ell, lam, r, residue = case
     depth = prec if full else None
-    got = eta_membership(QExp24(coeffs, prec, ell, tag), lam, r, depth)
+    got = eta_membership(QExp24(coeffs, prec, ell, residue), lam, r, depth)
     want = eta_membership_oracle(coeffs, lam, r, ell, depth or membership_depth(lam, r)[1])
     if want[0] == "not":
         assert got == NotMember(want[1])
@@ -864,7 +873,7 @@ def test_a_member_changed_past_its_pivots_is_refused_at_that_index(ell, r0, w, e
     lam = w + (r0 - 1) // 2
     prec = membership_depth(lam, r0)[1] + extra
     rows = miller_basis(w, ell, spaces._basis_prec(w, prec)).elements
-    g = QExp24.zero(prec, ell)
+    g = QExp24.zero(prec, ell, 0)
     for row in rows:
         g = g + row.scale(rng.randrange(ell))
     f = (eta_series(prec, ell) ** r0 * g).truncate(prec)
@@ -902,7 +911,7 @@ def test_the_checked_coefficient_is_a_constant_term(monkeypatch):
     assert lifted.certificate == MembershipCertificate((6,), 49, 1)
     series = dict(lifted.series.nonzero_items())
     for n in (1, 25):
-        bent = QExp24.from_dict({**series, n: series.get(n, 0) + 1}, lifted.series.prec, 13)
+        bent = QExp24.from_dict({**series, n: series.get(n, 0) + 1}, lifted.series.prec, 13, 1)
         assert eta_membership(bent, lifted.lam, 1) == NotMember(25), n
     assert spaces._ROW_CACHE == {}
 
@@ -942,5 +951,5 @@ def test_checked_coefficient_refusal_above_2_to_64():
         f = (f * series).truncate(prec)
     cert = eta_membership(f, lam, r)
     assert isinstance(cert, MembershipCertificate) and cert.checked == 1
-    bent = QExp24.from_dict({**dict(f.nonzero_items()), 53: f.coeff(53) + 1}, prec, ell)
+    bent = QExp24.from_dict({**dict(f.nonzero_items()), 53: f.coeff(53) + 1}, prec, ell, 5)
     assert eta_membership(bent, lam, r) == NotMember(53)

@@ -1,7 +1,9 @@
 """Strand storage of QExp24 against the dense reference in oracles.py.
 
 Every operation on the strands must give the coefficients, precision and
-residue tag that the dense definitions give.  The rings include
+residue class that the dense definitions give, or refuse where they
+refuse: a sum of two nonzero series on different classes, and U_m with
+gcd(m, 24) > 1, whose images leave one class mod 24.  The rings include
 ell = 2^31 - 1, where a convolution of three or more terms overflows
 int64 and takes the exact path, and the two primes on either side of the
 storage rule: 3037000493, the largest prime ell whose product of two
@@ -11,6 +13,7 @@ Python integers like 4294967311 and 2^64 + 13.
 
 import ast
 import math
+import operator
 import pathlib
 import random
 
@@ -40,11 +43,16 @@ coefficient = st.one_of(st.just(0), st.integers(-(2**70), 2**70))
 
 
 @st.composite
-def dense_lists(draw, residue, max_prec=150):
-    """(coeffs, prec) with support in the class residue when one is given."""
+def free_lists(draw, max_prec=150):
+    """(coeffs, prec) with support anywhere."""
     prec = draw(st.integers(1, max_prec))
-    if residue is None:
-        return draw(st.lists(coefficient, max_size=prec)), prec
+    return draw(st.lists(coefficient, max_size=prec)), prec
+
+
+@st.composite
+def dense_lists(draw, residue, max_prec=150):
+    """(coeffs, prec) with support in the class residue."""
+    prec = draw(st.integers(1, max_prec))
     coeffs = [0] * prec
     for m, c in enumerate(draw(st.lists(coefficient, max_size=len(range(residue, prec, 24))))):
         coeffs[residue + 24 * m] = c
@@ -53,11 +61,12 @@ def dense_lists(draw, residue, max_prec=150):
 
 @st.composite
 def pairs(draw, count=2, max_prec=150):
-    """count (QExp24, DenseSeries) pairs over one ring, each tagged or not."""
+    """count (QExp24, DenseSeries) pairs over one ring, on one class or on any of the 24."""
     modulus = draw(st.sampled_from(RINGS))
+    shared = draw(st.integers(0, 23))
     out = []
     for _ in range(count):
-        residue = draw(st.one_of(st.none(), st.integers(0, 23)))
+        residue = draw(st.one_of(st.just(shared), st.integers(0, 23)))
         coeffs, prec = draw(dense_lists(residue, max_prec))
         out.append((QExp24(coeffs, prec, modulus, residue), DenseSeries(coeffs, prec, modulus, residue)))
     return out
@@ -71,27 +80,36 @@ def storage_dtype(modulus):
 def same(f, ref):
     assert f.coeffs == tuple(ref.coeffs)
     assert (f.prec, f.modulus, f.residue) == (ref.prec, ref.modulus, ref.residue)
-    assert len(f.values) == len(range(f.offset, f.prec, f.step))
+    assert len(f.values) == len(range(f.residue, f.prec, 24))
     # what the trusted constructor takes on faith: storage dtype, read-only, reduced
     assert f.values.dtype == storage_dtype(f.modulus)
     assert not f.values.flags.writeable
     assert all(0 <= c < f.modulus for c in f.values.tolist())
 
 
-@SETTINGS
-@given(st.sampled_from(RINGS), st.one_of(st.none(), st.integers(0, 23)), dense_lists(None))
-def test_construction_raises_at_the_same_index(modulus, residue, dense):
-    coeffs, prec = dense
+def same_or_raises(got, want) -> bool:
+    """got() gives what the oracle's want() gives, or both raise one ValueError message."""
     try:
-        ref = DenseSeries(coeffs, prec, modulus, residue)
+        ref = want()
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
-            QExp24(coeffs, prec, modulus, residue)
+            got()
         assert str(info.value) == str(exc)
+        return False
+    same(got(), ref)
+    return True
+
+
+@SETTINGS
+@given(st.sampled_from(RINGS), st.integers(0, 23), st.data())
+def test_construction_raises_at_the_same_index(modulus, residue, data):
+    # lists on the claimed class, on a class drawn apart, or on every index
+    coeffs, prec = data.draw(st.one_of(dense_lists(residue), st.integers(0, 23).flatmap(dense_lists), free_lists()))
+    if not same_or_raises(
+        lambda: QExp24(coeffs, prec, modulus, residue), lambda: DenseSeries(coeffs, prec, modulus, residue)
+    ):
         return
-    f = QExp24(coeffs, prec, modulus, residue)
-    same(f, ref)
-    assert not f.values.flags.writeable
+    f, ref = QExp24(coeffs, prec, modulus, residue), DenseSeries(coeffs, prec, modulus, residue)
     assert f.valuation() == ref.valuation()
     assert f.is_zero() == ref.is_zero()
     items = [(n, c) for n, c in enumerate(ref.coeffs) if c]
@@ -108,8 +126,8 @@ def test_construction_raises_at_the_same_index(modulus, residue, dense):
 @given(pairs(), st.integers(-(2**70), 2**70), st.integers(0, 3))
 def test_ring_operations_and_precision_rule(fs, c, e):
     (f, rf), (g, rg) = fs
-    same(f + g, dense_add(rf, rg))
-    same(f - g, dense_add(rf, rg, -1))
+    same_or_raises(lambda: f + g, lambda: dense_add(rf, rg))
+    same_or_raises(lambda: f - g, lambda: dense_add(rf, rg, -1))
     same(f * g, dense_mul(rf, rg))
     same(f.scale(c), dense_scale(rf, c))
     same(-f, dense_scale(rf, -1))
@@ -133,23 +151,41 @@ def test_power_equals_repeated_products(fs, e):
 
 
 @SETTINGS
+@given(pairs(), st.sampled_from(("f", "g", None)))
+def test_a_mixed_class_sum_raises_unless_one_side_is_zero(fs, zeroed):
+    (f, rf), (g, rg) = fs
+    if zeroed == "f":
+        f, rf = f.scale(0), dense_scale(rf, 0)
+    if zeroed == "g":
+        g, rg = g.scale(0), dense_scale(rg, 0)
+    for sign, op in ((1, operator.add), (-1, operator.sub)):
+        summed = same_or_raises(lambda: op(f, g), lambda: dense_add(rf, rg, sign))
+        assert summed == (f.residue == g.residue or f.is_zero() or g.is_zero())
+
+
+@SETTINGS
+@given(pairs(count=1), st.integers(1, 72).filter(lambda m: math.gcd(m, 24) > 1))
+def test_u_op_off_the_units_mod_24_raises(fs, m):
+    [(f, rf)] = fs
+    assert not same_or_raises(lambda: u_op(f, m), lambda: dense_u(rf, m))
+    same(v_op(f, m), dense_v(rf, m))  # V_m keeps one class for every m
+
+
+@SETTINGS
 @given(pairs(count=1), st.integers(1, 30), st.integers(0, 24))
 def test_u_v_truncate_and_residue_tags(fs, m, cut):
     [(f, rf)] = fs
-    same(u_op(f, m), dense_u(rf, m))
+    if same_or_raises(lambda: u_op(f, m), lambda: dense_u(rf, m)):
+        assert u_op(v_op(f, m), m) == f
     same(v_op(f, m), dense_v(rf, m))
-    assert u_op(v_op(f, m), m) == f
     prec = max(1, f.prec - cut)
     same(f.truncate(prec), DenseSeries(rf.coeffs[:prec], prec, rf.modulus, rf.residue))
-    for r in (None, f.residue, 0, 1, 13):
-        try:
-            ref = DenseSeries(rf.coeffs, rf.prec, rf.modulus, r)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                f.with_residue(r)
-            assert str(info.value) == str(exc)
-            continue
-        same(f.with_residue(r), ref)
+    # the dense tuple scattered from the strand builds the series again on
+    # its own class, and on another only when it is zero
+    for r in (f.residue, 0, 1, 13):
+        same_or_raises(
+            lambda: QExp24(f.coeffs, f.prec, f.modulus, r), lambda: DenseSeries(rf.coeffs, rf.prec, rf.modulus, r)
+        )
 
 
 @SETTINGS
@@ -165,24 +201,23 @@ def test_theta_twist_and_hecke(fs, p, lam_int):
 @given(pairs(count=1), st.integers(0, 23), st.integers(0, 150))
 def test_equality_and_first_difference_across_tags(fs, r, n):
     [(f, rf)] = fs
-    untagged = f.with_residue(None)
-    assert untagged == f and f == untagged
-    assert untagged.residue is None
+    copy = QExp24(f.coeffs, f.prec, f.modulus, f.residue)
+    assert copy == f and f == copy
     zero_r = QExp24.zero(f.prec, f.modulus, r)
     assert (zero_r == f) == rf.is_zero()
     assert f.first_difference(zero_r, f.prec) == (None if rf.is_zero() else rf.valuation())
-    # one changed coefficient, tagged on its own class or not
     n %= f.prec
-    bumped = list(rf.coeffs)
-    bumped[n] += 1
-    g = QExp24(bumped, f.prec, f.modulus)
-    variants = [g]
-    if g.first_off_class(n % 24) is None:
-        variants.append(g.with_residue(n % 24))
-    for h in variants:
-        assert h != f and f != h
-        assert f.first_difference(h, f.prec) == n
-        assert f.first_difference(h, n) is None
+    if n % 24 == f.residue or rf.is_zero():
+        # one changed coefficient, on f's class or on the class of zero
+        bumped = list(rf.coeffs)
+        bumped[n] += 1
+        g, first = QExp24(bumped, f.prec, f.modulus, n % 24), n
+    else:
+        # two classes agree only where both are zero
+        g, first = QExp24.from_dict({n: 1}, f.prec, f.modulus, n % 24), min(n, rf.valuation())
+    assert g != f and f != g
+    assert f.first_difference(g, f.prec) == first
+    assert f.first_difference(g, first) is None
 
 
 @pytest.mark.parametrize("modulus", RINGS)
@@ -279,3 +314,43 @@ def test_no_module_compares_the_ring_with_none():
             ):
                 found.append(f"{name}:{node.lineno}")
     assert found == []
+
+
+def _names_a_residue(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in ("residue", "r0")) or (
+        isinstance(node, ast.Attribute) and node.attr == "residue"
+    )
+
+
+def test_no_module_asks_for_a_series_off_one_class():
+    # every series lives on one class mod 24: no module compares a residue
+    # with None, re-tags a series or asks for the dense strand(None)
+    found = []
+    for name, node in _package_nodes():
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(x, ast.Constant) and x.value is None for x in operands) and any(
+                map(_names_a_residue, operands)
+            ):
+                found.append(f"{name}:{node.lineno}")
+        elif getattr(node, "attr", None) == "with_residue" or getattr(node, "name", None) == "with_residue":
+            found.append(f"{name}:{node.lineno}")
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "strand":
+            if any(isinstance(x, ast.Constant) and x.value is None for x in node.args):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: QExp24([1], 1, 5),
+        lambda: QExp24([1], 1, 5, None),
+        lambda: QExp24.zero(4, 5),
+        lambda: QExp24.from_dict({1: 1}, 4, 5),
+    ],
+    ids=["QExp24", "QExp24-None", "zero", "from_dict"],
+)
+def test_a_series_without_a_class_is_refused(build):
+    with pytest.raises(TypeError):
+        build()
