@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .qseries import QExp24, support_square_classes
-from .halfint import HalfIntForm, canonical_t1, canonical_t2
+import numpy as np
+
+from .qseries import PrecisionError, QExp24, _length, _square_strand, support_square_classes
+from .halfint import HalfIntForm
 
 __all__ = [
     "CheckResult",
@@ -99,12 +101,14 @@ class CaseReport:
 def classify(form: HalfIntForm) -> CaseReport:
     """Assign a certified form to one of the three cases, or explain why not.
 
-    Reads a1 and al (indices 1 and ell), builds the candidate target
+    Reads a1 and al (indices 1 and ell), writes the candidate target
     a1 * T1(lam) + al * T2 (T1(0) = eta when ell - 1 divides lam inside
-    the weight hypothesis), and compares it below the certificate's depth:
-    the Sturm depth 24 * (floor(w/12) + 1) + r0 for a form built in its
-    space, every coefficient for a series certified to its precision, and
-    the whole zero series in an empty space.  The weight hypothesis
+    the weight hypothesis) onto one zeros strand of the form's own class,
+    and compares it with the form's strand in one array test below the
+    certificate's depth: the Sturm depth 24 * (floor(w/12) + 1) + r0 for a
+    form built in its space, every coefficient for a series certified to
+    its precision, and the whole zero series in an empty space.  No series
+    object is built on the way.  The weight hypothesis
     lam + 1/2 < ell^2 / 2 is recorded as hypothesis_ok but does not
     overturn a passing congruence: explicit constructions at or past the
     boundary can still land in a case, and the boundary example fails on
@@ -120,7 +124,7 @@ def classify(form: HalfIntForm) -> CaseReport:
     hypothesis_ok = 2 * lam + 1 < ell * ell
     depth = form.certificate.depth
 
-    _classes, cls_check = check_two_classes(series)
+    classes, cls_check = check_two_classes(series)
     mult_check = check_multiplier(r, ell)
     checks = [cls_check, mult_check]
 
@@ -133,7 +137,7 @@ def classify(form: HalfIntForm) -> CaseReport:
             tuple(checks + [congruence]),
         )
 
-    if series.is_zero():
+    if not classes:  # no support: the zero series
         return report("zero", CheckResult("congruence", True))
 
     # shape of the case, from the two distinguished coefficients
@@ -146,16 +150,24 @@ def classify(form: HalfIntForm) -> CaseReport:
         elif a1 and al and r0 == 1 and ell % 24 == 1 and lam_mod == (ell - 1) // 2:
             case = "3"
 
-    target = QExp24.zero(depth, ell, series.residue)
+    if depth > series.prec:
+        raise PrecisionError("comparison depth exceeds available precision")
+    # a1 != 0 puts index 1 in the support and al != 0 index ell, so each
+    # term of the target lies on the series' own class r0, and its strand is
+    # written there; T1 sits at the squares and T2 at ell times the squares,
+    # so the two reduced terms never share an entry and their sum stays reduced
+    n = _length(depth, r0)
+    target = np.zeros(n, dtype=series.values.dtype)
     if a1:
         # inside the hypothesis, theta^j eta with 2j = lam (mod ell - 1) has j = 0
         # when ell - 1 | lam: its target is T1(0) = eta, with its terms at ell | n
         t1_lam = 0 if hypothesis_ok and lam_mod == 0 else lam
-        target = target + canonical_t1(t1_lam, ell, depth).scale(a1)
+        target += _square_strand(1, n, ell, t1_lam) * a1 % ell
     if al:
-        target = target + canonical_t2(ell, depth).scale(al)
-    bad = series.first_difference(target, depth)
-    congruence = CheckResult("congruence", bad is None, bad)
+        target += _square_strand(ell, n, ell) * al % ell
+    bad = (series.values[:n] != target).nonzero()[0]
+    witness = r0 + 24 * int(bad[0]) if bad.size else None
+    congruence = CheckResult("congruence", witness is None, witness)
 
     if case == "unclassified" or not congruence.passed:
         return report("unclassified", congruence)

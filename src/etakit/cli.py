@@ -182,12 +182,28 @@ def _walk(node, ell: int):
     raise ValueError(f"unknown recipe node {kind!r}")
 
 
+# largest leaf precision a recipe may plan, checked before its leaves are
+# built: above case 3 at ell = 6577 (prec 21.6M, about 0.2 s and 77 MB peak
+# RSS).  It bounds memory, not time: a strand at this prec holds 1.25M
+# entries, 10 MB in int64, and a recipe keeps a few of them alive at once.
+RECIPE_MAX_PREC = 3 * 10**7
+
+
+def _leaf_prec(need: int) -> int:
+    """need, or ValueError when it passes RECIPE_MAX_PREC."""
+    if need > RECIPE_MAX_PREC:
+        raise ValueError(
+            f"recipe needs leaf precision {need}, past the budget RECIPE_MAX_PREC = {RECIPE_MAX_PREC}"
+        )
+    return need
+
+
 def _descent(node, ell: int):
     """(lam*, r*, descend) of a udesc node: descend(need) certifies its input, then descends."""
     lam, r, inner = _walk(node[1], ell)
     least = membership_depth(lam, r)[1] + 24
     return (*descent_weight(lam, r, ell), lambda need: u_ell_descent(
-        certify(inner(max(ell * need + ell, least)), lam, r)))
+        certify(inner(_leaf_prec(max(ell * need + ell, least))), lam, r)))
 
 
 def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm:
@@ -196,11 +212,13 @@ def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm
     One walk gives the root's weight and its builder; the root is certified
     here, once, unless it is a udesc, whose descent is certified already.
     Leaf precision is the root's depth plus 24 (or prec if larger); only a
-    udesc node raises it, and certifies, below itself.
+    udesc node raises it, and certifies, below itself.  A leaf precision
+    past RECIPE_MAX_PREC, at the root or under a udesc, is a ValueError
+    before that node builds anything.
     """
     node = parse_recipe(text)
     lam, r, build = (_descent if node[0] == "udesc" else _walk)(node, ell)
-    out = build(max(membership_depth(lam, r)[1] + 24, prec or 0))
+    out = build(_leaf_prec(max(membership_depth(lam, r)[1] + 24, prec or 0)))
     return out if node[0] == "udesc" else certify(out, lam, r)
 
 

@@ -145,14 +145,18 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
     a CertificationError with its witness, a series too short for the
     depth a PrecisionError.  A zero h is certified at that weight too.
     """
-    ell = form.ell
-    for n, _ in form.series.nonzero_items():
-        if n % ell:
-            raise ValueError(
-                f"descent input must be supported on indices divisible by "
-                f"{ell}; index {n} is not"
-            )
-    return certify(u_op(form.series, ell), *descent_weight(form.lam, form.r, ell))
+    ell, f = form.ell, form.series
+    # the indices ell (r0 ell^-1 mod 24 + 24 j) of the class sit at entries start + ell j
+    start = (ell * (f.residue * pow(ell, -1, 24) % 24) - f.residue) // 24
+    rest = f.values.copy()
+    rest[start::ell] = 0
+    off = rest.nonzero()[0]
+    if off.size:
+        raise ValueError(
+            f"descent input must be supported on indices divisible by "
+            f"{ell}; index {f.residue + 24 * int(off[0])} is not"
+        )
+    return certify(u_op(f, ell), *descent_weight(form.lam, form.r, ell))
 
 
 # === Hecke action on 1/24-indexed expansions ===

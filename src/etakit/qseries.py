@@ -11,9 +11,11 @@ Storage is one numpy strand per series: entry m of ``values`` is the
 coefficient at index r0 + 24 m.  Coefficients off the class have no
 slot, so the support claim holds by construction.  Input is checked
 once, where it enters: the public constructor, which ``zero``, ``one``,
-``from_dict`` and ``series_from_text`` go through.  Every operation
-computes its output strand, reduced, from its input strands and wraps it
-with the trusted constructor ``QExp24._of``, which checks nothing.
+``from_dict`` and ``series_from_text`` go through; ``from_dict`` takes
+the constructor's zero strand and writes each term into its slot, with
+the same checks.  Every operation computes its output strand, reduced,
+from its input strands and wraps it with the trusted constructor
+``QExp24._of``, which checks nothing.
 Residues mod ell are stored as int64 when a product of two fits,
 ell <= 3037000493; larger ell use object arrays of Python integers.  The
 dense tuple ``coeffs`` is built only on first access.
@@ -286,7 +288,13 @@ def _length(prec: int, residue: int) -> int:
 
 
 def _pow_mod(x: np.ndarray, e: int, ell: int) -> np.ndarray:
-    """x^e mod ell elementwise (x^0 = 1) for e >= 0, by square-and-multiply of residues."""
+    """x^e mod ell elementwise (x^0 = 1) for e >= 0 and residues x mod a prime ell, by square-and-multiply.
+
+    An exponent e >= 1 is first reduced to (e - 1) mod (ell - 1) + 1: x^ell = x
+    for every residue (Fermat), and the shift keeps 0^e = 0 where e mod (ell - 1) = 0.
+    """
+    if e:
+        e = (e - 1) % (ell - 1) + 1
     out = None  # no product with 1: x^1 is x itself
     while e:
         if e & 1:
@@ -372,7 +380,7 @@ class QExp24:
         dense = np.array([int(c) % modulus for c in coeffs], dtype=_dtype(modulus))
         head = dense[residue::24]
         if np.count_nonzero(head) < np.count_nonzero(dense):  # counting is the cheap test
-            support = np.flatnonzero(dense)
+            support = dense.nonzero()[0]
             off = support[support % 24 != residue]
             raise ValueError(f"coefficient at index {off[0]} violates support class {residue} (mod 24)")
         values = np.zeros(_length(prec, residue), dtype=head.dtype)
@@ -404,12 +412,28 @@ class QExp24:
 
     @classmethod
     def from_dict(cls, terms: dict, prec: int, modulus: int, residue: int) -> "QExp24":
-        c = [0] * prec
-        for n, v in terms.items():
+        """The series with the given {index: coefficient} terms, zero elsewhere.
+
+        Each term is reduced and written straight into its strand slot, so
+        the cost follows the terms, not prec.  The constructor's checks
+        hold: PrecisionError for an index outside [0, prec), and a term
+        nonzero mod ell off the class is refused at the least such index.
+        """
+        for n in terms:
             if not 0 <= n < prec:
                 raise PrecisionError(f"index {n} outside [0, {prec})")
-            c[n] = v
-        return cls(c, prec, modulus, residue)
+        values = cls.zero(prec, modulus, residue).values.copy()  # the constructor checks prec, ring and class
+        off = []
+        for n, v in terms.items():
+            c = int(v) % modulus
+            m, rest = divmod(n - residue, 24)
+            if c and rest:
+                off.append(n)
+            elif c:
+                values[m] = c
+        if off:
+            raise ValueError(f"coefficient at index {min(off)} violates support class {residue} (mod 24)")
+        return cls._of(values, prec, modulus, residue)
 
     # === inspection ===
 
@@ -438,17 +462,17 @@ class QExp24:
 
     def valuation(self) -> int:
         """Smallest index with a nonzero coefficient, or prec if none."""
-        nz = np.flatnonzero(self.values)
+        nz = self.values.nonzero()[0]
         return self.residue + 24 * int(nz[0]) if nz.size else self.prec
 
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.values)
 
     def support(self):
-        return (self.residue + 24 * np.flatnonzero(self.values)).tolist()
+        return (self.residue + 24 * self.values.nonzero()[0]).tolist()
 
     def nonzero_items(self):
-        nz = np.flatnonzero(self.values)
+        nz = self.values.nonzero()[0]
         return list(zip((self.residue + 24 * nz).tolist(), self.values[nz].tolist()))
 
     def first_off_class(self, residue: int, depth: int | None = None):
@@ -482,7 +506,7 @@ class QExp24:
             first = min(self.valuation(), other.valuation())
             return first if first < depth else None
         n = _length(depth, self.residue)
-        bad = np.flatnonzero(self.values[:n] != other.values[:n])
+        bad = (self.values[:n] != other.values[:n]).nonzero()[0]
         return self.residue + 24 * int(bad[0]) if bad.size else None
 
     # === ring operations ===
@@ -581,14 +605,21 @@ def eta_series(prec: int, modulus: int) -> QExp24:
 
 
 def theta_op(f: QExp24, j: int = 1) -> QExp24:
-    """(q d/dq)^j in 1/24-units: a(n) picks up the factor (n/24)^j mod ell, in one pass."""
+    """(q d/dq)^j in 1/24-units: a(n) picks up the factor (n/24)^j mod ell, over the nonzero entries.
+
+    theta^0 is f itself; otherwise only the nonzero entries' weights are
+    raised to the j-th power, and scattered into one zeros strand.
+    """
     if j < 0:
         raise ValueError(f"theta_op needs a power j >= 0, got {j}")
+    if not j:
+        return f
     ell = f.modulus
-    inv24 = pow(24, -1, ell)
-    n = f.residue + 24 * np.arange(f.values.size)  # the index of each strand entry
-    weight = n.astype(f.values.dtype, copy=False) % ell * inv24 % ell
-    out = _pow_mod(weight, j, ell) * f.values % ell
+    nz = f.values.nonzero()[0]
+    # entry m sits at index r0 + 24 m, whose weight (r0 + 24 m)/24 is m + r0/24 mod ell
+    weight = (nz.astype(f.values.dtype, copy=False) + f.residue * pow(24, -1, ell)) % ell
+    out = np.zeros(f.values.size, dtype=f.values.dtype)
+    out[nz] = _pow_mod(weight, j, ell) * f.values[nz] % ell
     return QExp24._of(out, f.prec, ell, f.residue)
 
 
@@ -637,10 +668,11 @@ def support_square_classes(f: QExp24) -> dict:
 
 # === text serialization ===
 
-# series_from_text's largest prec.  Reading costs about 32 bytes per unit of
-# prec whatever the file holds: 1.4 s and 333 MB peak RSS at this budget (2
-# cores).  No file past it could be checked at full depth in useful time:
-# that check is quadratic in prec, 6.4 s at 10^6.
+# series_from_text's largest prec.  Reading writes each term into one strand
+# of prec / 24 entries, so a file costs its terms plus 1/3 byte per unit of
+# prec (int64 storage).  The budget bounds time, not memory: no file past
+# it could be checked at full depth in useful time, since that check is
+# quadratic in prec, 6.4 s at 10^6.
 SERIES_MAX_PREC = 10**7
 
 

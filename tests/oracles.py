@@ -157,10 +157,11 @@ def dense_mul(f, g):
     return DenseSeries(out, prec, f.modulus, (f.residue + g.residue) % 24)
 
 
-def dense_theta(f):
+def dense_theta(f, j=1):
+    """theta^j: a(n) times (n/24)^j mod ell, by Python pow at every index (0^0 = 1)."""
     ell = f.modulus
     inv24 = pow(24, -1, ell)
-    return DenseSeries([n * inv24 * a for n, a in enumerate(f.coeffs)], f.prec, ell, f.residue)
+    return DenseSeries([pow(n * inv24, j, ell) * a for n, a in enumerate(f.coeffs)], f.prec, ell, f.residue)
 
 
 def dense_u(f, m):

@@ -2,15 +2,16 @@
 
 import json
 import math
+import random
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from etakit.cli import evaluate_recipe
+from etakit.cli import evaluate_recipe, load_scenarios
 from etakit import qseries
 from etakit.qseries import PrecisionError, QExp24, eta_series
-from etakit.spaces import dims, membership_depth
+from etakit.spaces import MembershipCertificate, dims, membership_depth
 from etakit.halfint import (
     HalfIntForm,
     canonical_t1,
@@ -27,7 +28,8 @@ from etakit.classify import (
     classify,
 )
 
-from oracles import eisenstein_coeffs, eta_space_oracle, square_class_kernel
+from oracles import eisenstein_coeffs, eta_space_oracle, kronecker_oracle, square_class_kernel
+from test_strands import RINGS
 
 
 def _squarefree_part(n):
@@ -266,6 +268,82 @@ def test_classify_case_one_respects_congruence_not_just_shape():
     assert rep.case == "unclassified"
     assert not rep.checks[-1].passed
     assert rep.checks[-1].witness == 25
+
+
+# === the congruence verdict against the canonical series ===
+
+
+def _reference_congruence(series, lam, depth):
+    """(passed, witness) of series against a1 T1 + al T2 below depth, built as QExp24 series."""
+    ell = series.modulus
+    a1, al = series.coeff(1), (series.coeff(ell) if ell < series.prec else 0)
+    t1_lam = 0 if 2 * lam + 1 < ell * ell and lam % (ell - 1) == 0 else lam
+    target = QExp24.zero(depth, ell, series.residue)
+    if a1:
+        target = target + canonical_t1(t1_lam, ell, depth).scale(a1)
+    if al:
+        target = target + canonical_t2(ell, depth).scale(al)
+    bad = series.first_difference(target, depth)
+    return bad is None, bad
+
+
+def _square_terms(ell, prec, a1, al, lam):
+    """{n: c} of a1 sum (12|n) n^lam q^(n^2/24) + al sum (12|n) q^(ell n^2/24), by Python pow."""
+    terms = {}
+    for n in range(1, math.isqrt(prec - 1) + 1):
+        if math.gcd(n, 6) == 1:
+            chi = kronecker_oracle(12, n)
+            if a1:
+                terms[n * n] = a1 * chi * pow(n, lam, ell)
+            if al and ell * n * n < prec:
+                terms[ell * n * n] = al * chi
+    return terms
+
+
+@pytest.mark.parametrize("ell", RINGS + (73, 2**61 - 1))
+def test_congruence_verdict_matches_the_canonical_series(ell):
+    # random a1 and al on each class that can hold them, the form's lam or
+    # another one in the series, and a perturbed entry or none: classify's
+    # verdict and witness must be those of the canonical series reference
+    rng = random.Random(ell)
+    shapes = [(1, True, ell % 24 == 1), (ell % 24, ell % 24 == 1, True)]
+    outcomes = set()
+    for trial in range(24):
+        r0, with_a1, with_al = shapes[trial % 2]
+        lam = rng.choice([0, ell - 1, 2 * (ell - 1), (ell - 1) // 2, 2 * rng.randrange(1, 10**6),
+                          rng.randrange(10**6)])
+        depth = rng.randrange(r0 + 72, 600)
+        prec = depth + rng.randrange(0, 50)
+        a1, al = rng.randrange(1, ell) if with_a1 else 0, rng.randrange(1, ell) if with_al else 0
+        t1_lam = 0 if 2 * lam + 1 < ell * ell and lam % (ell - 1) == 0 else lam
+        terms = _square_terms(ell, prec, a1, al, rng.choice([t1_lam, t1_lam, lam + 1]))
+        if rng.random() < 0.5:  # one more term on the class, past index ell
+            n = r0 + 24 * rng.randrange(2, len(range(r0, prec, 24)))
+            terms[n] = terms.get(n, 0) + rng.randrange(1, ell)
+        series = QExp24.from_dict(terms, prec, ell, r0)
+        form = HalfIntForm(series, lam, r0, MembershipCertificate(series.values[:0], depth, 0))
+        rep = classify(form)
+        assert (rep.a1, rep.al) == (series.coeff(1), series.coeff(ell) if ell < prec else 0)
+        congruence = rep.checks[-1]
+        want = _reference_congruence(series, lam, depth)
+        assert (congruence.passed, congruence.witness) == want, (trial, lam, depth)
+        outcomes.add(want[0])
+    assert outcomes == {True, False}
+
+
+def test_the_verdict_path_builds_no_series_through_the_public_constructor(monkeypatch):
+    # every corpus form classifies the same with QExp24.__init__ refused:
+    # classify writes its target on a strand, never through the constructor
+    scenarios = load_scenarios()
+    forms = [evaluate_recipe(sc["recipe"], sc["ell"], sc.get("prec")) for sc in scenarios]
+    reports = [classify(form).to_dict() for form in forms]
+    assert [rep["case"] for rep in reports] == [sc["expect"]["case"] for sc in scenarios]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict path called the public constructor")
+
+    monkeypatch.setattr(QExp24, "__init__", refuse)
+    assert [classify(form).to_dict() for form in forms] == reports
 
 
 # === the converse: every form on the classes {1, ell} reaches a case ===

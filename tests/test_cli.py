@@ -456,6 +456,70 @@ def test_cli_basis_errors(capsys):
     assert main(["basis", "--weight", "12", "--ell", "4"]) == 2
 
 
+# === the recipe precision budget ===
+
+
+def _nested_descents(count):
+    return "udesc(theta^2(" * count + "eta" + "))" * count
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [
+        ("eta^100000000001\n", ["--ell", "5"]),
+        ("theta^100000000(eta)\n", ["--ell", "5"]),
+        ("name=huge\nell=5\nrecipe=eta\nprec=999999999999\n", []),
+        ("eta\n", ["--ell", "5", "--prec", "999999999999"]),
+        (_nested_descents(12) + "\n", ["--ell", "5"]),
+        (_nested_descents(30) + "\n", ["--ell", "5"]),
+    ],
+    ids=["eta-power", "theta-power", "scenario-prec", "prec-flag", "descents-12", "descents-30"],
+)
+def test_cli_refuses_a_recipe_past_the_precision_budget_before_building(tmp_path, capsys, monkeypatch, text, extra):
+    # each would ask for gigabytes or more; with eta_series refused, the
+    # exit 2 proves the budget is checked before any leaf is built
+    def refuse(prec, ell):
+        raise AssertionError(f"a leaf of precision {prec} was built")
+
+    monkeypatch.setattr(cli, "eta_series", refuse)
+    path = tmp_path / "r.txt"
+    path.write_text(text)
+    assert main(["classify", "--recipe", str(path), *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: recipe needs leaf precision ")
+    assert err.endswith(f", past the budget RECIPE_MAX_PREC = {cli.RECIPE_MAX_PREC}\n")
+
+
+@pytest.mark.parametrize("text", ["eta", "theta^2(eta)", "udesc(eta^5)", "udesc(udesc(eta^125))"])
+def test_recipe_budget_holds_its_largest_leaf_and_refuses_one_more(monkeypatch, text):
+    # the budget set to the largest leaf precision a recipe builds lets it
+    # through unchanged; one below, the same leaf is refused in one line
+    ell, built = 5, []
+    eta = cli.eta_series
+
+    def record(prec, modulus):
+        built.append(prec)
+        return eta(prec, modulus)
+
+    monkeypatch.setattr(cli, "eta_series", record)
+    want = evaluate_recipe(text, ell)
+    largest = max(built)
+    monkeypatch.setattr(cli, "RECIPE_MAX_PREC", largest)
+    got = evaluate_recipe(text, ell)
+    assert got.series == want.series and (got.lam, got.r) == (want.lam, want.r)
+    monkeypatch.setattr(cli, "RECIPE_MAX_PREC", largest - 1)
+    with pytest.raises(ValueError, match=f"^recipe needs leaf precision {largest}, past the budget"):
+        evaluate_recipe(text, ell)
+
+
+def test_recipe_budget_is_above_case_three_at_6577():
+    # the largest honest recipe: case 3 at ell = 6577 plans prec 21.6M
+    ell, j = 6577, (6577 - 1) // 4
+    lam, r = j * (ell + 1), 1
+    assert membership_depth(lam, r)[1] + 24 < cli.RECIPE_MAX_PREC
+
+
 def test_cli_classify_bare_recipe(tmp_path, capsys):
     path = tmp_path / "r.txt"
     path.write_text("theta(eta)\n")

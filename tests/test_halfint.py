@@ -16,6 +16,7 @@ from etakit.qseries import (
 )
 from etakit.spaces import (
     CertificationError,
+    MembershipCertificate,
     membership_depth,
     miller_basis,
 )
@@ -163,6 +164,27 @@ def test_descent_requires_divisible_support():
     g = eta_form(60, 5)
     with pytest.raises(ValueError):
         u_ell_descent(g)
+
+
+@pytest.mark.parametrize("ell", [5, 13, 3037000507, 2**64 + 13])
+def test_descent_names_the_first_index_off_the_multiples_of_ell(ell):
+    # on r0 = ell mod 24 the multiples of ell are ell (1 + 24 j): a term on
+    # the class between them is the witness, the least one when there are more
+    r0, prec = ell % 24, 24 * 8 * 25
+    multiples = {ell * (1 + 24 * j): 1 for j in range(3) if ell * (1 + 24 * j) < prec}
+    off = [n for n in range(r0 + 24, prec, 24) if n % ell][:3]
+    for terms, witness in ((multiples, None), ({**multiples, **{n: 1 for n in reversed(off)}}, off[0])):
+        series = QExp24.from_dict(terms, prec, ell, r0)
+        form = HalfIntForm(series, (ell - 1) // 2, ell, MembershipCertificate(series.values[:0], prec, 0))
+        try:
+            u_ell_descent(form)
+            message = ""
+        except (ValueError, CertificationError) as exc:  # past the support test, the descent may fail to certify
+            message = str(exc)
+        if witness is None:
+            assert "divisible" not in message
+        else:
+            assert message == f"descent input must be supported on indices divisible by {ell}; index {witness} is not"
 
 
 def test_descent_zero_form():

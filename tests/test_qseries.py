@@ -165,6 +165,9 @@ def test_from_dict_and_coeff():
         f.coeff(30)
     with pytest.raises(PrecisionError):
         QExp24.from_dict({30: 1}, prec=30, modulus=7, residue=6)
+    # the off-class refusal names the least index, whatever the terms' order
+    with pytest.raises(ValueError, match="index 2 violates support class 1"):
+        QExp24.from_dict({49: 1, 50: 1, 2: 1, 26: 1}, prec=60, modulus=5, residue=1)
 
 
 def test_mod_coefficients_are_reduced():
@@ -486,6 +489,17 @@ def test_pow_mod_equals_python_pow(ell):
         got = qseries._pow_mod(residues, e, ell)
         assert got.dtype == residues.dtype
         assert got.tolist() == [pow(v, e, ell) for v in x], e
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13, 3037000493, 3037000507, 2**61 - 1])
+def test_pow_mod_keeps_zero_at_multiples_of_ell_minus_one(ell):
+    # the exponent is reduced to (e - 1) mod (ell - 1) + 1, never to 0 from
+    # e >= 1: 0^(ell - 1) is 0, and a unit to a multiple of ell - 1 is 1
+    residues = qseries._reduce(np.array([0, 1, 2, ell - 1], dtype=object), ell)
+    for e in (ell - 1, 2 * (ell - 1), 3 * (ell - 1)):
+        assert qseries._pow_mod(residues, e, ell).tolist() == [0, 1, 1, 1], e
+    assert qseries._pow_mod(residues, 0, ell).tolist() == [1, 1, 1, 1]
+    assert qseries._pow_mod(residues, ell, ell).tolist() == [0, 1, 2, ell - 1]
 
 
 def test_legendre_table_matches_kronecker():

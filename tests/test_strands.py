@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from etakit.halfint import hecke_tp2
-from etakit.qseries import QExp24, _inverse, _square_strand, theta_op, u_op, v_op
+from etakit.qseries import PrecisionError, QExp24, _inverse, _square_strand, theta_op, u_op, v_op
 
 from oracles import (
     DenseSeries,
@@ -189,12 +189,53 @@ def test_u_v_truncate_and_residue_tags(fs, m, cut):
 
 
 @SETTINGS
+@given(st.sampled_from(RINGS), st.integers(0, 23), st.integers(1, 150), st.data())
+def test_from_dict_gives_what_the_dense_list_gives(modulus, residue, prec, data):
+    # each term goes straight into its strand slot with the constructor's
+    # checks: a PrecisionError past prec, the off-class ValueError at the
+    # least such index, and a term = 0 (mod ell) accepted anywhere
+    index = st.one_of(st.integers(0, prec - 1), st.integers(0, (prec - 1) // 24).map(lambda k: residue + 24 * k))
+    value = st.one_of(coefficient, st.integers(-3, 3).map(lambda k: k * modulus))
+    terms = data.draw(st.dictionaries(index.filter(lambda n: n < prec), value, max_size=12))
+    past = data.draw(st.integers(prec, prec + 30))
+    with pytest.raises(PrecisionError, match=rf"index {past} outside \[0, {prec}\)"):
+        QExp24.from_dict({**terms, past: 1}, prec, modulus, residue)
+    coeffs = [0] * prec
+    for n, c in terms.items():
+        coeffs[n] = c
+    same_or_raises(
+        lambda: QExp24.from_dict(terms, prec, modulus, residue), lambda: DenseSeries(coeffs, prec, modulus, residue)
+    )
+
+
+@SETTINGS
 @given(pairs(count=1, max_prec=400), st.sampled_from((5, 7, 11)), st.integers(0, 6))
 def test_theta_twist_and_hecke(fs, p, lam_int):
     [(f, rf)] = fs
     same(theta_op(f), dense_theta(rf))
     if p != f.modulus:
         same(hecke_tp2(f, p, lam_int), dense_hecke_tp2(rf, p, lam_int))
+
+
+@pytest.mark.parametrize("modulus", RINGS)
+def test_theta_power_matches_the_dense_oracle_on_dense_and_sparse_strands(modulus):
+    # theta_op raises only the nonzero entries' weights; every strand entry
+    # nonzero, and two of them nonzero, must give the dense definition's
+    # coefficients at j = 0, 1, ell - 1, ell and 2 ell - 1
+    rng = random.Random(modulus)
+    for residue in (0, 1, 7, 23):
+        prec = residue + 24 * 40 + 1
+        slots = range(residue, prec, 24)
+        dense = [0] * prec
+        for n in slots:
+            dense[n] = rng.randrange(1, modulus)
+        sparse = [0] * prec
+        for n in rng.sample(slots, 2):
+            sparse[n] = rng.randrange(1, modulus)
+        for coeffs in (dense, sparse):
+            f, rf = QExp24(coeffs, prec, modulus, residue), DenseSeries(coeffs, prec, modulus, residue)
+            for j in (0, 1, modulus - 1, modulus, 2 * modulus - 1):
+                same(theta_op(f, j), dense_theta(rf, j))
 
 
 @SETTINGS
