@@ -387,11 +387,24 @@ def filtration_sweep(ell: int, count: int = 20, seed: int = 77) -> list:
 # === subcommands ===
 
 
+# basis' largest precision, the --prec given or the default of its weight
+# (about 4 k), checked before anything is built.  It bounds time: a basis of
+# dm rows and L = prec / 24 entries costs about L^2 for its products and
+# dm^2 L for its rows, and weight 2472 at its default prec 9961 takes 0.07 s
+# at ell = 5 and 5 s at ell = 3037000493 or 2^61 - 1, whose sums take Python
+# integers (2 cores), in at most 43 MB peak RSS.
+BASIS_MAX_PREC = 10_000
+
+
 def _cmd_basis(args) -> int:
     prec = args.prec
     if prec is None:
         dm = dims(args.weight)[0]
         prec = 24 * (dm + args.weight // 12 + 2) + 1
+    if prec > BASIS_MAX_PREC:
+        raise ValueError(
+            f"basis of weight {args.weight} at prec {prec} is past the budget BASIS_MAX_PREC = {BASIS_MAX_PREC}"
+        )
     basis = miller_basis(args.weight, args.ell, prec, args.kind)
     blocks = []
     for i, elem in enumerate(basis.elements):

@@ -18,6 +18,7 @@ from .qseries import (
     QExp24,
     PrecisionError,
     _legendre,
+    _length,
     _pow_mod,
     _reduce,
     _square_series,
@@ -162,6 +163,25 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
 # === Hecke action on 1/24-indexed expansions ===
 
 
+# (n|p) at the strand indices n = r0 + 24 m, stored as 0, 1, 2 for 0, 1, -1
+# so that it indexes a 3-entry table: one int8 strand per (p, r0), served
+# by prefix and grown to at least twice its length when a longer one is
+# asked for.  A strand grows only past its length, so it holds fewer than
+# twice the entries of the longest output strand asked for at its (p, r0),
+# one byte each.
+_SIGN_CACHE = {}
+
+
+def _signs(p: int, r0: int, length: int) -> np.ndarray:
+    """(n|p) at n = r0 + 24 m, m < length, as the indices 0, 1, 2 of 0, 1, -1."""
+    signs = _SIGN_CACHE.get((p, r0))
+    if signs is None or signs.size < length:
+        size = length if signs is None else max(length, 2 * signs.size)
+        signs = (_legendre(r0 + 24 * np.arange(size), p) % 3).astype(np.int8)
+        _SIGN_CACHE[p, r0] = signs
+    return signs[:length]
+
+
 def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     """T(p^2) on a mod-ell series of weight lam_int + 1/2, 1/24-unit indexing.
 
@@ -175,25 +195,36 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
     Since p^2 = 1 mod 24, p^2 n lies on the strand of n: with strand
     indices n = r0 + 24 j, index p^2 n sits at entry k0 + p^2 j with
     k0 = (p^2 - 1) r0 / 24, so a(p^2 n) and a(n / p^2) are strided slices
-    of f's strand.  Only the output's indices n are built, and each
-    product of residues is reduced before the three terms are summed.
+    of f's strand.  The character (n|p) is read from a cached sign strand
+    of (p, r0), which picks c1 (n|p) mod ell out of [0, c1, ell - c1].
+
+    Each entry is reduced once: it sums at most one product of residues
+    and one residue, since the third term lands on the indices
+    p^2 (r0 + 24 j), where (n|p) = 0.  That sum is below ell (ell - 1),
+    which fits int64 wherever the ring stores int64.
     """
     _validate_modulus(p, "p")
-    ell = f.modulus
-    if p == ell:
-        raise ValueError(f"p = ell = {ell} is outside the operator's domain")
+    if p == f.modulus:
+        raise ValueError(f"p = ell = {f.modulus} is outside the operator's domain")
+    return _tp2(f, p, lam_int, kronecker(12, p))
+
+
+def _tp2(f: QExp24, p: int, lam_int: int, chi12: int) -> QExp24:
+    """T(p^2) f for a checked p, with chi12 = (12|p)."""
+    ell, a, r0 = f.modulus, f.values, f.residue
     p2 = p * p
     new_prec = -(-f.prec // p2)
     parity_sign = kronecker(-1, p) if lam_int % 2 else 1
-    c1 = kronecker(12, p) * parity_sign * pow(p, lam_int - 1, ell) % ell
+    c1 = chi12 * parity_sign * pow(p, lam_int - 1, ell) % ell
     c2 = pow(p, 2 * lam_int - 1, ell)
-    a, r0 = f.values, f.residue
-    n = r0 + 24 * np.arange(len(range(r0, new_prec, 24)))
+    n = _length(new_prec, r0)
     k0 = (p2 - 1) * r0 // 24
-    chi_n = _legendre(n, p).astype(a.dtype) * c1 % ell
-    out = a[k0::p2][: n.size] + chi_n * a[: n.size] % ell
-    out[k0::p2] += c2 * a[: len(range(k0, n.size, p2))] % ell
-    return QExp24._of(out % ell, new_prec, ell, f.residue)
+    factor = np.array([0, c1, ell - c1], dtype=a.dtype)[_signs(p, r0, n)]
+    # int64 storage means (ell - 1)^2 < 2^63, so ell <= 3037000500 and a
+    # product plus a residue, below ell (ell - 1), is below 2^63 too
+    out = a[k0::p2][:n] + factor * a[:n]
+    out[k0::p2] += c2 * a[: len(range(k0, n, p2))]
+    return QExp24._of(out % ell, new_prec, ell, r0)
 
 
 def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
@@ -222,13 +253,10 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
             f"got lam = {g.lam}, ell = {ell}"
         )
     lam_bar = lam_pre % (ell - 1)
-    scalar = (
-        eps_p
-        * kronecker(12, p)
-        * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell))
-    ) % ell
-    lhs = hecke_tp2(g.series, p, g.lam).values
-    return bool(np.array_equal(lhs, g.series.values[: lhs.size] * scalar % ell))
+    chi12 = kronecker(12, p)
+    scalar = eps_p * chi12 * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell)) % ell
+    lhs = _tp2(g.series, p, g.lam, chi12).values
+    return bool((lhs == g.series.values[: lhs.size] * scalar % ell).all())
 
 
 def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:

@@ -652,13 +652,15 @@ def v_op(f: QExp24, m: int) -> QExp24:
 
 
 def support_square_classes(f: QExp24) -> dict:
-    """Group the nonzero support by squarefree part: {t: [indices]}."""
+    """Group the nonzero support by squarefree part: {t: [indices]}; index 0 is the class t = 0."""
     ell = f.modulus
     classes: dict = {}
     for n in f.support():  # squares, then ell (prime) times squares; only the rest is factored
-        if n > 0 and math.isqrt(n) ** 2 == n:
+        if n == 0:  # 0 has no squarefree part
+            t = 0
+        elif math.isqrt(n) ** 2 == n:
             t = 1
-        elif n > 0 and n % ell == 0 and math.isqrt(n // ell) ** 2 == n // ell:
+        elif n % ell == 0 and math.isqrt(n // ell) ** 2 == n // ell:
             t = ell
         else:
             t = squarefree_part(n)

@@ -63,6 +63,15 @@ def test_two_classes_on_eta():
     assert res.passed and res.witness is None
 
 
+def test_a_constant_term_is_its_own_class_and_the_witness():
+    # 0 has no squarefree part: index 0 is the class 0, outside {1, ell}
+    f = QExp24.from_dict({0: 1, 24: 2}, 48, 5, 0)
+    assert qseries.support_square_classes(f) == {0: [0], 6: [24]}
+    classes, res = check_two_classes(f)
+    assert classes == {0: [0], 6: [24]}
+    assert not res.passed and res.witness == 0
+
+
 def test_two_classes_on_eta_ell_power():
     ell = 5
     f = (eta_series(24 * 30, ell) ** ell).truncate(24 * 20)

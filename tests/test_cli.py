@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from etakit import cli, halfint, qseries, spaces
 from etakit.halfint import certify, theta_lift
 from etakit.qseries import eta_series, series_from_text, u_op
-from etakit.spaces import membership_depth, miller_basis
+from etakit.spaces import dims, membership_depth, miller_basis
 from etakit.cli import (
     _exit_for_case,
     _parser,
@@ -456,6 +456,37 @@ def test_cli_basis_errors(capsys):
     assert main(["basis", "--weight", "12", "--ell", "4"]) == 2
 
 
+@pytest.mark.parametrize("args", [["--weight", "100000000"], ["--weight", "12", "--prec", "999999999999"]])
+def test_cli_basis_refuses_past_the_precision_budget_before_building(capsys, monkeypatch, args):
+    # either would build for minutes or more; with miller_basis refused, the
+    # exit 2 proves the budget is checked before any basis is built
+    def refuse(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(cli, "miller_basis", refuse)
+    assert main(["basis", "--ell", "5", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.endswith(f" is past the budget BASIS_MAX_PREC = {cli.BASIS_MAX_PREC}\n")
+
+
+@pytest.mark.parametrize("weight, kind", [(12, "M"), (26, "S"), (50, "M")])
+def test_basis_budget_holds_its_default_prec_and_refuses_one_more(capsys, monkeypatch, weight, kind):
+    # weight k's default prec is 24 (dim M_k + k // 12 + 2) + 1: the budget set
+    # to it lets the basis through, one below refuses the weight and the flag
+    prec = 24 * (dims(weight)[0] + weight // 12 + 2) + 1
+    base = ["basis", "--weight", str(weight), "--ell", "7", "--kind", kind]
+    monkeypatch.setattr(cli, "BASIS_MAX_PREC", prec)
+    assert main(base) == 0 and main([*base, "--prec", str(prec)]) == 0
+    blocks = capsys.readouterr().out.strip().split("\n\n")
+    assert f"prec={prec} " in blocks[0]
+    monkeypatch.setattr(cli, "BASIS_MAX_PREC", prec - 1)
+    assert main(base) == 2 and main([*base, "--prec", str(prec)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 2
+    assert err.startswith(f"error: basis of weight {weight} at prec {prec} is past the budget")
+
+
 # === the recipe precision budget ===
 
 
@@ -627,7 +658,7 @@ def test_cli_refuses_a_bad_series_file_in_one_line(tmp_path, capsys, monkeypatch
     assert message in err
 
 
-def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, capsys, monkeypatch):
+def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, capsys, monkeypatch, cold_caches):
     # 3 eta mod 13 lies in eta * M_0, whose one row is 1: a check at every
     # coefficient reads no E4, E6 or t, and its one Newton inverse is eta's
     from etakit.qseries import series_to_text
@@ -641,8 +672,6 @@ def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, cap
         inverted.append(a[:2].tolist())
         return inverse(a, ell, length)
 
-    monkeypatch.setattr(spaces, "_ROW_CACHE", {})
-    monkeypatch.setattr(spaces, "_GENERATOR_CACHE", {})
     monkeypatch.setattr(spaces, "_e4_e6", refuse)
     monkeypatch.setattr(spaces, "_inverse", record)
     path = tmp_path / "eta.series"

@@ -4,7 +4,6 @@ import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
 from etakit import numeric, qseries
@@ -133,13 +132,10 @@ def _y_for_terms(n_max: int) -> float:
     return y
 
 
-def test_eta_value_does_not_depend_on_the_order_of_its_points(monkeypatch):
+def test_eta_value_does_not_depend_on_the_order_of_its_points(cold_caches):
     # the table of n prime to 6 starts empty and grows on demand: a short
     # sum, one past half the 20000-term cap, one near it, then the short
     # one again; doubling the middle table would pass the cap
-    monkeypatch.setattr(qseries, "_N", np.zeros(0, dtype=np.int64))
-    monkeypatch.setattr(qseries, "_CHI", np.zeros(0, dtype=np.int64))
-    monkeypatch.setattr(qseries, "_Q", np.zeros(0, dtype=np.int64))
     small = 0.3 + _y_for_terms(40) * 1j
     first = eta_value(small)
     assert first == _eta_by_loop(small)

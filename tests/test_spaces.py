@@ -70,9 +70,9 @@ GENERATOR_ELLS = (5, 7, 13, 97, 691, 2**31 - 1, 3037000493, 3037000507, 2**61 - 
 TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
 
-def _generated(monkeypatch, ell, length):
+def _generated(cold_caches, ell, length):
     """E4, E6, t and Delta of spaces._tables, built cold, in the ring's storage dtype."""
-    _clear_caches(monkeypatch)
+    cold_caches()
     strands = [strand[:length] for strand in spaces._tables(ell, length, 2)[:4]]
     for strand in strands:
         assert strand.dtype == (np.int64 if ell <= 3037000493 else object) and strand.size == length
@@ -91,46 +91,46 @@ def _delta(prec, ell):
     return QExp24(delta_product_coeffs(prec), prec, ell, 0)
 
 
-def test_e4_coefficients(monkeypatch):
+def test_e4_coefficients(cold_caches):
     for ell in GENERATOR_ELLS:
-        e4 = _generated(monkeypatch, ell, 6)[0]
+        e4 = _generated(cold_caches, ell, 6)[0]
         assert e4.tolist() == [1] + [240 * sigma_oracle(n, 3) % ell for n in range(1, 6)], ell
 
 
-def test_e6_coefficients(monkeypatch):
+def test_e6_coefficients(cold_caches):
     for ell in GENERATOR_ELLS:
-        e6 = _generated(monkeypatch, ell, 6)[1]
+        e6 = _generated(cold_caches, ell, 6)[1]
         assert e6.tolist() == [1] + [-504 * sigma_oracle(n, 5) % ell for n in range(1, 6)], ell
 
 
-def test_delta_first_coefficients(monkeypatch):
+def test_delta_first_coefficients(cold_caches):
     # tau(1..10)
     for ell in GENERATOR_ELLS:
-        delta = _generated(monkeypatch, ell, 11)[3]
+        delta = _generated(cold_caches, ell, 11)[3]
         assert delta.tolist() == [0] + [tau % ell for tau in TAU], ell
 
 
-def test_delta_matches_product_oracle(monkeypatch):
+def test_delta_matches_product_oracle(cold_caches):
     # (E4^3 - E6^2) / 1728 against q prod (1 - q^n)^24
     want = delta_product_coeffs(24 * 40)[::24]
     for ell in GENERATOR_ELLS:
-        assert _generated(monkeypatch, ell, 40)[3].tolist() == [c % ell for c in want], ell
+        assert _generated(cold_caches, ell, 40)[3].tolist() == [c % ell for c in want], ell
 
 
-def test_delta_691_congruence(monkeypatch):
+def test_delta_691_congruence(cold_caches):
     # tau(n) = sigma_11(n) mod 691 for all n
-    delta = _generated(monkeypatch, 691, 60)[3]
+    delta = _generated(cold_caches, 691, 60)[3]
     for n in range(1, 60):
         assert delta[n] == sigma_oracle(n, 11) % 691
 
 
-def test_discriminant_relation(monkeypatch):
+def test_discriminant_relation(cold_caches):
     # E4^3 - E6^2 = 1728 Delta and t E4^3 = Delta, with Delta from the product
     prec = 24 * 12
     for ell in GENERATOR_ELLS:
         e4, e6, t, _ = (
             QExp24.from_dict(dict(zip(range(0, prec, 24), s.tolist())), prec, ell, 0)
-            for s in _generated(monkeypatch, ell, 12)
+            for s in _generated(cold_caches, ell, 12)
         )
         delta = _delta(prec, ell)
         assert e4**3 - e6**2 == delta.scale(1728), ell
@@ -495,18 +495,13 @@ def test_eta_membership_precision_gate():
 MERSENNE31 = 2**31 - 1
 
 
-def _clear_caches(monkeypatch):
-    monkeypatch.setattr(spaces, "_ROW_CACHE", {})
-    monkeypatch.setattr(spaces, "_GENERATOR_CACHE", {})
-
-
-def test_e4_e6_sieve_matches_divisor_sigma(monkeypatch):
+def test_e4_e6_sieve_matches_divisor_sigma(cold_caches):
     # the sieve over Z, and the generator's E4 and E6 mod each ell
     e4_z, e6_z = spaces._e4_e6(61)
     assert e4_z == eisenstein_coeffs(24 * 60 + 1, 4)[::24]
     assert e6_z == eisenstein_coeffs(24 * 60 + 1, 6)[::24]
     for ell in GENERATOR_ELLS:
-        e4, e6 = _generated(monkeypatch, ell, 61)[:2]
+        e4, e6 = _generated(cold_caches, ell, 61)[:2]
         for n in range(1, 61):
             assert e4[n] == 240 * divisor_sigma(n, 3) % ell
             assert e6[n] == -504 * divisor_sigma(n, 5) % ell
@@ -527,7 +522,7 @@ def test_rows_hold_the_strand_of_each_element():
             assert row.tolist() == list(elem.coeffs[::24])
 
 
-def test_shorter_precision_is_a_prefix_of_the_cached_rows(monkeypatch):
+def test_shorter_precision_is_a_prefix_of_the_cached_rows(cold_caches):
     rng = random.Random(2024)
     for _ in range(12):
         ell = rng.choice((5, 7, 11, 13, 97, 193))
@@ -536,17 +531,16 @@ def test_shorter_precision_is_a_prefix_of_the_cached_rows(monkeypatch):
         need = 24 * (dims(k)[0] + k // 12 + 1)
         prec1 = need + rng.randrange(0, 60)
         prec2 = prec1 + rng.randrange(1, 200)
-        _clear_caches(monkeypatch)
+        cold_caches()
         cold = miller_basis(k, ell, prec1, kind).elements
-        _clear_caches(monkeypatch)
+        cold_caches()
         miller_basis(k, ell, prec2, kind)
         warm = miller_basis(k, ell, prec1, kind)
         assert warm.prec == prec1
         assert warm.elements == cold, (k, ell, kind, prec1, prec2)
 
 
-def test_generators_are_built_once_per_ell(monkeypatch):
-    _clear_caches(monkeypatch)
+def test_generators_are_built_once_per_ell(cold_caches, monkeypatch):
     sieve, lengths = spaces._e4_e6, []
     monkeypatch.setattr(spaces, "_e4_e6", lambda n: lengths.append(n) or sieve(n))
     miller_basis(24, 13, 24 * 10)
@@ -555,15 +549,14 @@ def test_generators_are_built_once_per_ell(monkeypatch):
     miller_basis(32, 13, 24 * 20)
     assert lengths == [10, 20]
     served = miller_basis(36, 13, 24 * 10)  # from a prefix of the longer generators
-    _clear_caches(monkeypatch)
+    cold_caches()
     assert (miller_basis(36, 13, 24 * 10).rows == served.rows).all()
     assert (miller_basis(28, 13, 24 * 10, "S").rows == warm.rows).all()
     assert lengths == [10, 20, 10]
 
 
-def test_a_basis_builds_only_the_generators_its_rows_read(monkeypatch):
+def test_a_basis_builds_only_the_generators_its_rows_read(cold_caches, monkeypatch):
     # M_0 is the constants; a weight with dim M_k = 1 reads E4 and E6 only
-    _clear_caches(monkeypatch)
     sieve, lengths = spaces._e4_e6, []
     monkeypatch.setattr(spaces, "_e4_e6", lambda n: lengths.append(n) or sieve(n))
     monkeypatch.setattr(spaces, "_inverse", None)  # building t would call it
@@ -584,18 +577,17 @@ def _matches_oracle(k, ell, length):
     assert b.rows.dtype == (np.int64 if ell <= 3037000493 else object)
 
 
-def test_miller_rows_equal_the_oracle_in_every_ring(monkeypatch):
+def test_miller_rows_equal_the_oracle_in_every_ring(cold_caches):
     # every even weight up to 120 from cold tables, at the shortest length
     # each allows: the tables grow in length and in D along the way
     for ell in ORACLE_RINGS:
-        _clear_caches(monkeypatch)
+        cold_caches()
         for k in range(4, 121, 2):
             _matches_oracle(k, ell, dims(k)[0] + k // 12 + 1)
 
 
 @pytest.mark.parametrize("ell", (13, 3037000507))
-def test_miller_rows_equal_the_oracle_across_table_growth(monkeypatch, ell):
-    _clear_caches(monkeypatch)
+def test_miller_rows_equal_the_oracle_across_table_growth(cold_caches, ell):
     tables = spaces._GENERATOR_CACHE
     # length: built at 8, grown to 16 one past it, to 32 one past that
     for length, size in ((8, 8), (9, 16), (16, 16), (17, 32)):
@@ -606,18 +598,17 @@ def test_miller_rows_equal_the_oracle_across_table_growth(monkeypatch, ell):
         _matches_oracle(k, ell, 17)
         assert len(tables[ell][6]) == d
     # long then short: a small dimension reads the leading blocks of D = 11
-    _clear_caches(monkeypatch)
+    cold_caches()
     _matches_oracle(120, ell, 30)
     for k in (12, 24, 26, 50, 70):
         _matches_oracle(k, ell, dims(k)[0] + k // 12 + 1)
 
 
-def test_a_basis_from_warm_tables_costs_a_fixed_number_of_products(monkeypatch):
+def test_a_basis_from_warm_tables_costs_a_fixed_number_of_products(cold_caches, monkeypatch):
     # once an ell's tables cover the length and dimension, a basis costs the
     # popcount(a) - 1 + b products of row0 = E4^a E6^b and, past dimension
     # 1, one product of the powers t^j with row0, two matrix products and
     # one short inverse, whatever k and dm are
-    _clear_caches(monkeypatch)
     ell = 97
     miller_basis(120, ell, 24 * 30)  # E4^30: squares up to E4^16; D = 11
     counts = {"_conv": 0, "_conv_rows": 0, "_dot": 0, "_inverse": 0}
@@ -640,10 +631,9 @@ def test_a_basis_from_warm_tables_costs_a_fixed_number_of_products(monkeypatch):
         }, k
 
 
-def test_a_long_basis_stores_no_length_squared_matrix(monkeypatch):
+def test_a_long_basis_stores_no_length_squared_matrix(cold_caches):
     # the rows t^j row0 come from a Toeplitz view of row0 (2 L - 1 entries):
     # at L = 4000 one int64 L x L matrix would take 128 MB
-    _clear_caches(monkeypatch)
     length = 4000
     tracemalloc.start()
     try:
@@ -662,23 +652,23 @@ def test_repeated_calls_return_the_same_object():
     assert miller_basis(20, 13, 24 * 9) is b
 
 
-def test_int64_and_exact_paths_give_identical_rows(monkeypatch):
+def test_int64_and_exact_paths_give_identical_rows(cold_caches, monkeypatch):
     ell = 97
     fast_m = miller_basis(40, ell, 24 * 12).rows
     fast_s = miller_basis(40, ell, 24 * 12, "S").rows
-    _clear_caches(monkeypatch)
+    cold_caches()
     monkeypatch.setattr(qseries, "_INT64_BOUND", 0)  # every kernel takes the exact path
     assert (miller_basis(40, ell, 24 * 12).rows == fast_m).all()
     assert (miller_basis(40, ell, 24 * 12, "S").rows == fast_s).all()
 
 
-def test_cusp_rows_are_rows_of_the_full_space(monkeypatch):
+def test_cusp_rows_are_rows_of_the_full_space(cold_caches, monkeypatch):
     rng = random.Random(8)
     for _ in range(10):
         ell = rng.choice((5, 7, 13, 97, 10007, MERSENNE31))
         k = rng.choice((12, 16, 24, 26, 38, 50))
         prec = 24 * (dims(k)[0] + k // 12 + 1) + rng.randrange(0, 50)
-        _clear_caches(monkeypatch)
+        cold_caches()
         full = miller_basis(k, ell, prec)
         with monkeypatch.context() as m:
             m.setattr(spaces, "_miller_rows", None)  # a build would call it
@@ -885,11 +875,10 @@ def test_a_member_changed_past_its_pivots_is_refused_at_that_index(ell, r0, w, e
         certify(bent, lam, r0, depth=prec)
 
 
-def test_certifying_without_a_checked_coefficient_builds_no_basis(monkeypatch):
+def test_certifying_without_a_checked_coefficient_builds_no_basis(cold_caches):
     # w = 0, 0, 12 for eta, eta^7, eta^25; theta lifts of eta at ell = 5, 7, 11 have
     # w = 6, 8, 12 and compare nothing; at ell = 13, 37 they have w = 14, 38 and
     # check one coefficient
-    _clear_caches(monkeypatch)
     for k, ell in ((1, 5), (7, 11), (25, 7)):
         lam = (k - 1) // 2
         prec = membership_depth(lam, k)[1] + 24
@@ -902,11 +891,10 @@ def test_certifying_without_a_checked_coefficient_builds_no_basis(monkeypatch):
     assert spaces._ROW_CACHE == {}
 
 
-def test_the_checked_coefficient_is_a_constant_term(monkeypatch):
+def test_the_checked_coefficient_is_a_constant_term(cold_caches):
     # theta of eta at ell = 13 lies at lam = 14, w = 14 = 2 (mod 12): one
     # coefficient past the pivots is checked.  The constant term pairs it
     # with the pivot, so a change at either is refused at index 25.
-    _clear_caches(monkeypatch)
     lifted = theta_lift(eta_form(24 * 8, 13))
     assert lifted.certificate == MembershipCertificate((6,), 49, 1)
     series = dict(lifted.series.nonzero_items())

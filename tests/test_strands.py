@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from etakit import halfint
 from etakit.halfint import hecke_tp2
 from etakit.qseries import PrecisionError, QExp24, _inverse, _square_strand, theta_op, u_op, v_op
 
@@ -215,6 +216,38 @@ def test_theta_twist_and_hecke(fs, p, lam_int):
     same(theta_op(f), dense_theta(rf))
     if p != f.modulus:
         same(hecke_tp2(f, p, lam_int), dense_hecke_tp2(rf, p, lam_int))
+
+
+def _dense_prefix(coeffs, prec, modulus, residue):
+    """The oracle's series of coeffs[:prec], reduced and on its class already, without a scan of each index."""
+    f = DenseSeries.__new__(DenseSeries)
+    f.coeffs, f.prec, f.modulus, f.residue = coeffs[:prec], prec, modulus, residue
+    return f
+
+
+# T(p^2) output strand lengths in the order asked, with the sign strand each
+# leaves cached: built cold at 5, a prefix at 2, grown to max(7, 2 * 5)
+HECKE_LENGTHS = ((5, 5), (2, 5), (7, 10))
+
+
+@pytest.mark.parametrize("modulus", RINGS + (2**61 - 1,))
+def test_hecke_matches_the_dense_oracle_at_worst_case_operands(cold_caches, modulus):
+    # every strand entry ell - 1 puts each output entry, a product of residues
+    # plus a residue, at its largest; every class prime to 6, the sign cache
+    # cold, and each (p, r0) asked long, short, then longer
+    top = 24 * 43 * 43 * max(length for length, _ in HECKE_LENGTHS)
+    for r0 in (1, 5, 7, 11, 13, 17, 19, 23):
+        dense = [0] * top
+        dense[r0::24] = [modulus - 1] * len(range(r0, top, 24))
+        f = QExp24.from_dict(dict.fromkeys(range(r0, top, 24), modulus - 1), top, modulus, r0)
+        for p in (5, 7, 11, 13, 43):
+            if p == modulus:
+                continue
+            for length, cached in HECKE_LENGTHS:
+                prec, lam_int = 24 * p * p * length, (r0 + length) % 4
+                got = hecke_tp2(f.truncate(prec), p, lam_int)
+                same(got, dense_hecke_tp2(_dense_prefix(dense, prec, modulus, r0), p, lam_int))
+                assert got.values.size == length and halfint._SIGN_CACHE[p, r0].size == cached
 
 
 @pytest.mark.parametrize("modulus", RINGS)
