@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qseries import PrecisionError, QExp24, _length, _square_strand, support_square_classes
+from .qseries import PrecisionError, QExp24, _length, _square_terms, support_square_classes
 from .halfint import HalfIntForm
 
 __all__ = [
@@ -104,7 +104,11 @@ def classify(form: HalfIntForm) -> CaseReport:
     Reads a1 and al (indices 1 and ell), writes the candidate target
     a1 * T1(lam) + al * T2 (T1(0) = eta when ell - 1 divides lam inside
     the weight hypothesis) onto one zeros strand of the form's own class,
-    and compares it with the form's strand in one array test below the
+    scattering the scaled terms of T1 and T2 from qseries' cache of
+    square-series terms (keyed by (m, ell, reduced lam), served by prefix,
+    grown at least twofold, fewer than twice the terms of its longest
+    request: about sqrt(24 depth) / 3 for T1, and no dense strand), and
+    compares it with the form's strand in one array test below the
     certificate's depth: the Sturm depth 24 * (floor(w/12) + 1) + r0 for a
     form built in its space, every coefficient for a series certified to
     its precision, and the whole zero series in an empty space.  No series
@@ -153,18 +157,19 @@ def classify(form: HalfIntForm) -> CaseReport:
     if depth > series.prec:
         raise PrecisionError("comparison depth exceeds available precision")
     # a1 != 0 puts index 1 in the support and al != 0 index ell, so each
-    # term of the target lies on the series' own class r0, and its strand is
-    # written there; T1 sits at the squares and T2 at ell times the squares,
-    # so the two reduced terms never share an entry and their sum stays reduced
+    # term of the target lies on the series' own class r0, and its cached
+    # terms, scaled, are scattered there; T1 sits at the squares and T2 at ell
+    # times the squares, so the two never share an entry
     n = _length(depth, r0)
     target = np.zeros(n, dtype=series.values.dtype)
     if a1:
         # inside the hypothesis, theta^j eta with 2j = lam (mod ell - 1) has j = 0
         # when ell - 1 | lam: its target is T1(0) = eta, with its terms at ell | n
-        t1_lam = 0 if hypothesis_ok and lam_mod == 0 else lam
-        target += _square_strand(1, n, ell, t1_lam) * a1 % ell
+        entries, values = _square_terms(1, n, ell, 0 if hypothesis_ok and lam_mod == 0 else lam)
+        target[entries] = values * a1 % ell
     if al:
-        target += _square_strand(ell, n, ell) * al % ell
+        entries, values = _square_terms(ell, n, ell)
+        target[entries] = values * al % ell
     bad = (series.values[:n] != target).nonzero()[0]
     witness = r0 + 24 * int(bad[0]) if bad.size else None
     congruence = CheckResult("congruence", witness is None, witness)

@@ -27,6 +27,7 @@ import time
 
 from .qseries import (
     QExp24,
+    _validate_modulus,
     eta_series,
     series_from_text,
     series_to_text,
@@ -214,8 +215,10 @@ def evaluate_recipe(text: str, ell: int, prec: int | None = None) -> HalfIntForm
     Leaf precision is the root's depth plus 24 (or prec if larger); only a
     udesc node raises it, and certifies, below itself.  A leaf precision
     past RECIPE_MAX_PREC, at the root or under a udesc, is a ValueError
-    before that node builds anything.
+    before that node builds anything, and so is an ell that is not a prime
+    >= 5, before the walk does arithmetic mod ell - 1.
     """
+    _validate_modulus(ell, "ell")
     node = parse_recipe(text)
     lam, r, build = (_descent if node[0] == "udesc" else _walk)(node, ell)
     out = build(_leaf_prec(max(membership_depth(lam, r)[1] + 24, prec or 0)))

@@ -29,8 +29,24 @@ inputs.
 This module's kernel section is the only code that knows int64 limits.
 With that storage rule, an elementwise product of residues reduced mod
 ell is exact in the storage dtype.  Only sums of products can overflow,
-and only ``_conv`` and ``_dot`` form them: each widens its operands to
-Python integers when its sums could pass 2^63.
+and only ``_conv``, ``_conv_rows``, ``_dot`` and ``_sparse_conv`` form
+them: each widens its operands to Python integers, or reduces as it
+sums, when its sums could pass 2^63.
+
+The square series sum (12|n) n^lam q^(m n^2 / 24) over n prime to 6 (eta
+at m = 1, the classify targets T1(lam) and T2 = eta^ell at m = 1 and
+m = ell) have about sqrt(24 length / m) / 3 terms below a strand of
+length entries.  One cache holds their terms, not their strands: keyed
+by (m, ell, e), with e the exponent reduced as ``_pow_mod`` reduces it
+(lam = 0 stays 0), it keeps the ascending strand entries and the residues
+(12|n) n^e mod ell.  A request reads a prefix, whose size has a closed
+form in n; a key is built at the size first asked and grows to at least
+twice its terms, so it holds fewer than twice the terms of its longest
+request: about 150 for eta at a prec of 200000.  Every strand built from
+it is a fresh zeros array and one scatter.  Multiplying by eta reads the
+same terms: the full-depth membership check in ``spaces`` compares f
+with eta^r0 times a combination of basis rows, in r0 sparse passes, and
+inverts eta^r0 only over the pivots.
 """
 
 from __future__ import annotations
@@ -225,6 +241,23 @@ def _conv_rows(rows: np.ndarray, a: np.ndarray, ell, start: int) -> np.ndarray:
     return np.matmul(rows, _toeplitz(a, n)[:, start:]) % ell
 
 
+def _sparse_conv(entries: np.ndarray, values: np.ndarray, b: np.ndarray, ell) -> np.ndarray:
+    """(sum_t values[t] x^entries[t]) * b mod ell, truncated to b.size, for entries below b.size.
+
+    One pass over b per term.  Each entry sums at most entries.size
+    products of residues: they are reduced once when that sum stays below
+    2^63, and after every term otherwise, where an entry holds a residue
+    plus one product, below ell (ell - 1).
+    """
+    out = np.zeros_like(b)
+    each = entries.size * (ell - 1) ** 2 >= _INT64_BOUND
+    for j, v in zip(entries.tolist(), values.tolist()):
+        out[j:] += v * b[: b.size - j]
+        if each:
+            out[j:] %= ell
+    return out % ell
+
+
 def _one(ell, length: int) -> np.ndarray:
     one = np.zeros(length, dtype=_dtype(ell))
     one[:1] = 1
@@ -329,19 +362,49 @@ def _prime_to_6(n_max: int):
     return _N[:count], _CHI[:count], _Q[:count]
 
 
+# (m, ell, e) -> read-only (entries, values): the terms of a square series,
+# n ascending, at the strand entries (m n^2 - m % 24) / 24, served by prefix
+# and grown at least twofold, as the module docstring says
+_TERMS_CACHE = {}
+
+
+def _square_terms(m: int, length: int, modulus, lam: int = 0):
+    """(entries, values) of the terms of sum (12|n) n^lam q^(m n^2 / 24) below strand entry length.
+
+    They are the terms of the n with m n^2 < 24 length + m % 24: a prefix
+    of the cached terms, whose size has _prime_to_6's closed form.
+    """
+    n_max = math.isqrt(max(24 * length + m % 24 - 1, 0) // m)
+    count = 2 * (n_max // 6) + (n_max % 6 >= 1) + (n_max % 6 >= 5)
+    if not count:  # nothing below length, and m may pass int64
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=_dtype(modulus))
+    e = lam and (lam - 1) % (modulus - 1) + 1
+    terms = _TERMS_CACHE.get((m, modulus, e))
+    if terms is None or terms[0].size < count:
+        if terms is not None:  # grow through the (i + 1)-th n prime to 6
+            i = max(count, 2 * terms[0].size) - 1
+            n_max = 3 * i + 1 + (i & 1)
+        n, chi, q = _prime_to_6(n_max)
+        values = chi * _pow_mod(_reduce(n, modulus), e, modulus) if e else chi
+        # the entries (m n^2 - m % 24) / 24 are m q + m // 24: eta's are q itself
+        terms = q if m == 1 else m * q + m // 24, _reduce(values, modulus)
+        for a in terms:
+            a.flags.writeable = False
+        _TERMS_CACHE[m, modulus, e] = terms
+    if terms[0].size == count:
+        return terms
+    return terms[0][:count], terms[1][:count]
+
+
 def _square_strand(m: int, length: int, modulus, lam: int = 0) -> np.ndarray:
-    """Strand of sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24), in one array pass.
+    """Strand of sum over n prime to 6 of (12|n) n^lam q^(m n^2 / 24): a fresh zeros strand and one scatter.
 
     m n^2 = m (mod 24) for every such n, so entry j is the coefficient at
-    index m % 24 + 24 j; entries j < length, of the n with m n^2 < 24 length + m % 24, are filled.
+    index m % 24 + 24 j; the cached terms below length are written into it.
     """
     out = np.zeros(length, dtype=_dtype(modulus))
-    r = m % 24
-    n, chi, q = _prime_to_6(math.isqrt(max(24 * length + r - 1, 0) // m))
-    if n.size:  # else m may pass int64, and no entry is filled
-        if lam:
-            chi = chi * _pow_mod(_reduce(n, modulus), lam, modulus)
-        out[m * q + m // 24] = _reduce(chi, modulus)  # (m n^2 - r) / 24
+    entries, values = _square_terms(m, length, modulus, lam)
+    out[entries] = values
     return out
 
 
@@ -577,6 +640,8 @@ class QExp24:
     # === precision / ring management ===
 
     def truncate(self, prec: int) -> "QExp24":
+        if prec == self.prec:  # a series is immutable, so its own truncation is itself
+            return self
         if prec > self.prec:
             raise PrecisionError("cannot extend precision by truncation")
         if prec < 1:
@@ -672,9 +737,11 @@ def support_square_classes(f: QExp24) -> dict:
 
 # series_from_text's largest prec.  Reading writes each term into one strand
 # of prec / 24 entries, so a file costs its terms plus 1/3 byte per unit of
-# prec (int64 storage).  The budget bounds time, not memory: no file past
-# it could be checked at full depth in useful time, since that check is
-# quadratic in prec, 6.4 s at 10^6.
+# prec (int64 storage).  The budget bounds time, not memory: the full-depth
+# check multiplies by eta's sparse terms, but builds its weight's basis to
+# prec / 24 entries with quadratic products.  At 10^6 over F_13 (2 cores),
+# 3 eta takes 0.01 s, and eta^25, whose basis needs E4, E6 and
+# Delta / E4^3, 8.2 s cold and 0.31 s with the basis cached.
 SERIES_MAX_PREC = 10**7
 
 

@@ -33,10 +33,13 @@ Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
 multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
 w = lam + (1 - r0)/2; weight k is r0 = 0.  One verifier decides every
 membership: it reads coordinates off f's pivots and compares the rest
-below the depth its caller chooses.  At the Sturm depth of a half-integral
-space it builds no basis: the pivots fill the strand, but for one
-coefficient at w = 2 (mod 12) that the constant term of a weight-2
-quotient decides.
+below the depth its caller chooses.  It divides by eta^r0 only over the
+pivots, to read the quotient's coordinates, and compares f with eta^r0
+times their combination of rows: r0 passes of eta's cached sparse terms,
+about sqrt(24 n) / 3 of them on n strand entries, not a full inverse.
+At the Sturm depth of a half-integral space it builds no basis: the
+pivots fill the strand, but for one coefficient at w = 2 (mod 12) that
+the constant term of a weight-2 quotient decides.
 
 Every basis is held as a read-only (dim x L) matrix of integer-exponent
 coefficients: row i, column m is the coefficient of element i at q^m.
@@ -71,7 +74,9 @@ from .qseries import (
     _one,
     _power,
     _reduce,
+    _sparse_conv,
     _square_strand,
+    _square_terms,
     _toeplitz,
     _validate_modulus,
 )
@@ -308,10 +313,11 @@ def _verify(f: QExp24, r0: int, w: int, depth: int, basis: SpaceBasis | None = N
 
     The coordinates are a read-only view of f's strand at the pivots, a
     range: basis.pivots, or 0 .. dim M_w - 1 with no basis.  checked
-    counts the other strand indices below depth, each compared: f / eta^r0
-    must equal the combination of basis rows at its own pivots, and as
-    eta^r0 starts with 1, NotMember names the first index where f differs
-    from a member.
+    counts the other strand indices below depth, each compared: f must
+    equal eta^r0 times the combination of basis rows at the pivots of
+    f / eta^r0, which is inverted over the pivots only.  eta^r0 is a unit,
+    so this is f / eta^r0 equal to that combination, and as eta^r0 starts
+    with 1, NotMember names the first index where f differs from a member.
     The caller checks ring, precision and off-class indices.  With no basis,
     one index past the pivots at w = 2 (mod 12) costs one functional (the
     lemma), and only a deeper check builds miller_basis.
@@ -339,17 +345,24 @@ def _verify(f: QExp24, r0: int, w: int, depth: int, basis: SpaceBasis | None = N
     coords = strand[start : start + dim]
     coords.flags.writeable = False
 
-    def eta_inverse(e):  # prod (1 - q^n)^(-e) on n entries
-        return _power(_inverse(_square_strand(1, n, ell), ell, n), e, ell, n)
+    def eta_inverse(e, length):  # prod (1 - q^n)^(-e) on length entries
+        return _power(_inverse(_square_strand(1, length, ell), ell, length), e, ell, length)
     bad = ()
     if basis is None and n == dim + 1 and w % 12 == 2:  # the lemma
-        bad = _dot(strand, eta_inverse(r0 + 24 * dim)[::-1, None], ell).nonzero()[0] + dim
+        bad = _dot(strand, eta_inverse(r0 + 24 * dim, n)[::-1, None], ell).nonzero()[0] + dim
     elif basis is not None or n > dim:
         if basis is None:
             basis = miller_basis(w, ell, _basis_prec(w, depth))
-        quotient = _conv(strand, eta_inverse(r0), ell, n) if r0 else strand
-        combined = _dot(quotient[start : start + dim], basis.rows[:, :n], ell)
-        bad = (combined != quotient).nonzero()[0]
+        # f / eta^r0 is needed at the pivots only, for its coordinates; the
+        # member is eta^r0 times their combination, r0 sparse passes of eta
+        quotient = coords
+        if r0:
+            k = start + dim
+            quotient = _conv(strand[:k], eta_inverse(r0, k), ell, k)[start:]
+        member = _dot(quotient, basis.rows[:, :n], ell)
+        for _ in range(r0):
+            member = _sparse_conv(*_square_terms(1, n, ell), member, ell)
+        bad = (member != strand).nonzero()[0]
     if len(bad):
         return NotMember(r0 + 24 * int(bad[0]))
     return MembershipCertificate(coords, depth, n - dim)

@@ -23,6 +23,7 @@ MODULE_CACHES = {
     (qseries, "_N"): _no_int64,
     (qseries, "_CHI"): _no_int64,
     (qseries, "_Q"): _no_int64,
+    (qseries, "_TERMS_CACHE"): dict,
     (halfint, "_SIGN_CACHE"): dict,
 }
 

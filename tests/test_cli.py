@@ -1,5 +1,6 @@
 """Tests for recipes, scenario files, verification sweeps, and the CLI."""
 
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
@@ -300,6 +302,9 @@ def test_evaluate_rejects_bad_weights():
         evaluate_recipe("udesc(eta)", 5)  # descent bound empty
     with pytest.raises(ValueError):
         evaluate_recipe("eta + eta^5", 5)  # incompatible multiplier classes
+    for ell in (0, 1, 4):  # refused before the walk reduces mod ell - 1
+        with pytest.raises(ValueError, match=f"^ell must be a prime >= 5, got {ell}$"):
+            evaluate_recipe("udesc(eta^5) + udesc(eta^5)", ell)
 
 
 # === scenario files ===
@@ -660,7 +665,8 @@ def test_cli_refuses_a_bad_series_file_in_one_line(tmp_path, capsys, monkeypatch
 
 def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, capsys, monkeypatch, cold_caches):
     # 3 eta mod 13 lies in eta * M_0, whose one row is 1: a check at every
-    # coefficient reads no E4, E6 or t, and its one Newton inverse is eta's
+    # coefficient reads no E4, E6 or t, and inverts eta over no more entries
+    # than the one pivot; the rest is compared after multiplying by eta
     from etakit.qseries import series_to_text
 
     def refuse(*args):
@@ -669,7 +675,7 @@ def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, cap
     inverted, inverse = [], spaces._inverse
 
     def record(a, ell, length):
-        inverted.append(a[:2].tolist())
+        inverted.append(length)
         return inverse(a, ell, length)
 
     monkeypatch.setattr(spaces, "_e4_e6", refuse)
@@ -680,8 +686,7 @@ def test_cli_series_in_a_one_dimensional_space_builds_no_generator(tmp_path, cap
                  "--ell", "13", "--lambda", "0", "--r", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["case"] == "1" and report["a1"] == 3 and report["depth"] == 2400
-    # prod (1 - q^n) starts 1 - q; E4^3 would start 1 + 720 q = 1 + 5 q
-    assert inverted and all(lead == [1, 12] for lead in inverted)
+    assert all(length <= 1 for length in inverted)
 
 
 def test_cli_classify_series_guard_rails(tmp_path, capsys):
@@ -755,6 +760,124 @@ def test_cli_classify_recipe_refuses_a_flag_it_does_not_read(tmp_path, capsys, e
     # the recipe alone, and with --prec, which a recipe reads
     assert main(base) == 0
     assert main(base + ["--prec", "200"]) == 0
+
+
+# === fuzzing: every input ends in an exit code, never a traceback ===
+
+FUZZ_ELLS = (5, 7, 13, 73, 2**61 - 1)
+_fuzz_text = st.text(st.characters(codec="utf-8"), max_size=12)
+
+
+def _sometimes(valid, stray):
+    """valid, and one time in eight stray."""
+    return st.sampled_from((True,) * 7 + (False,)).flatmap(lambda ok: valid if ok else stray)
+
+
+# three ells in eight are no prime >= 5, two of them 0 and 1, where nothing is reduced mod ell - 1
+_fuzz_ell = st.sampled_from(FUZZ_ELLS + (0, 1, 4))
+_fuzz_int = _sometimes(st.sampled_from((1, 5, 7, 2, 0, 25, 13, 11)), st.integers(-3, 10**13)).map(str)
+
+
+@st.composite
+def _fuzz_grammar(draw, depth=3):
+    """A recipe from the grammar, nested at most depth operations deep."""
+    kind = draw(st.sampled_from(("eta", "eta", "theta", "udesc", "scale", "sum") if depth else ("eta",)))
+    if kind == "eta":
+        return "eta" if draw(st.booleans()) else f"eta^{draw(_fuzz_int)}"
+    inner = _fuzz_grammar(depth - 1)
+    if kind == "theta":
+        return f"theta^{draw(_fuzz_int)}({draw(inner)})"
+    if kind == "udesc":
+        return f"udesc({draw(inner)})"
+    if kind == "scale":
+        return f"{draw(_fuzz_int)}^{draw(_fuzz_int)}*{draw(inner)}"
+    return f"{draw(inner)} + {draw(inner)}"
+
+
+def _fuzz_recipes():
+    """Recipes from the grammar, now and then its tokens in any order or any text."""
+    tokens = st.lists(st.sampled_from(
+        ("eta", "theta", "udesc", "(", ")", "^", "*", "+", " ", "0", "5", "25", "-", "=", "x")
+    ), max_size=10).map("".join)
+    return _sometimes(_fuzz_grammar(), st.one_of(tokens, _fuzz_text))
+
+
+@st.composite
+def _fuzz_scenarios(draw):
+    """Scenario text: its fields with valid or stray values, now and then one left out, in any order."""
+    fields = {
+        "name": _fuzz_text,
+        "ell": _sometimes(_fuzz_ell.map(str), _fuzz_text),
+        "recipe": _fuzz_recipes(),
+        "prec": _sometimes(_fuzz_int, _fuzz_text),
+        "expect.case": st.sampled_from(("1", "2", "3", "zero", "unclassified")),
+        "expect.hypothesis_ok": _sometimes(st.sampled_from(("true", "false")), _fuzz_text),
+        "expect.depth": _sometimes(_fuzz_int, _fuzz_text),
+        "note": _fuzz_text,
+    }
+    keys = [key for i, key in enumerate(fields) if i < 3 or draw(st.booleans())]
+    if draw(_sometimes(st.just(False), st.just(True))):
+        keys.remove(draw(st.sampled_from(keys)))
+    lines = [f"{key}={draw(fields[key])}" for key in draw(st.permutations(keys))]
+    return "\n".join(lines + draw(_sometimes(st.just([]), st.lists(_fuzz_text, max_size=2))))
+
+
+@st.composite
+def _fuzz_series(draw, ell, residue):
+    """Series text on the class residue: eta^residue, now and then bent, or a random series, now and then stray."""
+    prec = draw(st.integers(1, 2400))
+    index = st.integers(0, (prec - 1) // 24).map(lambda m: 24 * m + residue)
+    terms = draw(st.dictionaries(_sometimes(index, st.integers(-5, 2500)), st.integers(-(2**70), 2**70), max_size=6))
+    if ell in FUZZ_ELLS and draw(st.booleans()):
+        member = dict((eta_series(prec + 24 * residue + 2, ell) ** residue).truncate(prec).nonzero_items())
+        terms = draw(_sometimes(st.just(member), st.just({**member, **terms})))
+    ring = draw(_sometimes(st.sampled_from(("Z", f"Fp:{ell}")), st.sampled_from(("Fp:5", "Q", "Fp:x"))))
+    fields = [f"ring={ring}", f"prec={draw(_sometimes(st.just(prec), _fuzz_text))}",
+              f"residue={draw(_sometimes(st.just(residue), st.one_of(st.integers(-1, 25), _fuzz_text)))}"]
+    if draw(_sometimes(st.just(False), st.just(True))):
+        fields.pop(draw(st.integers(0, 2)))
+    header = ["# " + " ".join(draw(st.permutations(fields)))] * draw(_sometimes(st.just(1), st.just(0)))
+    lines = [f"{n} {c}" for n, c in terms.items()]
+    return "\n".join(header + lines + draw(_sometimes(st.just([]), st.lists(_fuzz_text, max_size=1))))
+
+
+@st.composite
+def _fuzz_commands(draw):
+    """(text written to the input file, the arguments that read it)."""
+    ell = draw(_fuzz_ell)
+    kind = draw(st.sampled_from(("recipe", "scenario", "series")))
+    if kind == "series":
+        residue = draw(st.sampled_from((1, 5, 13, 0)))
+        lam, r = draw(_sometimes(st.just(((residue - 1) // 2, residue)),
+                                 st.tuples(st.integers(-2, 10**6), st.integers(-2, 30))))
+        args = ["--series", "{path}", "--assert-member", "--ell", str(ell), "--lambda", str(lam), "--r", str(r)]
+        return draw(_fuzz_series(ell, residue)), args
+    text = draw(_fuzz_recipes()) if kind == "recipe" else draw(_fuzz_scenarios())
+    with_ell = draw(_sometimes(st.just(kind == "recipe"), st.just(kind != "recipe")))
+    args = ["--recipe", "{path}"] + (["--ell", str(ell)] if with_ell else [])
+    if draw(st.booleans()):
+        args += ["--prec", draw(_fuzz_int)]
+    return text, args
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_commands())
+def test_fuzzed_classify_input_exits_with_a_code_and_at_most_one_error_line(tmp_path_factory, command):
+    # under small budgets any recipe, scenario or series text ends in exit 0,
+    # 1, 2 or 3; no exception escapes main, and exit 2 prints one stderr line
+    text, args = command
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input.txt"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setattr(cli, "RECIPE_MAX_PREC", 2400)
+        mp.setattr(qseries, "SERIES_MAX_PREC", 2400)
+        code = main(["classify"] + [a.format(path=path) for a in args])
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    else:
+        assert err.getvalue() == ""
 
 
 def test_cli_classify_needs_input(capsys):

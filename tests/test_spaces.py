@@ -846,6 +846,35 @@ def test_eta_membership_matches_oracle(case, full):
         assert got == MembershipCertificate(*want[1:])
 
 
+@pytest.mark.parametrize("r0", (1, 5, 7, 11, 13, 17, 19, 23))
+def test_a_full_depth_check_multiplies_by_eta_where_the_oracle_divides(r0):
+    # past the Sturm depth f is compared with eta^r0 times the combination
+    # of the rows at the quotient's coordinates, which are read from f over
+    # the pivots alone; members of spaces of dimension 1 and 2, and members
+    # changed at a random strand index, just past the pivots and at the last
+    # one, get the oracle's certificate or witness
+    rng = random.Random(r0)
+    for ell in (5, 13, 3037000507):
+        for w in (0, 12, 26):
+            lam = w + (r0 - 1) // 2
+            prec = membership_depth(lam, r0)[1] + 24 * 10
+            n = len(range(r0, prec, 24))
+            _, elements = eta_space_oracle(lam, r0, ell, prec)
+            for at in (None, rng.randrange(n), len(elements), n - 1):
+                coeffs = [0] * prec
+                for element in elements:
+                    c = rng.randrange(ell)
+                    coeffs = [(a + c * b) % ell for a, b in zip(coeffs, element)]
+                if at is not None:
+                    coeffs[r0 + 24 * at] = (coeffs[r0 + 24 * at] + rng.randrange(1, ell)) % ell
+                got = eta_membership(QExp24(coeffs, prec, ell, r0), lam, r0, prec)
+                want = eta_membership_oracle(coeffs, lam, r0, ell, prec)
+                if want[0] == "not":
+                    assert got == NotMember(want[1]), (ell, w, at)
+                else:
+                    assert got == MembershipCertificate(*want[1:]), (ell, w, at)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(
     st.sampled_from((5, 7, 13, 97, 3037000507)),  # the last stores Python integers

@@ -21,9 +21,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from etakit import halfint
+from etakit import halfint, qseries
 from etakit.halfint import hecke_tp2
-from etakit.qseries import PrecisionError, QExp24, _inverse, _square_strand, theta_op, u_op, v_op
+from etakit.qseries import (
+    PrecisionError,
+    QExp24,
+    _inverse,
+    _square_strand,
+    _square_terms,
+    theta_op,
+    u_op,
+    v_op,
+)
 
 from oracles import (
     DenseSeries,
@@ -317,13 +326,74 @@ def test_square_strand_matches_the_kronecker_oracle(modulus):
                 assert got.tolist() == want[:length], (m, lam, length)
 
 
+def _oracle_terms(m, length, modulus, lam):
+    """[(entry, (12|n) n^lam mod ell)] for the n prime to 6 whose entry (m n^2 - m % 24) / 24 is below length."""
+    terms, n = [], 1
+    while (m * n * n - m % 24) // 24 < length:
+        if math.gcd(n, 6) == 1:
+            terms.append(((m * n * n - m % 24) // 24, kronecker_oracle(12, n) * pow(n, lam, modulus) % modulus))
+        n += 1
+    return terms
+
+
+def _same_terms(m, length, modulus, lam):
+    # the cached terms and the strand scattered from them are the oracle's
+    entries, values = _square_terms(m, length, modulus, lam)
+    want = _oracle_terms(m, length, modulus, lam)
+    assert list(zip(entries.tolist(), values.tolist())) == want, (m, length, lam)
+    assert values.dtype == storage_dtype(modulus) and not values.flags.writeable
+    strand = [0] * length
+    for j, v in want:
+        strand[j] = v
+    assert _square_strand(m, length, modulus, lam).tolist() == strand
+
+
+# square strand lengths in the order asked at m = 1, with the terms each
+# leaves cached: built cold at 5 (n = 1, 5, 7), a prefix at 2, grown past
+# n = 11 to max(4, 2 * 3) terms
+SQUARE_LENGTHS = ((5, 3), (2, 3), (7, 6))
+
+
+@pytest.mark.parametrize("modulus", RINGS)
+def test_square_terms_are_one_cached_prefix_per_reduced_exponent(cold_caches, modulus):
+    for lam in (0, 3):
+        for length, cached in SQUARE_LENGTHS:
+            _same_terms(1, length, modulus, lam)
+            assert qseries._TERMS_CACHE[1, modulus, lam][0].size == cached
+    # lam + (ell - 1) reads lam's key: n^(ell - 1) = 1 for n prime to ell, and 0^e = 0 for e >= 1
+    held = qseries._TERMS_CACHE[1, modulus, 3]
+    _same_terms(1, 7, modulus, 3 + (modulus - 1))
+    assert set(qseries._TERMS_CACHE) == {(1, modulus, 0), (1, modulus, 3)}
+    assert qseries._TERMS_CACHE[1, modulus, 3] is held
+    # T1(0) = eta keeps the terms at ell | n; lam = ell - 1 has its own key and kills them
+    if modulus < 100:
+        length = (modulus * modulus - 1) // 24 + 1
+        _same_terms(1, length, modulus, 0)
+        _same_terms(1, length, modulus, modulus - 1)
+        assert _square_terms(1, length, modulus, 0)[1][-1] == kronecker_oracle(12, modulus) % modulus
+        assert _square_terms(1, length, modulus, modulus - 1)[1][-1] == 0
+    # m = ell: past ell = 9600 no term lies below entry 400, so nothing is
+    # filled or cached, and m, past int64 at 2^64 + 13, multiplies nothing
+    entries, values = _square_terms(modulus, 400, modulus)
+    assert (entries.size == 0) == (modulus > 24 * 400) and values.dtype == storage_dtype(modulus)
+    assert ((modulus, modulus, 0) in qseries._TERMS_CACHE) == (modulus <= 24 * 400)
+    # a caller owns its strand: writing into it leaves the next one intact
+    cold_caches()
+    for lam in (0, 3):
+        strand = _square_strand(1, 7, modulus, lam)
+        strand[:] = 1
+        _same_terms(1, 7, modulus, lam)
+        _same_terms(1, 7, modulus, lam)  # warm
+
+
 @SETTINGS
 @given(pairs(count=1), st.integers(0, 150))
 def test_first_power_is_the_series_and_a_short_truncation_copies(fs, cut):
-    # a series is immutable, so f ** 1 is f; a truncation to under half the
-    # strand copies it rather than keep the long strand alive as its base
+    # a series is immutable, so f ** 1 and f.truncate(f.prec) are f; a
+    # truncation to under half the strand copies it rather than keep the
+    # long strand alive as its base
     [(f, _)] = fs
-    assert f**1 is f
+    assert f**1 is f and f.truncate(f.prec) is f
     g = f.truncate(max(1, f.prec - cut))
     if g.values.size:
         assert np.shares_memory(g.values, f.values) == (2 * g.values.size >= f.values.size)
