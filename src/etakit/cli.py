@@ -273,21 +273,31 @@ def _exit_for_case(case: str) -> int:
 
 
 def run_scenario(sc: dict) -> dict:
-    """Evaluate and classify one scenario; compare against expectations."""
+    """Evaluate and classify one scenario; compare against expectations.
+
+    A recipe that evaluate_recipe or classify refuses, as classify --recipe
+    does with exit 2, is the outcome case "refused" with exit 2 and no
+    depth, compared like any other: a negative control expects it.
+    """
     t0 = time.perf_counter()
-    form = evaluate_recipe(sc["recipe"], sc["ell"], sc.get("prec"))
-    report = classify(form)
+    try:
+        report = classify(evaluate_recipe(sc["recipe"], sc["ell"], sc.get("prec")))
+    except (ValueError, CertificationError) as exc:
+        report, got = None, {"case": "refused", "exit": 2, "error": str(exc)}
+    else:
+        got = report.to_dict()
+        got["exit"] = _exit_for_case(report.case)
     seconds = time.perf_counter() - t0
     failures = []
-    got = report.to_dict()
-    got["exit"] = _exit_for_case(report.case)
     for field, want in sc["expect"].items():
         if got.get(field) != want:
             failures.append(f"{field}: expected {want!r}, got {got.get(field)!r}")
+    if report is None and failures:
+        failures.append(f"refused: {got['error']}")
     return {
         "name": sc["name"],
-        "case": report.case,
-        "depth": report.depth,
+        "case": got["case"],
+        "depth": "-" if report is None else report.depth,
         "seconds": seconds,
         "failures": failures,
     }

@@ -221,10 +221,11 @@ def _toeplitz(a: np.ndarray, n: int) -> np.ndarray:
     a third of the time of sliding_window_view (4 against 15 us at
     n = 40), a cost each Miller basis pays twice.
     """
-    padded = np.concatenate((np.zeros(n - 1, dtype=a.dtype), a[:n]))
+    padded = np.zeros(2 * n - 1, dtype=a.dtype)
+    padded[n - 1 :] = a[:n]
     step = padded.strides[0]
     view = np.ndarray((n, n), padded.dtype, padded, (n - 1) * step, (-step, step))
-    view.flags.writeable = False
+    view.setflags(write=False)
     return view
 
 

@@ -19,6 +19,7 @@ def _no_int64():
 # (module, name) -> a factory of the empty cache
 MODULE_CACHES = {
     (spaces, "_ROW_CACHE"): dict,
+    (spaces, "_BASIS_CACHE"): dict,
     (spaces, "_GENERATOR_CACHE"): dict,
     (qseries, "_N"): _no_int64,
     (qseries, "_CHI"): _no_int64,

@@ -168,6 +168,10 @@ def test_descent_plan_is_the_evaluated_weight(ell, k, c):
 
 def test_corpus_plans_are_the_evaluated_weights():
     for sc in load_scenarios():
+        if sc["expect"]["case"] == "refused":  # the negative control: the plan refuses it too
+            with pytest.raises(ValueError, match="incompatible spaces"):
+                _walk(parse_recipe(sc["recipe"]), sc["ell"])
+            continue
         form = evaluate_recipe(sc["recipe"], sc["ell"], sc["prec"])
         assert _walk(parse_recipe(sc["recipe"]), sc["ell"])[:2] == (form.lam, form.r), sc["name"]
 
@@ -346,7 +350,7 @@ def test_parse_scenario_errors():
 
 def test_shipped_scenarios_load():
     scenarios = load_scenarios()
-    assert len(scenarios) == 22
+    assert len(scenarios) == 23
     names = [sc["name"] for sc in scenarios]
     assert names == sorted(names)
     assert len(set(names)) == len(names)
@@ -371,6 +375,24 @@ def test_run_scenario_pass_and_fail():
          "expect": {"case": "2"}}
     )
     assert len(row["failures"]) == 1
+
+
+def test_run_scenario_records_a_refusal_as_an_outcome():
+    # a case-3-shaped sum at ell = 13, not 1 (mod 24): theta^3(eta) lies on
+    # class 1 and eta^13 on class 13, so the sum is refused as classify
+    # --recipe refuses it, with exit 2, and the suite goes on
+    sc = {"name": "t", "ell": 13, "recipe": "24^6*theta^3(eta) + eta^13", "prec": None,
+          "expect": {"case": "refused", "exit": 2}}
+    row = run_scenario(sc)
+    assert (row["case"], row["depth"], row["failures"]) == ("refused", "-", [])
+    row = run_scenario({**sc, "expect": {"case": "3", "exit": 0}})
+    assert row["failures"] == [
+        "case: expected '3', got 'refused'",
+        "exit: expected 0, got 2",
+        "refused: sum terms live in incompatible spaces",
+    ]
+    row = run_scenario({**sc, "recipe": "24^6*theta^3(eta)"})
+    assert row["case"] == "1" and len(row["failures"]) == 2
 
 
 def test_exit_codes():
@@ -892,7 +914,7 @@ def test_cli_verify_paper_examples_one_ell(capsys):
     lines = out.strip().splitlines()
     assert lines[-1].endswith("scenarios, 0 failed")
     body = [ln for ln in lines[:-1] if not ln.startswith("  -")]
-    assert len(body) == 5
+    assert len(body) == 6  # five forms and the refused negative control
     for line in body:
         assert line.rstrip().endswith("ok")
         assert "case=" in line and "depth=" in line
@@ -900,7 +922,7 @@ def test_cli_verify_paper_examples_one_ell(capsys):
 
 def test_cli_verify_paper_examples_whole_corpus(capsys):
     assert main(["verify", "--suite", "paper-examples"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "22 scenarios, 0 failed"
+    assert capsys.readouterr().out.splitlines()[-1] == "23 scenarios, 0 failed"
 
 
 def test_cli_verify_multiplier_numeric(capsys):

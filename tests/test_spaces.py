@@ -652,6 +652,47 @@ def test_repeated_calls_return_the_same_object():
     assert miller_basis(20, 13, 24 * 9) is b
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("a warm call did work it had done before")
+
+
+def test_a_repeated_basis_call_is_one_lookup(cold_caches, monkeypatch):
+    # the stored basis is returned before any argument is checked or any
+    # table or row is read
+    calls = [(k, ell, prec, kind) for k in (12, 24, 38) for ell in (13, 2**64 + 13)
+             for prec in (24 * 9, 24 * 9 + 5) for kind in "MS"]
+    first = [miller_basis(*call) for call in calls]
+    for name in ("_miller_rows", "_tables", "_validate_modulus"):
+        monkeypatch.setattr(spaces, name, _refuse)
+    assert all(miller_basis(*call) is basis for call, basis in zip(calls, first))
+    with pytest.raises(AssertionError):  # a new precision is a new basis
+        miller_basis(12, 13, 24 * 10)
+
+
+def test_a_warm_filtration_builds_no_certificate_and_one_product_per_candidate(monkeypatch):
+    # a member of S_k read at weight k + j (ell - 1): every candidate of the
+    # scan, down to the first that fails, is one _dot, and nothing builds a
+    # MembershipCertificate
+    rng = random.Random(29)
+    for ell in (5, 7, 13):
+        for k, j in ((12, 0), (16, 1), (24, 2), (36, 1)):
+            weight = k + j * (ell - 1)
+            prec = 24 * (2 * (weight // 12) + 3)
+            basis = miller_basis(k, ell, prec, "S")
+            f = basis.elements[0]
+            for elem in basis.elements[1:]:
+                f = f + elem.scale(rng.randrange(ell))
+            least = filtration(f, weight)  # warms every candidate's basis
+            dots = []
+            with monkeypatch.context() as m:
+                m.setattr(spaces, "MembershipCertificate", _refuse)
+                m.setattr(spaces, "_miller_rows", _refuse)
+                m.setattr(spaces, "_dot", lambda *args, _dot=spaces._dot: dots.append(1) or _dot(*args))
+                assert filtration(f, weight) == least
+            scanned = range(weight, least - (ell - 1) - 1, -(ell - 1))
+            assert len(dots) == sum(dims(k2)[0] > 0 for k2 in scanned), (ell, k, j)
+
+
 def test_int64_and_exact_paths_give_identical_rows(cold_caches, monkeypatch):
     ell = 97
     fast_m = miller_basis(40, ell, 24 * 12).rows
@@ -779,6 +820,133 @@ def test_verifier_witness_matches_dense_reference():
         want = _dense_witness(g, elements, coords, depth)
         refusals += _agree(eta_membership(g, lam, r), want)
     assert refusals > 40
+
+
+# === the one verifier against the oracles, in every ring and on both kernel paths ===
+
+# the eight rings of test_strands.py: int64 storage through 3037000493
+STRAND_RINGS = (5, 7, 13, 2**31 - 1, 3037000493, 3037000507, 4294967311, 2**64 + 13)
+
+
+def _oracle_coordinates(coeffs, rows, start, ell, depth):
+    """coordinates' answer from oracle rows with pivots start ..: a certificate's fields or the witness.
+
+    The first index below depth where coeffs differs from the combination
+    of rows at its pivots is the witness, off the integer exponents too.
+    """
+    coords = tuple(coeffs[24 * (start + i)] for i in range(len(rows)))
+    for n in range(depth):
+        want = sum(c * row[n // 24] for c, row in zip(coords, rows)) % ell if n % 24 == 0 else 0
+        if coeffs[n] != want:
+            return ("not", n)
+    return ("member", coords, depth, len(range(0, depth, 24)) - len(rows))
+
+
+def _oracle_filtration(coeffs, k, ell):
+    """The least k' = k (mod ell - 1), 0 <= k' <= k, with coeffs in M_k' below k's Sturm depth, or None."""
+    depth = 24 * (k // 12 + 1) + 1
+    passing = []
+    for k2 in range(k, -1, -(ell - 1)):
+        rows = miller_basis_oracle(k2, ell, depth // 24 + 1)
+        if rows and _oracle_coordinates(coeffs, rows, 0, ell, depth)[0] == "member":
+            passing.append(k2)
+    return min(passing) if k in passing else None
+
+
+def _combination(rows, ell, rng, prec):
+    """A random combination of the oracle rows, as a dense list on the integer exponents."""
+    coeffs = [0] * prec
+    for row in rows:
+        c = rng.randrange(ell)
+        for i in range(len(range(0, prec, 24))):
+            coeffs[24 * i] = (coeffs[24 * i] + c * row[i]) % ell
+    return coeffs
+
+
+def _got(result):
+    if isinstance(result, NotMember):
+        return ("not", result.witness)
+    return ("member", tuple(result.coordinates), result.depth, result.checked)
+
+
+@pytest.mark.parametrize("exact", (False, True), ids=("int64", "exact"))
+@pytest.mark.parametrize("ell", STRAND_RINGS)
+def test_the_verifier_matches_the_oracles_in_every_ring(cold_caches, monkeypatch, ell, exact):
+    # coordinates on M_k and S_k (pivots from 1) and on empty spaces,
+    # filtration and eta_membership, for members, members changed at a
+    # random strand index and series on another class, with the kernels'
+    # int64 sums and with every sum in Python integers
+    if exact:
+        monkeypatch.setattr(qseries, "_INT64_BOUND", 0)
+    rng = random.Random(ell)
+    for k in (0, 2, 4, 12, 16, 24, 26, 36):
+        for kind, start in (("M", 0), ("S", 1)):
+            prec = 24 * (dims(k)[0] + k // 12 + 1) + rng.randrange(1, 60)
+            basis = miller_basis(k, ell, prec, kind)
+            rows = miller_basis_oracle(k, ell, len(range(0, prec, 24)))[start:]
+            assert basis.rows.tolist() == rows and basis.pivots == tuple(range(start, start + len(rows)))
+            for shape in ("member", "changed", "off-class"):
+                coeffs = _combination(rows, ell, rng, prec)
+                n = len(range(0, prec, 24))
+                if shape == "changed":
+                    i = rng.randrange(n)
+                    coeffs[24 * i] = (coeffs[24 * i] + rng.randrange(1, ell)) % ell
+                residue = 0
+                if shape == "off-class":  # zero below a random entry, which may lie past the pivots
+                    residue, i = rng.randrange(1, 24), rng.randrange(n)
+                    coeffs = [0] * prec
+                    for m in range(i, len(range(residue, prec, 24))):
+                        coeffs[residue + 24 * m] = rng.randrange(1, ell)
+                f = QExp24(coeffs, prec, ell, residue)
+                low = 24 * (start + len(rows) - 1) + 1 if rows else 1
+                for depth in (low, rng.randrange(low, prec + 1), prec):
+                    want = _oracle_coordinates(coeffs, rows, start, ell, depth)
+                    assert _got(coordinates(f, basis, depth)) == want, (k, kind, shape, depth)
+    for k in (12, 16, 22, 26):  # filtration: cusp forms at k, read at k + j (ell - 1)
+        for j in (0, 1, 2) if ell < 50 else (0,):
+            weight = k + j * (ell - 1)
+            prec = 24 * (weight // 12 + 1) + 1 + rng.randrange(0, 30)
+            rows = miller_basis_oracle(k, ell, len(range(0, prec, 24)))[1:]
+            coeffs = [0] * prec
+            while not any(coeffs):
+                coeffs = _combination(rows, ell, rng, prec)
+            for changed in (False, True):
+                if changed:  # below the Sturm depth, where the candidates are compared
+                    i = rng.randrange(weight // 12 + 2)
+                    coeffs[24 * i] = (coeffs[24 * i] + rng.randrange(1, ell)) % ell
+                want = _oracle_filtration(coeffs, weight, ell)
+                assert changed or want is not None  # S_k E_(ell-1)^j lies in M_weight
+                f = QExp24(coeffs, prec, ell, 0)
+                if want is None:
+                    with pytest.raises(CertificationError):
+                        filtration(f, weight)
+                elif any(coeffs):
+                    assert filtration(f, weight) == want, (k, weight, changed)
+    for r0 in (1, 5, 13, 23):  # eta_membership: w in an empty space, w = 0, 12, 14 and 26
+        for w in (-2, 0, 12, 14, 26):
+            lam = w + (r0 - 1) // 2
+            if lam < 0:
+                continue
+            prec = max(membership_depth(lam, r0)[1], r0 + 1) + rng.randrange(0, 60)
+            elements = eta_space_oracle(lam, r0, ell, prec)[1]
+            for shape in ("member", "changed", "off-class"):
+                coeffs = [0] * prec
+                for element in elements:
+                    c = rng.randrange(ell)
+                    coeffs = [(a + c * b) % ell for a, b in zip(coeffs, element)]
+                residue = r0
+                if shape == "changed":
+                    n = r0 + 24 * rng.randrange(len(range(r0, prec, 24)))
+                    coeffs[n] = (coeffs[n] + rng.randrange(1, ell)) % ell
+                if shape == "off-class":
+                    residue = rng.choice([c for c in range(min(prec, 24)) if c != r0])
+                    coeffs = [0] * prec
+                    coeffs[residue::24] = [rng.randrange(ell) for _ in range(residue, prec, 24)]
+                    coeffs[residue] = 1
+                f = QExp24(coeffs, prec, ell, residue)
+                for depth in (None, prec):
+                    want = eta_membership_oracle(coeffs, lam, r0, ell, depth or membership_depth(lam, r0)[1])
+                    assert _got(eta_membership(f, lam, r0, depth)) == want, (r0, w, shape, depth)
 
 
 # === eta-multiplier membership against an independent reference ===

@@ -440,6 +440,19 @@ def test_no_module_but_qseries_names_the_int64_limits():
     assert users == []
 
 
+def test_no_module_but_qseries_forms_a_sum_of_products():
+    # a lean path that calls numpy's products itself would bypass the
+    # kernel's overflow rule: every sum of products outside qseries goes
+    # through _conv, _conv_rows, _dot or _sparse_conv
+    products = {"convolve", "correlate", "matmul", "dot"}
+    users = []
+    for name, node in _package_nodes(but="qseries.py"):
+        named = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        if named & products or isinstance(getattr(node, "op", None), ast.MatMult):
+            users.append(f"{name}:{node.lineno}")
+    assert users == []
+
+
 def _names_the_ring(node) -> bool:
     return (isinstance(node, ast.Name) and node.id in ("modulus", "ell")) or (
         isinstance(node, ast.Attribute) and node.attr == "modulus"
