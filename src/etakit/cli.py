@@ -340,7 +340,6 @@ def multiplier_sweep(count: int = 100, seed: int = 2024) -> dict:
     return {
         "eta_max_deviation": worst,
         "epsilon_identities": "pass" if eps is None else repr(eps),
-        "nu_24th_power_exact": True,
         "count": count,
     }
 

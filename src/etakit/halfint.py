@@ -164,11 +164,11 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
 
 
 # (n|p) at the strand indices n = r0 + 24 m, stored as 0, 1, 2 for 0, 1, -1
-# so that it indexes a 3-entry table: one int8 strand per (p, r0), served
-# by prefix and grown to at least twice its length when a longer one is
-# asked for.  A strand grows only past its length, so it holds fewer than
-# twice the entries of the longest output strand asked for at its (p, r0),
-# one byte each.
+# so that it indexes a 3-entry table: one intp strand per (p, r0), an
+# index array numpy takes without a cast, served by prefix and grown to at
+# least twice its length when a longer one is asked for.  A strand grows only
+# past its length, so it holds fewer than twice the entries of the longest
+# output strand asked for at its (p, r0).
 _SIGN_CACHE = {}
 
 
@@ -177,7 +177,7 @@ def _signs(p: int, r0: int, length: int) -> np.ndarray:
     signs = _SIGN_CACHE.get((p, r0))
     if signs is None or signs.size < length:
         size = length if signs is None else max(length, 2 * signs.size)
-        signs = (_legendre(r0 + 24 * np.arange(size), p) % 3).astype(np.int8)
+        signs = (_legendre(r0 + 24 * np.arange(size), p) % 3).astype(np.intp)
         _SIGN_CACHE[p, r0] = signs
     return signs[:length]
 
@@ -190,41 +190,42 @@ def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
 
     with a(n/p^2) = 0 unless p^2 divides n.  p must be a prime >= 5 other
     than ell.  Output precision is ceil(P / p^2); the residue class is
-    preserved since p^2 = 1 mod 24.
+    preserved since p^2 = 1 mod 24.  The strand is _tp2's at s = 0.
+    """
+    _validate_modulus(p, "p")
+    if p == f.modulus:
+        raise ValueError(f"p = ell = {f.modulus} is outside the operator's domain")
+    out = _tp2(f, p, lam_int, kronecker(12, p))
+    return QExp24._of(out, -(-f.prec // (p * p)), f.modulus, f.residue)
+
+
+def _tp2(f: QExp24, p: int, lam_int: int, chi12: int, s: int = 0) -> np.ndarray:
+    """The reduced strand of T(p^2) f - s f below ceil(P / p^2), for a checked p, with chi12 = (12|p).
 
     Since p^2 = 1 mod 24, p^2 n lies on the strand of n: with strand
     indices n = r0 + 24 j, index p^2 n sits at entry k0 + p^2 j with
     k0 = (p^2 - 1) r0 / 24, so a(p^2 n) and a(n / p^2) are strided slices
     of f's strand.  The character (n|p) is read from a cached sign strand
-    of (p, r0), which picks c1 (n|p) mod ell out of [0, c1, ell - c1].
+    of (p, r0), which picks the factor of a(n), c1 (n|p) - s mod ell, out
+    of a 3-entry table of residues.
 
-    Each entry is reduced once: it sums at most one product of residues
-    and one residue, since the third term lands on the indices
-    p^2 (r0 + 24 j), where (n|p) = 0.  That sum is below ell (ell - 1),
-    which fits int64 wherever the ring stores int64.
+    Each entry is reduced once.  Off the entries k0 + p^2 j it sums a
+    residue and one product of residues, below ell (ell - 1).  On them,
+    where (n|p) = 0 and the factor is -s, it adds c2 a(n / p^2) with c2
+    taken in [-ell, 0), so the two products have opposite signs and the
+    sum lies in [-ell (ell - 1), ell (ell - 1)]: inside int64 wherever the
+    ring stores int64, ell <= 3037000493.  With both factors residues it
+    could reach 2 (ell - 1)^2 and pass 2^63 above ell = 2^31.
     """
-    _validate_modulus(p, "p")
-    if p == f.modulus:
-        raise ValueError(f"p = ell = {f.modulus} is outside the operator's domain")
-    return _tp2(f, p, lam_int, kronecker(12, p))
-
-
-def _tp2(f: QExp24, p: int, lam_int: int, chi12: int) -> QExp24:
-    """T(p^2) f for a checked p, with chi12 = (12|p)."""
     ell, a, r0 = f.modulus, f.values, f.residue
     p2 = p * p
-    new_prec = -(-f.prec // p2)
-    parity_sign = kronecker(-1, p) if lam_int % 2 else 1
-    c1 = chi12 * parity_sign * pow(p, lam_int - 1, ell) % ell
-    c2 = pow(p, 2 * lam_int - 1, ell)
-    n = _length(new_prec, r0)
+    n = _length(-(-f.prec // p2), r0)
     k0 = (p2 - 1) * r0 // 24
-    factor = np.array([0, c1, ell - c1], dtype=a.dtype)[_signs(p, r0, n)]
-    # int64 storage means (ell - 1)^2 < 2^63, so ell <= 3037000500 and a
-    # product plus a residue, below ell (ell - 1), is below 2^63 too
-    out = a[k0::p2][:n] + factor * a[:n]
-    out[k0::p2] += c2 * a[: len(range(k0, n, p2))]
-    return QExp24._of(out % ell, new_prec, ell, r0)
+    c1 = chi12 * (kronecker(-1, p) if lam_int % 2 else 1) * pow(p, lam_int - 1, ell)
+    table = np.array([-s % ell, (c1 - s) % ell, (-c1 - s) % ell], dtype=a.dtype)
+    out = a[k0::p2][:n] + table[_signs(p, r0, n)] * a[:n]
+    out[k0::p2] += (pow(p, 2 * lam_int - 1, ell) - ell) * a[: len(range(k0, n, p2))]
+    return out % ell
 
 
 def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
@@ -234,11 +235,11 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
     weights are outside this check's scope) and lam_bar = lam_pre mod
     (ell-1), the expected scalar is
 
-        eps_p * (12/p) * (p^(lam_bar+2) + p^(lam_bar+1))  mod ell.
+        s = eps_p * (12/p) * (p^(lam_bar+2) + p^(lam_bar+1))  mod ell.
 
     Requires p >= 5, p != ell, p not congruent to 0 or 1 mod ell, and
-    eps_p in {+1, -1}.  Compares T(p^2) g to scalar * g at every index
-    below the joint precision ceil(P/p^2), in one array comparison.
+    eps_p in {+1, -1}.  The congruence holds when T(p^2) g - s g, _tp2's
+    strand, is zero at every index below the joint precision ceil(P/p^2).
     """
     ell = g.ell
     _validate_modulus(p, "p")
@@ -254,9 +255,51 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
         )
     lam_bar = lam_pre % (ell - 1)
     chi12 = kronecker(12, p)
-    scalar = eps_p * chi12 * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell)) % ell
-    lhs = _tp2(g.series, p, g.lam, chi12).values
-    return bool((lhs == g.series.values[: lhs.size] * scalar % ell).all())
+    scalar = eps_p * chi12 * (pow(p, lam_bar + 2, ell) + pow(p, lam_bar + 1, ell))
+    return not _tp2(g.series, p, g.lam, chi12, scalar).any()
+
+
+# The divisor pairs (d, q) with d q <= N, ordered by d q, and ends[k], the
+# number of pairs with d q <= k: the pairs of n are entries ends[n - 1] ..
+# ends[n] - 1.  Served by prefix and grown at least twofold, N < 2 n_max.
+_PAIR_D = _PAIR_Q = _PAIR_ENDS = np.zeros(0, dtype=np.int64)
+
+
+def _divisor_pairs(n_max: int):
+    """(d, q, starts) for n_max >= 1: the pairs d q <= n_max, by d q, and where those of n = 1 .. n_max start."""
+    global _PAIR_D, _PAIR_Q, _PAIR_ENDS
+    if _PAIR_ENDS.size <= n_max:
+        size = max(n_max, 2 * _PAIR_ENDS.size - 2)
+        d = np.arange(1, size + 1)
+        count = size // d
+        ds = np.repeat(d, count)
+        qs = np.arange(ds.size) - np.repeat(np.cumsum(count) - count, count) + 1
+        n = ds * qs
+        order = np.argsort(n, kind="stable")
+        _PAIR_D, _PAIR_Q, _PAIR_ENDS = ds[order], qs[order], np.cumsum(np.bincount(n, minlength=size + 1))
+    count = _PAIR_ENDS[n_max]
+    return _PAIR_D[:count], _PAIR_Q[:count], _PAIR_ENDS[:n_max]
+
+
+# (t, lam % 2) -> (-1/d)^lam (12t/d) at d = 0 .. N, served by prefix and
+# grown at least twofold: 0 at even d, and by reciprocity (12t/d) = (3t/d) =
+# (-1)^((3t-1)/2 (d-1)/2) prod over p | 3t of (d/p) at odd d
+_CHAR_CACHE = {}
+
+
+def _characters(t: int, odd: int, n_max: int) -> np.ndarray:
+    """(-1/d)^lam (12t/d) for d = 0 .. n_max, with odd = lam % 2, for a squarefree t prime to 6."""
+    chars = _CHAR_CACHE.get((t, odd))
+    if chars is None or chars.size <= n_max:
+        d = np.arange(n_max + 1 if chars is None else max(n_max + 1, 2 * chars.size))
+        chars, rest = d % 2 * np.where(d % 4 == 3, -1 if (odd + 3 * t // 2) % 2 else 1, 1), 3 * t
+        for p in range(3, math.isqrt(rest) + 1, 2):  # the primes of 3t (squarefree), divided out
+            if rest % p == 0:
+                chars, rest = chars * _legendre(d, p), rest // p
+        if rest > 1:
+            chars = chars * _legendre(d, rest)
+        _CHAR_CACHE[t, odd] = chars
+    return chars[: n_max + 1]
 
 
 def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
@@ -265,15 +308,15 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
     A_t(n) = sum over d | n of (-1/d)^lam * (12t/d) * d^(lam-1) * a(t n^2 / d^2)
 
     computed mod ell.  t must be squarefree with gcd(t, 6) = 1; f must
-    reach index t * n_max^2, and n_max < ell when lam <= 0.  a(t m^2) is one
-    indexed read of the strand; (-1/d)^lam (12t/d), a character mod 12t,
-    is tabled once: 0 at even d, and by reciprocity (12t/d) = (3t/d) =
-    (-1)^((3t-1)/2 (d-1)/2) prod over p | 3t of (d/p) at odd d.  Every pair
-    d q <= n_max adds its reduced product into A_t(d q) in one np.add.at
-    (at most n_max residues per sum).
+    reach index t * n_max^2, and n_max < ell when lam <= 0.  The precision
+    is checked first, so t < prec bounds the trial division that tests t
+    squarefree; n_max < 1 asks for no sum and returns [].  A call reads
+    the divisor pairs and characters from cached tables, computes
+    d^(lam-1) mod ell, reads a(t m^2) off the strand, and sums each n's
+    reduced products in one np.add.reduceat (at most n_max residues).
     """
     ell = f.modulus
-    if t < 1 or math.gcd(t, 6) != 1 or squarefree_part(t) != t:
+    if t < 1 or math.gcd(t, 6) != 1:
         raise ValueError(f"t must be squarefree and prime to 6, got {t}")
     if f.prec <= t * n_max * n_max:
         raise PrecisionError(
@@ -281,28 +324,19 @@ def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:
         )
     if lam < 1 and n_max >= ell:
         raise ValueError(f"d^({lam - 1}) is undefined mod {ell} at d = {ell}; need n_max < {ell}")
+    if n_max < 1:
+        return []
+    if squarefree_part(t) != t:
+        raise ValueError(f"t must be squarefree and prime to 6, got {t}")
     m = np.arange(n_max + 1)
     index = t * m * m - f.residue
     on = index % 24 == 0
     a = np.zeros(n_max + 1, dtype=f.values.dtype)
     a[on] = f.values[index[on] // 24]
-    size = min(12 * t, n_max + 1)
-    residues, rest = np.arange(size), 3 * t
-    sign = residues % 2 * np.where(residues % 4 == 3, -1 if (lam + rest // 2) % 2 else 1, 1)
-    for p in range(3, math.isqrt(rest) + 1, 2):  # the primes of 3t (squarefree), divided out
-        if rest % p == 0:
-            sign, rest = sign * _legendre(residues, p), rest // p
-    if rest > 1:
-        sign = sign * _legendre(residues, rest)
-    d = m[1:]
-    power = _pow_mod(_reduce(d, ell), lam - 1 if lam >= 1 else (lam - 1) % (ell - 1), ell)
-    weight = sign[d % size] * power % ell
-    count = n_max // d
-    ds = np.repeat(d, count)
-    qs = np.arange(ds.size) - np.repeat(np.cumsum(count) - count, count) + 1
-    totals = np.zeros(n_max + 1, dtype=a.dtype)
-    np.add.at(totals, ds * qs, weight[ds - 1] * a[qs] % ell)
-    return (totals[1:] % ell).tolist()
+    power = _pow_mod(_reduce(m, ell), lam - 1 if lam >= 1 else (lam - 1) % (ell - 1), ell)
+    weight = _characters(t, lam % 2, n_max) * power % ell
+    d, q, starts = _divisor_pairs(n_max)
+    return (np.add.reduceat(weight[d] * a[q] % ell, starts) % ell).tolist()
 
 
 def canonical_t1(lam: int, ell: int, prec: int) -> QExp24:

@@ -26,6 +26,10 @@ MODULE_CACHES = {
     (qseries, "_Q"): _no_int64,
     (qseries, "_TERMS_CACHE"): dict,
     (halfint, "_SIGN_CACHE"): dict,
+    (halfint, "_PAIR_D"): _no_int64,
+    (halfint, "_PAIR_Q"): _no_int64,
+    (halfint, "_PAIR_ENDS"): _no_int64,
+    (halfint, "_CHAR_CACHE"): dict,
 }
 
 # pure functions memoized with functools.lru_cache

@@ -20,6 +20,7 @@ from etakit.spaces import (
     membership_depth,
     miller_basis,
 )
+from etakit import halfint
 from etakit.halfint import (
     HalfIntForm,
     canonical_t1,
@@ -363,12 +364,23 @@ def test_eigenvalue_scalar_value():
     assert lhs.first_difference(g.series.scale(3), lhs.prec) is not None
 
 
+def _expected_verdict(g, p, eps_p):
+    """hecke_tp2(g) == scalar * g below ceil(P / p^2), scalar the eigenvalue of the check."""
+    lam_bar = (g.lam - g.ell - 1) % (g.ell - 1)
+    scalar = eps_p * kronecker(12, p) * (p ** (lam_bar + 2) + p ** (lam_bar + 1))
+    lhs = hecke_tp2(g.series, p, g.lam)
+    return lhs == g.series.scale(scalar).truncate(lhs.prec)
+
+
 def test_eigenvalue_check_sees_prefix_perturbation():
     # the check compares T(p^2) g with scalar * g on ceil(P / p^2) indices;
-    # one changed coefficient inside that prefix must flip the verdict
+    # one changed coefficient inside that prefix must flip the verdict, and
+    # with either sign eps_p the fused check says what hecke_tp2 and a
+    # compare say
     ell, p = 5, 7
     g = theta_lift(eta_form(24 * 120, ell))
     assert hecke_eigenvalue_check(g, p)
+    assert not hecke_eigenvalue_check(g, p, -1) and not _expected_verdict(g, p, -1)
     prefix = -(-g.series.prec // (p * p))
     for n in (1, 25, (prefix - 2) // 24 * 24 + 1):
         assert n < prefix
@@ -378,6 +390,8 @@ def test_eigenvalue_check_sees_prefix_perturbation():
             QExp24(coeffs, g.series.prec, ell, g.series.residue), g.lam, g.r, g.certificate
         )
         assert not hecke_eigenvalue_check(bent, p), n
+        for eps_p in (1, -1):
+            assert hecke_eigenvalue_check(bent, p, eps_p) == _expected_verdict(bent, p, eps_p), (n, eps_p)
 
 
 def test_eigenvalue_check_compares_a_one_index_prefix():
@@ -391,6 +405,28 @@ def test_eigenvalue_check_compares_a_one_index_prefix():
     coeffs[p * p] = (coeffs[p * p] + 1) % ell
     bent = HalfIntForm(QExp24(coeffs, g.series.prec, ell, 1), g.lam, g.r, g.certificate)
     assert not hecke_eigenvalue_check(bent, p)
+    for form in (g, bent):
+        for eps_p in (1, -1):
+            assert hecke_eigenvalue_check(form, p, eps_p) == _expected_verdict(form, p, eps_p)
+
+
+def test_eigenvalue_check_builds_no_series_and_reads_one_sign_strand(monkeypatch):
+    # the check reduces T(p^2) g - s g on one strand: no QExp24 wraps it, and
+    # the sign strand of (p, r0) is read once per call
+    g = theta_lift(eta_form(24 * 400, 13))
+    reads = []
+    signs = halfint._signs
+    monkeypatch.setattr(halfint, "_signs", lambda *args: reads.append(args) or signs(*args))
+
+    def no_series(*args):
+        raise AssertionError("the eigenvalue check built a QExp24")
+
+    monkeypatch.setattr(QExp24, "_of", no_series)
+    for p in (5, 7, 11, 17):
+        for eps_p in (1, -1):
+            reads.clear()
+            assert hecke_eigenvalue_check(g, p, eps_p) == (eps_p == 1)
+            assert len(reads) == 1
 
 
 def test_eigenvalue_validation():
@@ -501,6 +537,53 @@ def test_shimura_closed_form_for_lifted_eta():
             continue
         want = a1 * kronecker(12, n) * pow(n, 2 * j - 1, ell) * divisor_sigma(n, 1) % ell
         assert vals[n - 1] == want, n
+
+
+def test_shimura_tables_are_cached_prefixes(cold_caches):
+    # the divisor pairs and the characters per (t, lam mod 2) are served by
+    # prefix and grown at least twofold: short, long, then short n_max, each
+    # call against the oracle, each table under twice its longest request
+    ell = 101
+    rng = random.Random(31)
+    longest = {}
+    for n_max in (3, 9, 2, 30, 31, 70, 5):
+        for t in (1, 5, 7, 11, 35):
+            prec = t * n_max * n_max + 1
+            if prec > 24 * 6000:
+                continue
+            f = QExp24.from_dict({n: rng.randrange(ell) for n in range(t % 24, prec, 24)}, prec, ell, t % 24)
+            for lam in (2, 3):
+                want = [shimura_sum_oracle(f.coeffs, t, lam, n, ell) for n in range(1, n_max + 1)]
+                assert shimura_coeffs(f, t, lam, n_max) == want, (n_max, t, lam)
+                longest[t, lam % 2] = max(longest.get((t, lam % 2), 0), n_max)
+                assert halfint._CHAR_CACHE[t, lam % 2].size < 2 * (longest[t, lam % 2] + 1)
+            covered = halfint._PAIR_ENDS.size - 1
+            assert max(longest.values()) <= covered < 2 * max(longest.values())
+    assert set(halfint._CHAR_CACHE) == set(longest)
+
+
+def test_a_covered_shimura_call_rebuilds_no_pair_table():
+    f = theta_lift(eta_form(24 * 1200, 13)).series
+    first = shimura_coeffs(f, 1, 14, 150)
+    tables = halfint._PAIR_D, halfint._PAIR_Q, halfint._PAIR_ENDS, halfint._CHAR_CACHE[1, 0]
+    assert shimura_coeffs(f, 1, 14, 150) == first
+    shimura_coeffs(f, 5, 14, 60)
+    assert halfint._PAIR_D is tables[0] and halfint._PAIR_Q is tables[1] and halfint._PAIR_ENDS is tables[2]
+    assert halfint._CHAR_CACHE[1, 0] is tables[3]
+
+
+def test_shimura_checks_precision_before_it_factors_t(monkeypatch):
+    # t * n_max^2 < prec bounds t, and with it the trial division of
+    # squarefree_part; a t past the precision is refused before it
+    def no_factoring(n):
+        raise AssertionError(f"squarefree_part({n}) ran")
+
+    f = eta_series(100, 5)
+    monkeypatch.setattr(halfint, "squarefree_part", no_factoring)
+    for t in (10**20 + 39, 101):
+        with pytest.raises(PrecisionError):
+            shimura_coeffs(f, t, 0, 1)
+    assert shimura_coeffs(f, 10**20 + 39, 0, 0) == []  # n_max = 0 asks for no sum
 
 
 def test_shimura_validation():

@@ -260,6 +260,29 @@ def test_hecke_matches_the_dense_oracle_at_worst_case_operands(cold_caches, modu
 
 
 @pytest.mark.parametrize("modulus", RINGS)
+def test_fused_kernel_is_hecke_minus_s_f_at_worst_case_operands(modulus):
+    # hecke_tp2 and the eigenvalue check share halfint._tp2, the strand of
+    # T(p^2) f - s f; with every entry ell - 1 and s = 1, the entries where
+    # p^2 | n sum a(p^2 n), (ell - 1) a(n) and c2 a(n / p^2): with c2 a
+    # residue too that passes 2^63 at ell = 3037000493
+    for r0 in (1, 5, 7, 11, 13, 17, 19, 23):
+        for p in (5, 7, 13):
+            if p == modulus:
+                continue
+            length = (p * p - 1) * r0 // 24 + 2  # through entry k0, where n = r0 p^2, and one past it
+            prec = 24 * p * p * length
+            dense = [0] * prec
+            dense[r0::24] = [modulus - 1] * len(range(r0, prec, 24))
+            f = QExp24.from_dict(dict.fromkeys(range(r0, prec, 24), modulus - 1), prec, modulus, r0)
+            lam_int = (r0 + p) % 4
+            want = dense_hecke_tp2(_dense_prefix(dense, prec, modulus, r0), p, lam_int).coeffs[r0::24]
+            for s in (0, 1, modulus - 1):
+                got = halfint._tp2(f, p, lam_int, kronecker_oracle(12, p), s)
+                assert got.dtype == storage_dtype(modulus)
+                assert got.tolist() == [(b - s * (modulus - 1)) % modulus for b in want], (r0, p, s)
+
+
+@pytest.mark.parametrize("modulus", RINGS)
 def test_theta_power_matches_the_dense_oracle_on_dense_and_sparse_strands(modulus):
     # theta_op raises only the nonzero entries' weights; every strand entry
     # nonzero, and two of them nonzero, must give the dense definition's
