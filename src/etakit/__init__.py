@@ -15,7 +15,6 @@ from .qseries import (
     series_from_text,
     series_to_text,
     squarefree_part,
-    support_square_classes,
     theta_op,
     u_op,
     v_op,

@@ -14,11 +14,12 @@ flow through with their data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qseries import PrecisionError, QExp24, _length, _square_terms, support_square_classes
+from .qseries import PrecisionError, QExp24, _length, _square_terms
 from .halfint import HalfIntForm
 
 __all__ = [
@@ -45,18 +46,20 @@ class CheckResult:
         return {"name": self.name, "pass": self.passed, "witness": self.witness}
 
 
-def check_two_classes(series: QExp24):
-    """Observed square classes and the verdict classes subset of {1, ell}.
+def check_two_classes(series: QExp24) -> CheckResult:
+    """Pass iff every support index is a square or ell times a square.
 
-    Returns (classes, CheckResult).  The scan covers the known prefix;
-    for a certified form's series the certificate depth upgrades this to
-    a statement about the whole expansion.
+    Those are the n whose squarefree part lies in {1, ell}; index 0 has
+    none and fails.  The witness is the first index that fails, found by
+    isqrt alone.  The scan covers the known prefix; for a certified form's
+    series the certificate depth upgrades this to a statement about the
+    whole expansion.
     """
     ell = series.modulus
-    classes = support_square_classes(series)
-    bad = [t for t in classes if t not in (1, ell)]
-    witness = min(classes[t][0] for t in bad) if bad else None  # each class is ascending
-    return classes, CheckResult("two_square_classes", not bad, witness)
+    for n in series.support():
+        if not n or (math.isqrt(n) ** 2 != n and (n % ell or math.isqrt(n // ell) ** 2 != n // ell)):
+            return CheckResult("two_square_classes", False, n)
+    return CheckResult("two_square_classes", True)
 
 
 def check_multiplier(r: int, ell: int) -> CheckResult:
@@ -104,19 +107,16 @@ def classify(form: HalfIntForm) -> CaseReport:
     Reads a1 and al (indices 1 and ell), writes the candidate target
     a1 * T1(lam) + al * T2 (T1(0) = eta when ell - 1 divides lam inside
     the weight hypothesis) onto one zeros strand of the form's own class,
-    scattering the scaled terms of T1 and T2 from qseries' cache of
-    square-series terms (keyed by (m, ell, reduced lam), served by prefix,
-    grown at least twofold, fewer than twice the terms of its longest
-    request: about sqrt(24 depth) / 3 for T1, and no dense strand), and
-    compares it with the form's strand in one array test below the
-    certificate's depth: the Sturm depth 24 * (floor(w/12) + 1) + r0 for a
-    form built in its space, every coefficient for a series certified to
-    its precision, and the whole zero series in an empty space.  No series
-    object is built on the way.  The weight hypothesis
-    lam + 1/2 < ell^2 / 2 is recorded as hypothesis_ok but does not
-    overturn a passing congruence: explicit constructions at or past the
-    boundary can still land in a case, and the boundary example fails on
-    its own congruence.
+    scattering the scaled terms of T1 and T2 from qseries' table of
+    square-series terms (about sqrt(24 depth) / 3 for T1), and compares it
+    with the form's strand in one array test below the certificate's depth:
+    the Sturm depth 24 * (floor(w/12) + 1) + r0 for a form built in its
+    space, every coefficient for a series certified to its precision, and
+    the whole zero series in an empty space.  No series object is built on
+    the way.  The weight hypothesis lam + 1/2 < ell^2 / 2 is recorded as
+    hypothesis_ok but does not overturn a passing congruence: explicit
+    constructions at or past the boundary can still land in a case, and
+    the boundary example fails on its own congruence.
     """
     if not isinstance(form, HalfIntForm):
         raise TypeError("classify takes a certified form; use certify() first")
@@ -128,7 +128,7 @@ def classify(form: HalfIntForm) -> CaseReport:
     hypothesis_ok = 2 * lam + 1 < ell * ell
     depth = form.certificate.depth
 
-    classes, cls_check = check_two_classes(series)
+    cls_check = check_two_classes(series)
     mult_check = check_multiplier(r, ell)
     checks = [cls_check, mult_check]
 
@@ -141,7 +141,7 @@ def classify(form: HalfIntForm) -> CaseReport:
             tuple(checks + [congruence]),
         )
 
-    if not classes:  # no support: the zero series
+    if series.is_zero():
         return report("zero", CheckResult("congruence", True))
 
     # shape of the case, from the two distinguished coefficients

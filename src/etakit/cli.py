@@ -184,9 +184,9 @@ def _walk(node, ell: int):
 
 
 # largest leaf precision a recipe may plan, checked before its leaves are
-# built: above case 3 at ell = 6577 (prec 21.6M, about 0.2 s and 77 MB peak
-# RSS).  It bounds memory, not time: a strand at this prec holds 1.25M
-# entries, 10 MB in int64, and a recipe keeps a few of them alive at once.
+# built: above case 3 at ell = 6577 (prec 21.6M).  It bounds memory, not
+# time: a strand at this prec holds 1.25M entries, 10 MB in int64, and a
+# recipe keeps a few of them alive at once.
 RECIPE_MAX_PREC = 3 * 10**7
 
 
@@ -402,9 +402,8 @@ def filtration_sweep(ell: int, count: int = 20, seed: int = 77) -> list:
 # basis' largest precision, the --prec given or the default of its weight
 # (about 4 k), checked before anything is built.  It bounds time: a basis of
 # dm rows and L = prec / 24 entries costs about L^2 for its products and
-# dm^2 L for its rows, and weight 2472 at its default prec 9961 takes 0.07 s
-# at ell = 5 and 5 s at ell = 3037000493 or 2^61 - 1, whose sums take Python
-# integers (2 cores), in at most 43 MB peak RSS.
+# dm^2 L for its rows, with Python integer sums at ell = 3037000493 or
+# 2^61 - 1; weight 2472, default prec 9961, is the heaviest default to fit.
 BASIS_MAX_PREC = 10_000
 
 

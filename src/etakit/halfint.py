@@ -22,6 +22,7 @@ from .qseries import (
     _pow_mod,
     _reduce,
     _square_series,
+    _table,
     _validate_modulus,
     kronecker,
     squarefree_part,
@@ -163,23 +164,14 @@ def u_ell_descent(form: HalfIntForm) -> HalfIntForm:
 # === Hecke action on 1/24-indexed expansions ===
 
 
-# (n|p) at the strand indices n = r0 + 24 m, stored as 0, 1, 2 for 0, 1, -1
-# so that it indexes a 3-entry table: one intp strand per (p, r0), an
-# index array numpy takes without a cast, served by prefix and grown to at
-# least twice its length when a longer one is asked for.  A strand grows only
-# past its length, so it holds fewer than twice the entries of the longest
-# output strand asked for at its (p, r0).
-_SIGN_CACHE = {}
+def _sign_table(length: int, p: int, r0: int):
+    """(n|p) at n = r0 + 24 m, m < length, stored as 0, 1, 2 for 0, 1, -1: intp, indices numpy takes without a cast."""
+    return ((_legendre(r0 + 24 * np.arange(length), p) % 3).astype(np.intp),)
 
 
 def _signs(p: int, r0: int, length: int) -> np.ndarray:
-    """(n|p) at n = r0 + 24 m, m < length, as the indices 0, 1, 2 of 0, 1, -1."""
-    signs = _SIGN_CACHE.get((p, r0))
-    if signs is None or signs.size < length:
-        size = length if signs is None else max(length, 2 * signs.size)
-        signs = (_legendre(r0 + 24 * np.arange(size), p) % 3).astype(np.intp)
-        _SIGN_CACHE[p, r0] = signs
-    return signs[:length]
+    """(n|p) at n = r0 + 24 m, m < length, as the indices 0, 1, 2 of 0, 1, -1: a prefix of (p, r0)'s table."""
+    return _table(_sign_table, (p, r0), length)[0][:length]
 
 
 def hecke_tp2(f: QExp24, p: int, lam_int: int) -> QExp24:
@@ -259,47 +251,42 @@ def hecke_eigenvalue_check(g: HalfIntForm, p: int, eps_p: int = 1) -> bool:
     return not _tp2(g.series, p, g.lam, chi12, scalar).any()
 
 
-# The divisor pairs (d, q) with d q <= N, ordered by d q, and ends[k], the
-# number of pairs with d q <= k: the pairs of n are entries ends[n - 1] ..
-# ends[n] - 1.  Served by prefix and grown at least twofold, N < 2 n_max.
-_PAIR_D = _PAIR_Q = _PAIR_ENDS = np.zeros(0, dtype=np.int64)
+def _pair_table(size: int):
+    """The divisor pairs (d, q) with d q <= size, ordered by d q, and ends[k], the number with d q <= k."""
+    d = np.arange(1, size + 1)
+    count = size // d
+    ds = np.repeat(d, count)
+    qs = np.arange(ds.size) - np.repeat(np.cumsum(count) - count, count) + 1
+    n = ds * qs
+    order = np.argsort(n, kind="stable")
+    return ds[order], qs[order], np.cumsum(np.bincount(n, minlength=size + 1))
 
 
 def _divisor_pairs(n_max: int):
     """(d, q, starts) for n_max >= 1: the pairs d q <= n_max, by d q, and where those of n = 1 .. n_max start."""
-    global _PAIR_D, _PAIR_Q, _PAIR_ENDS
-    if _PAIR_ENDS.size <= n_max:
-        size = max(n_max, 2 * _PAIR_ENDS.size - 2)
-        d = np.arange(1, size + 1)
-        count = size // d
-        ds = np.repeat(d, count)
-        qs = np.arange(ds.size) - np.repeat(np.cumsum(count) - count, count) + 1
-        n = ds * qs
-        order = np.argsort(n, kind="stable")
-        _PAIR_D, _PAIR_Q, _PAIR_ENDS = ds[order], qs[order], np.cumsum(np.bincount(n, minlength=size + 1))
-    count = _PAIR_ENDS[n_max]
-    return _PAIR_D[:count], _PAIR_Q[:count], _PAIR_ENDS[:n_max]
+    d, q, ends = _table(_pair_table, (), n_max)
+    return d[: ends[n_max]], q[: ends[n_max]], ends[:n_max]
 
 
-# (t, lam % 2) -> (-1/d)^lam (12t/d) at d = 0 .. N, served by prefix and
-# grown at least twofold: 0 at even d, and by reciprocity (12t/d) = (3t/d) =
-# (-1)^((3t-1)/2 (d-1)/2) prod over p | 3t of (d/p) at odd d
-_CHAR_CACHE = {}
+def _character_table(size: int, t: int, odd: int):
+    """(-1/d)^lam (12t/d) at d < size, with odd = lam % 2, for a squarefree t prime to 6.
+
+    0 at even d, and by reciprocity (12t/d) = (3t/d) = (-1)^((3t-1)/2 (d-1)/2)
+    prod over p | 3t of (d/p) at odd d.
+    """
+    d = np.arange(size)
+    chars, rest = d % 2 * np.where(d % 4 == 3, -1 if (odd + 3 * t // 2) % 2 else 1, 1), 3 * t
+    for p in range(3, math.isqrt(rest) + 1, 2):  # the primes of 3t (squarefree), divided out
+        if rest % p == 0:
+            chars, rest = chars * _legendre(d, p), rest // p
+    if rest > 1:
+        chars = chars * _legendre(d, rest)
+    return (chars,)
 
 
 def _characters(t: int, odd: int, n_max: int) -> np.ndarray:
-    """(-1/d)^lam (12t/d) for d = 0 .. n_max, with odd = lam % 2, for a squarefree t prime to 6."""
-    chars = _CHAR_CACHE.get((t, odd))
-    if chars is None or chars.size <= n_max:
-        d = np.arange(n_max + 1 if chars is None else max(n_max + 1, 2 * chars.size))
-        chars, rest = d % 2 * np.where(d % 4 == 3, -1 if (odd + 3 * t // 2) % 2 else 1, 1), 3 * t
-        for p in range(3, math.isqrt(rest) + 1, 2):  # the primes of 3t (squarefree), divided out
-            if rest % p == 0:
-                chars, rest = chars * _legendre(d, p), rest // p
-        if rest > 1:
-            chars = chars * _legendre(d, rest)
-        _CHAR_CACHE[t, odd] = chars
-    return chars[: n_max + 1]
+    """(-1/d)^lam (12t/d) for d = 0 .. n_max: a prefix of (t, odd)'s table."""
+    return _table(_character_table, (t, odd), n_max + 1)[0][: n_max + 1]
 
 
 def shimura_coeffs(f: QExp24, t: int, lam: int, n_max: int) -> list:

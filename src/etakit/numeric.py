@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .qseries import PrecisionError, _prime_to_6, kronecker
+from .qseries import PrecisionError, _count_prime_to_6, _prime_to_6, kronecker
 
 __all__ = [
     "UnimodularMatrix",
@@ -120,7 +120,7 @@ def eta_value(z: complex) -> complex:
     y = z.imag
     if y <= 0:
         raise ValueError("eta is defined on the upper half plane")
-    n, chi, _ = _prime_to_6(_term_count(y))
+    n, chi, _ = _prime_to_6(_count_prime_to_6(_term_count(y)))
     w = 2j * math.pi * z / 24.0
     return complex((chi * np.exp(w * n * n)).cumsum()[-1])
 

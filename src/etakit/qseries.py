@@ -33,20 +33,21 @@ and only ``_conv``, ``_conv_rows``, ``_dot`` and ``_sparse_conv`` form
 them: each widens its operands to Python integers, or reduces as it
 sums, when its sums could pass 2^63.
 
-The square series sum (12|n) n^lam q^(m n^2 / 24) over n prime to 6 (eta
-at m = 1, the classify targets T1(lam) and T2 = eta^ell at m = 1 and
-m = ell) have about sqrt(24 length / m) / 3 terms below a strand of
-length entries.  One cache holds their terms, not their strands: keyed
-by (m, ell, e), with e the exponent reduced as ``_pow_mod`` reduces it
-(lam = 0 stays 0), it keeps the ascending strand entries and the residues
-(12|n) n^e mod ell.  A request reads a prefix, whose size has a closed
-form in n; a key is built at the size first asked and grows to at least
-twice its terms, so it holds fewer than twice the terms of its longest
-request: about 150 for eta at a prec of 200000.  Every strand built from
-it is a fresh zeros array and one scatter.  Multiplying by eta reads the
-same terms: the full-depth membership check in ``spaces`` compares f
-with eta^r0 times a combination of basis rows, in r0 sparse passes, and
-inverts eta^r0 only over the pivots.
+Every table that grows by prefix is held in one store, ``_TABLES``, and
+served by ``_table(build, args, size)``: keyed by (build, *args), it
+holds the read-only arrays of build(n, *args), built first at n = size
+and rebuilt past n at max(size, 2 n), so a key holds fewer than twice
+its longest request and a covered call costs one lookup and one compare.
+Five tables use it.  Here: the n prime to 6 with (12|n) and (n^2 - 1) / 24,
+and the terms of the square series sum (12|n) n^lam q^(m n^2 / 24) (eta
+at m = 1, classify's T1(lam) and T2 = eta^ell at m = 1 and m = ell),
+keyed by (m, ell, e) with e the exponent reduced as ``_pow_mod`` reduces
+it: their ascending strand entries and residues, about sqrt(24 length / m)
+/ 3 terms for a strand of length entries, not the strands.  In
+``halfint``: the (n|p) of T(p^2) per (p, r0), and the divisor pairs and
+characters of the Shimura sums.  Every strand built from the square terms
+is a fresh zeros array and one scatter; the full-depth membership check
+in ``spaces`` multiplies by eta^r0 in r0 sparse passes over eta's terms.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "theta_op",
     "u_op",
     "v_op",
-    "support_square_classes",
     "series_to_text",
     "series_from_text",
 ]
@@ -217,9 +217,8 @@ def _toeplitz(a: np.ndarray, n: int) -> np.ndarray:
 
     In (n - 1 zeros, a), row i starts i entries before a, so the rows
     step back one entry and the columns forward one: the view stores
-    2n - 1 entries, not n^2.  The ndarray constructor builds it in under
-    a third of the time of sliding_window_view (4 against 15 us at
-    n = 40), a cost each Miller basis pays twice.
+    2n - 1 entries, not n^2.  The ndarray constructor builds it faster
+    than sliding_window_view, a cost each Miller basis pays twice.
     """
     padded = np.zeros(2 * n - 1, dtype=a.dtype)
     padded[n - 1 :] = a[:n]
@@ -284,12 +283,9 @@ def _power(a: np.ndarray, e: int, ell, length: int) -> np.ndarray:
 
 # Below this length _inverse follows the recurrence: its n^2 / 2 products
 # in Python integers cost less than Newton's 2 log2(n) array products
-# there (timeit: 2.5 against 15 us at 2 terms, on a 2-core host).  A
-# Miller basis inverts its row0 to dm terms, mostly under 10, and with
-# Newton alone the integral-weight bench was slower in 16 of 20
-# alternating 20 s pairs (op_p50_ms medians +1% at seed 1, +13% at
-# seed 7); long inverses, such as 1/E4^3 at an ell's table length,
-# take Newton's side.
+# there.  A Miller basis inverts its row0 to dm terms, mostly under 10,
+# which Newton alone made slower end to end; long inverses, such as 1/E4^3
+# at an ell's table length, take Newton's side.
 _NEWTON_FROM = 32
 
 
@@ -347,51 +343,58 @@ def _legendre(n: np.ndarray, p: int) -> np.ndarray:
     return table[n % size]
 
 
-# the n prime to 6, n = 3i + 1 + (i & 1), (12|n) = -1 iff (i + 1) & 2, and
-# (n^2 - 1) / 24; grown on demand
-_N = _CHI = _Q = np.zeros(0, dtype=np.int64)
+# (build, *args) -> (size, arrays): the tables, as the module docstring says
+_TABLES = {}
+_COLD = (-1, None)  # held by no key: every size, 0 too, is past it, and max(size, -2) = size
 
 
-def _prime_to_6(n_max: int):
-    """Views of the table: the n <= n_max prime to 6, their (12|n) and (n^2 - 1) / 24."""
-    global _N, _CHI, _Q
-    count = 2 * (n_max // 6) + (n_max % 6 >= 1) + (n_max % 6 >= 5)
-    if _N.size < count:  # double, up to the 6668 n below numeric.eta_value's 20000-term cap
-        i = np.arange(max(count, min(2 * _N.size, 6668)))
-        _N, _CHI = 3 * i + 1 + (i & 1), np.where((i + 1) & 2, -1, 1)
-        _Q = _N * _N // 24
-    return _N[:count], _CHI[:count], _Q[:count]
+def _table(build, args, size: int):
+    """The read-only arrays of build(n, *args) at an n >= size, grown to max(size, 2 n) past the held n."""
+    key = (build, *args)
+    held = _TABLES.get(key, _COLD)
+    if held[0] < size:
+        n = max(size, 2 * held[0])
+        held = _TABLES[key] = n, build(n, *args)
+        for a in held[1]:
+            a.flags.writeable = False
+    return held[1]
 
 
-# (m, ell, e) -> read-only (entries, values): the terms of a square series,
-# n ascending, at the strand entries (m n^2 - m % 24) / 24, served by prefix
-# and grown at least twofold, as the module docstring says
-_TERMS_CACHE = {}
+def _count_prime_to_6(n_max: int) -> int:
+    """How many n <= n_max are prime to 6."""
+    return 2 * (n_max // 6) + (n_max % 6 >= 1) + (n_max % 6 >= 5)
+
+
+def _prime_to_6_table(count: int):
+    """The first count n prime to 6, n = 3i + 1 + (i & 1), their (12|n), -1 iff (i + 1) & 2, and (n^2 - 1) / 24."""
+    i = np.arange(count)
+    n = 3 * i + 1 + (i & 1)
+    return n, np.where((i + 1) & 2, -1, 1), n * n // 24
+
+
+def _prime_to_6(count: int):
+    """Views of the table: the first count n prime to 6, their (12|n) and (n^2 - 1) / 24."""
+    return [a[:count] for a in _table(_prime_to_6_table, (), count)]
+
+
+def _square_table(count: int, m: int, modulus, e: int):
+    """(entries, values) of the first count terms of sum (12|n) n^e q^(m n^2 / 24), n ascending."""
+    n, chi, q = _prime_to_6(count)
+    values = chi * _pow_mod(_reduce(n, modulus), e, modulus) if e else chi
+    # the entries (m n^2 - m % 24) / 24 are m q + m // 24: eta's are q itself
+    return q if m == 1 else m * q + m // 24, _reduce(values, modulus)
 
 
 def _square_terms(m: int, length: int, modulus, lam: int = 0):
     """(entries, values) of the terms of sum (12|n) n^lam q^(m n^2 / 24) below strand entry length.
 
     They are the terms of the n with m n^2 < 24 length + m % 24: a prefix
-    of the cached terms, whose size has _prime_to_6's closed form.
+    of the table keyed by lam reduced as ``_pow_mod`` reduces it.
     """
-    n_max = math.isqrt(max(24 * length + m % 24 - 1, 0) // m)
-    count = 2 * (n_max // 6) + (n_max % 6 >= 1) + (n_max % 6 >= 5)
+    count = _count_prime_to_6(math.isqrt(max(24 * length + m % 24 - 1, 0) // m))
     if not count:  # nothing below length, and m may pass int64
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=_dtype(modulus))
-    e = lam and (lam - 1) % (modulus - 1) + 1
-    terms = _TERMS_CACHE.get((m, modulus, e))
-    if terms is None or terms[0].size < count:
-        if terms is not None:  # grow through the (i + 1)-th n prime to 6
-            i = max(count, 2 * terms[0].size) - 1
-            n_max = 3 * i + 1 + (i & 1)
-        n, chi, q = _prime_to_6(n_max)
-        values = chi * _pow_mod(_reduce(n, modulus), e, modulus) if e else chi
-        # the entries (m n^2 - m % 24) / 24 are m q + m // 24: eta's are q itself
-        terms = q if m == 1 else m * q + m // 24, _reduce(values, modulus)
-        for a in terms:
-            a.flags.writeable = False
-        _TERMS_CACHE[m, modulus, e] = terms
+    terms = _table(_square_table, (m, modulus, lam and (lam - 1) % (modulus - 1) + 1), count)
     if terms[0].size == count:
         return terms
     return terms[0][:count], terms[1][:count]
@@ -717,32 +720,13 @@ def v_op(f: QExp24, m: int) -> QExp24:
     return QExp24._of(out, prec, f.modulus, residue)
 
 
-def support_square_classes(f: QExp24) -> dict:
-    """Group the nonzero support by squarefree part: {t: [indices]}; index 0 is the class t = 0."""
-    ell = f.modulus
-    classes: dict = {}
-    for n in f.support():  # squares, then ell (prime) times squares; only the rest is factored
-        if n == 0:  # 0 has no squarefree part
-            t = 0
-        elif math.isqrt(n) ** 2 == n:
-            t = 1
-        elif n % ell == 0 and math.isqrt(n // ell) ** 2 == n // ell:
-            t = ell
-        else:
-            t = squarefree_part(n)
-        classes.setdefault(t, []).append(n)
-    return classes
-
-
 # === text serialization ===
 
 # series_from_text's largest prec.  Reading writes each term into one strand
 # of prec / 24 entries, so a file costs its terms plus 1/3 byte per unit of
 # prec (int64 storage).  The budget bounds time, not memory: the full-depth
 # check multiplies by eta's sparse terms, but builds its weight's basis to
-# prec / 24 entries with quadratic products.  At 10^6 over F_13 (2 cores),
-# 3 eta takes 0.01 s, and eta^25, whose basis needs E4, E6 and
-# Delta / E4^3, 8.2 s cold and 0.31 s with the basis cached.
+# prec / 24 entries with quadratic products, as eta^25's at 10^6 does.
 SERIES_MAX_PREC = 10**7
 
 

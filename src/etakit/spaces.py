@@ -28,10 +28,7 @@ powers from it; P^-1 depends on no length and stays.  A dimension past
 D grows D at least twofold, within the table length, and inverts the
 new P once.  Once the tables cover a basis, it costs the products that
 form row0, one inverse of dm terms and three matrix products, written
-into one preallocated output whose identity block is set in place: about
-13, 17 and 22 us at dm = 2, 5 and 8 (ell = 23, lengths 5, 11 and 17,
-timeit on a 2-core host), where the wrapper work around the same
-products made it 16, 20 and 26 us.
+into one preallocated output whose identity block is set in place.
 
 Spaces of half-integral weight lam + 1/2 with the r-th power of the eta
 multiplier are realized as eta^r0 * M_w with r0 = r mod 24 and
@@ -46,9 +43,7 @@ pivots fill the strand, but for one coefficient at w = 2 (mod 12) that
 the constant term of a weight-2 quotient decides.  Its compare, _misses,
 is all that coordinates and each candidate of the filtration scan run:
 at r0 = 0 against a warm basis it is one _dot and one array compare,
-and the scan builds no certificate per candidate.  A warm coordinates
-check at ell = 23, k = 30 takes about 3.7 us, and a warm filtration
-about 6.5 us where it took 11.
+and the scan builds no certificate per candidate.
 
 Every basis is held as a read-only (dim x L) matrix of integer-exponent
 coefficients: row i, column m is the coefficient of element i at q^m.
@@ -59,7 +54,7 @@ kind) to the basis served from it: S_k as its rows 1.., a shorter
 precision as a prefix, which equals a cold build because truncation
 commutes with the products.  miller_basis reads _BASIS_CACHE before it
 checks any argument, so a repeated call returns the same object for
-one dict lookup, about 0.1 us.  Empty spaces are not cached.  The
+one dict lookup.  Empty spaces are not cached.  The
 caches are not locked: they belong to one thread of one process.
 
 Residues are stored in qseries' storage dtype, and every sum of
@@ -445,8 +440,7 @@ def filtration(f: QExp24, k: int) -> int:
     Each candidate goes straight to _misses, the compare that coordinates
     runs: f's class and precision are checked once here, and no
     certificate is built.  A warm candidate costs one basis lookup and
-    one _dot: a warm scan at ell = 23, k = 30 takes about 6.5 us, where a
-    coordinates call per candidate made it 11.
+    one _dot.
     """
     ell = f.modulus
     if f.is_zero():

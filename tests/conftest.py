@@ -6,14 +6,9 @@ are put back after the test.  test_package.py checks that MODULE_CACHES
 and MEMOIZED name every such cache in src/etakit.
 """
 
-import numpy as np
 import pytest
 
-from etakit import halfint, numeric, qseries, spaces
-
-
-def _no_int64():
-    return np.zeros(0, dtype=np.int64)
+from etakit import numeric, qseries, spaces
 
 
 # (module, name) -> a factory of the empty cache
@@ -21,15 +16,7 @@ MODULE_CACHES = {
     (spaces, "_ROW_CACHE"): dict,
     (spaces, "_BASIS_CACHE"): dict,
     (spaces, "_GENERATOR_CACHE"): dict,
-    (qseries, "_N"): _no_int64,
-    (qseries, "_CHI"): _no_int64,
-    (qseries, "_Q"): _no_int64,
-    (qseries, "_TERMS_CACHE"): dict,
-    (halfint, "_SIGN_CACHE"): dict,
-    (halfint, "_PAIR_D"): _no_int64,
-    (halfint, "_PAIR_Q"): _no_int64,
-    (halfint, "_PAIR_ENDS"): _no_int64,
-    (halfint, "_CHAR_CACHE"): dict,
+    (qseries, "_TABLES"): dict,
 }
 
 # pure functions memoized with functools.lru_cache

@@ -58,26 +58,22 @@ def test_check_result_shape():
 
 def test_two_classes_on_eta():
     ell = 5
-    classes, res = check_two_classes(eta_series(24 * 10, ell))
-    assert set(classes) == {1}
+    res = check_two_classes(eta_series(24 * 10, ell))
     assert res.passed and res.witness is None
 
 
 def test_a_constant_term_is_its_own_class_and_the_witness():
-    # 0 has no squarefree part: index 0 is the class 0, outside {1, ell}
+    # 0 has no squarefree part: index 0 is neither a square nor ell times one
     f = QExp24.from_dict({0: 1, 24: 2}, 48, 5, 0)
-    assert qseries.support_square_classes(f) == {0: [0], 6: [24]}
-    classes, res = check_two_classes(f)
-    assert classes == {0: [0], 6: [24]}
+    res = check_two_classes(f)
     assert not res.passed and res.witness == 0
 
 
 def test_two_classes_on_eta_ell_power():
     ell = 5
     f = (eta_series(24 * 30, ell) ** ell).truncate(24 * 20)
-    classes, res = check_two_classes(f)
-    assert set(classes) == {ell}
-    assert res.passed
+    assert set(_square_classes(f)) == {ell}
+    assert check_two_classes(f).passed
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -97,28 +93,26 @@ def test_two_classes_match_a_factoring_reference(ell, r, roots, others):
             if n < 10**5 and n % 24 == r:
                 terms[n] = 2
     f = QExp24.from_dict(terms, prec=max(terms, default=0) + 1, modulus=ell, residue=r)
-    classes, _ = check_two_classes(f)
-    want = _square_classes(f)
-    assert classes == want and list(classes) == list(want)
+    bad = [n for t, indices in _square_classes(f).items() if t not in (1, ell) for n in indices]
+    res = check_two_classes(f)
+    assert res.passed == (not bad) and res.witness == min(bad, default=None)
 
 
 def test_two_classes_of_case_three_factor_nothing(monkeypatch):
     # at ell = 1009 every support index is a square or ell times one
     ell, j = 1009, 252
     form = evaluate_recipe(f"{pow(24, 2 * j, ell)}*theta^{j}(eta) + eta^{ell}", ell)
-    want = _square_classes(form.series)
+    assert list(_square_classes(form.series)) == [1, ell]
     monkeypatch.setattr(qseries, "squarefree_part", None)
-    classes, res = check_two_classes(form.series)
-    assert classes == want and list(classes) == list(want) == [1, ell]
-    assert res.passed
+    assert check_two_classes(form.series).passed
 
 
 def test_two_classes_rejects_stray_class():
     # on the class 5 mod 24: ell = 5 times squares and the prime 29
     ell = 5
     f = QExp24.from_dict({5: 1, 29: 3, 125: 1}, prec=130, modulus=ell, residue=5)
-    classes, res = check_two_classes(f)
-    assert set(classes) == {5, 29}
+    assert set(_square_classes(f)) == {5, 29}
+    res = check_two_classes(f)
     assert not res.passed
     assert res.witness == 29
 
@@ -138,8 +132,8 @@ def test_two_classes_rejects_stray_class():
 def test_two_classes_witness_is_the_first_extraneous_index(ell, residue, terms):
     f = QExp24.from_dict(terms, prec=max(terms) + 1, modulus=ell, residue=residue)
     first = min(n for n in terms if _squarefree_part(n) not in (1, ell))
-    classes, res = check_two_classes(f)
-    assert len(set(classes) - {1, ell}) >= 2
+    res = check_two_classes(f)
+    assert len(set(_square_classes(f)) - {1, ell}) >= 2
     assert not res.passed and res.witness == first
 
 

@@ -20,7 +20,7 @@ from etakit.spaces import (
     membership_depth,
     miller_basis,
 )
-from etakit import halfint
+from etakit import halfint, qseries
 from etakit.halfint import (
     HalfIntForm,
     canonical_t1,
@@ -556,20 +556,20 @@ def test_shimura_tables_are_cached_prefixes(cold_caches):
                 want = [shimura_sum_oracle(f.coeffs, t, lam, n, ell) for n in range(1, n_max + 1)]
                 assert shimura_coeffs(f, t, lam, n_max) == want, (n_max, t, lam)
                 longest[t, lam % 2] = max(longest.get((t, lam % 2), 0), n_max)
-                assert halfint._CHAR_CACHE[t, lam % 2].size < 2 * (longest[t, lam % 2] + 1)
-            covered = halfint._PAIR_ENDS.size - 1
+                assert qseries._TABLES[halfint._character_table, t, lam % 2][0] < 2 * (longest[t, lam % 2] + 1)
+            covered = qseries._TABLES[halfint._pair_table,][0]
             assert max(longest.values()) <= covered < 2 * max(longest.values())
-    assert set(halfint._CHAR_CACHE) == set(longest)
+    assert {key[1:] for key in qseries._TABLES if key[0] is halfint._character_table} == set(longest)
 
 
 def test_a_covered_shimura_call_rebuilds_no_pair_table():
     f = theta_lift(eta_form(24 * 1200, 13)).series
     first = shimura_coeffs(f, 1, 14, 150)
-    tables = halfint._PAIR_D, halfint._PAIR_Q, halfint._PAIR_ENDS, halfint._CHAR_CACHE[1, 0]
+    keys = (halfint._pair_table,), (halfint._character_table, 1, 0)
+    tables = [qseries._TABLES[key] for key in keys]
     assert shimura_coeffs(f, 1, 14, 150) == first
     shimura_coeffs(f, 5, 14, 60)
-    assert halfint._PAIR_D is tables[0] and halfint._PAIR_Q is tables[1] and halfint._PAIR_ENDS is tables[2]
-    assert halfint._CHAR_CACHE[1, 0] is tables[3]
+    assert all(qseries._TABLES[key] is table for key, table in zip(keys, tables))
 
 
 def test_shimura_checks_precision_before_it_factors_t(monkeypatch):

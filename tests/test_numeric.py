@@ -135,14 +135,15 @@ def _y_for_terms(n_max: int) -> float:
 def test_eta_value_does_not_depend_on_the_order_of_its_points(cold_caches):
     # the table of n prime to 6 starts empty and grows on demand: a short
     # sum, one past half the 20000-term cap, one near it, then the short
-    # one again; doubling the middle table would pass the cap
+    # one again; the middle table doubled stays under twice the longest
     small = 0.3 + _y_for_terms(40) * 1j
     first = eta_value(small)
     assert first == _eta_by_loop(small)
     for n_max, x in ((12000, 0.9), (19990, -1.7)):
         z = complex(x, _y_for_terms(n_max))
         assert eta_value(z) == _eta_by_loop(z), z
-    assert 6663 <= qseries._N.size <= 6668  # the n prime to 6 up to 19990, and to the cap
+    held, _ = qseries._TABLES[qseries._prime_to_6_table,]
+    assert 6663 <= held < 2 * 6663  # the n prime to 6 up to 19990, under twice the longest request
     assert eta_value(small) == first
 
 

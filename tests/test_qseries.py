@@ -18,7 +18,6 @@ from etakit.qseries import (
     series_from_text,
     series_to_text,
     squarefree_part,
-    support_square_classes,
     theta_op,
     u_op,
     v_op,
@@ -589,27 +588,6 @@ def test_power_past_ell_equals_repeated_squaring(data):
     got, want = f**e, _square_and_multiply(f, e)
     assert got == want and got.residue == want.residue
     assert got.values.tolist() == want.values.tolist()
-
-
-# === square class bookkeeping ===
-
-
-def test_support_square_classes():
-    # 73 is prime, 145 = 5 * 29 and 1825 = 73 * 5^2, all 1 mod 24
-    f = QExp24.from_dict({1: 1, 25: 2, 49: 1, 73: 3, 145: 7, 1825: 4}, prec=1900, modulus=23, residue=1)
-    classes = support_square_classes(f)
-    assert set(classes) == {1, 73, 145}
-    assert classes[1] == [1, 25, 49]
-    assert classes[73] == [73, 1825]
-    assert support_square_classes(QExp24.zero(5, 23, 0)) == {}
-
-
-def test_support_square_classes_eta_power():
-    ell = 5
-    f = eta_series(24 * 40, modulus=ell)
-    assert set(support_square_classes(f)) == {1}
-    g = f**ell  # support at ell * squares
-    assert set(support_square_classes(g)) == {ell}
 
 
 # === truncate / reduce / residue edits ===

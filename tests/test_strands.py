@@ -256,7 +256,7 @@ def test_hecke_matches_the_dense_oracle_at_worst_case_operands(cold_caches, modu
                 prec, lam_int = 24 * p * p * length, (r0 + length) % 4
                 got = hecke_tp2(f.truncate(prec), p, lam_int)
                 same(got, dense_hecke_tp2(_dense_prefix(dense, prec, modulus, r0), p, lam_int))
-                assert got.values.size == length and halfint._SIGN_CACHE[p, r0].size == cached
+                assert got.values.size == length and qseries._TABLES[halfint._sign_table, p, r0][0] == cached
 
 
 @pytest.mark.parametrize("modulus", RINGS)
@@ -371,6 +371,10 @@ def _same_terms(m, length, modulus, lam):
     assert _square_strand(m, length, modulus, lam).tolist() == strand
 
 
+def _square_keys():
+    return {key[1:] for key in qseries._TABLES if key[0] is qseries._square_table}
+
+
 # square strand lengths in the order asked at m = 1, with the terms each
 # leaves cached: built cold at 5 (n = 1, 5, 7), a prefix at 2, grown past
 # n = 11 to max(4, 2 * 3) terms
@@ -382,12 +386,12 @@ def test_square_terms_are_one_cached_prefix_per_reduced_exponent(cold_caches, mo
     for lam in (0, 3):
         for length, cached in SQUARE_LENGTHS:
             _same_terms(1, length, modulus, lam)
-            assert qseries._TERMS_CACHE[1, modulus, lam][0].size == cached
+            assert qseries._TABLES[qseries._square_table, 1, modulus, lam][0] == cached
     # lam + (ell - 1) reads lam's key: n^(ell - 1) = 1 for n prime to ell, and 0^e = 0 for e >= 1
-    held = qseries._TERMS_CACHE[1, modulus, 3]
+    held = qseries._TABLES[qseries._square_table, 1, modulus, 3]
     _same_terms(1, 7, modulus, 3 + (modulus - 1))
-    assert set(qseries._TERMS_CACHE) == {(1, modulus, 0), (1, modulus, 3)}
-    assert qseries._TERMS_CACHE[1, modulus, 3] is held
+    assert _square_keys() == {(1, modulus, 0), (1, modulus, 3)}
+    assert qseries._TABLES[qseries._square_table, 1, modulus, 3] is held
     # T1(0) = eta keeps the terms at ell | n; lam = ell - 1 has its own key and kills them
     if modulus < 100:
         length = (modulus * modulus - 1) // 24 + 1
@@ -399,7 +403,7 @@ def test_square_terms_are_one_cached_prefix_per_reduced_exponent(cold_caches, mo
     # filled or cached, and m, past int64 at 2^64 + 13, multiplies nothing
     entries, values = _square_terms(modulus, 400, modulus)
     assert (entries.size == 0) == (modulus > 24 * 400) and values.dtype == storage_dtype(modulus)
-    assert ((modulus, modulus, 0) in qseries._TERMS_CACHE) == (modulus <= 24 * 400)
+    assert ((modulus, modulus, 0) in _square_keys()) == (modulus <= 24 * 400)
     # a caller owns its strand: writing into it leaves the next one intact
     cold_caches()
     for lam in (0, 3):
@@ -407,6 +411,34 @@ def test_square_terms_are_one_cached_prefix_per_reduced_exponent(cold_caches, mo
         strand[:] = 1
         _same_terms(1, 7, modulus, lam)
         _same_terms(1, 7, modulus, lam)  # warm
+
+
+# every table of the store: its build and the arguments after the size
+TABLES = {
+    "prime_to_6": (qseries._prime_to_6_table, ()),
+    "square_terms": (qseries._square_table, (13, 13, 3)),
+    "signs": (halfint._sign_table, (7, 13)),
+    "divisor_pairs": (halfint._pair_table, ()),
+    "characters": (halfint._character_table, (35, 1)),
+}
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_a_table_is_a_read_only_prefix_grown_at_least_twofold(cold_caches, name):
+    # cold at size 0, then short, long and short: each answer is a fresh
+    # build's prefix, read-only, the same object while covered (9 is past
+    # the longest request but not past the 10 held), and held under twice
+    # the longest request
+    build, args = TABLES[name]
+    key, longest, last, held = (build, *args), 0, None, -1
+    for size in (0, 5, 7, 9, 40, 3):
+        got = qseries._table(build, args, size)
+        for a, want in zip(got, build(size, *args), strict=True):
+            assert a.dtype == want.dtype and a[: want.size].tolist() == want.tolist(), size
+            assert not a.flags.writeable
+        assert (got is last) == (size <= held), size
+        held, longest, last = qseries._TABLES[key][0], max(longest, size), got
+        assert longest <= held and (held < 2 * longest or held == 0), size
 
 
 @SETTINGS
@@ -461,6 +493,12 @@ def test_no_module_but_qseries_names_the_int64_limits():
         if {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)} & limits:
             users.append(f"{name}:{node.lineno}")
     assert users == []
+
+
+def test_no_module_rebinds_a_module_global():
+    # a table that grows goes through qseries._table, not a global of its own
+    found = [f"{name}:{node.lineno}" for name, node in _package_nodes() if isinstance(node, ast.Global)]
+    assert found == []
 
 
 def test_no_module_but_qseries_forms_a_sum_of_products():
