@@ -265,7 +265,8 @@ def _pair_table(size: int):
 def _divisor_pairs(n_max: int):
     """(d, q, starts) for n_max >= 1: the pairs d q <= n_max, by d q, and where those of n = 1 .. n_max start."""
     d, q, ends = _table(_pair_table, (), n_max)
-    return d[: ends[n_max]], q[: ends[n_max]], ends[:n_max]
+    count = ends[n_max]
+    return d[:count], q[:count], ends[:n_max]
 
 
 def _character_table(size: int, t: int, odd: int):

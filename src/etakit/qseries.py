@@ -350,14 +350,15 @@ _COLD = (-1, None)  # held by no key: every size, 0 too, is past it, and max(siz
 
 def _table(build, args, size: int):
     """The read-only arrays of build(n, *args) at an n >= size, grown to max(size, 2 n) past the held n."""
-    key = (build, *args)
-    held = _TABLES.get(key, _COLD)
-    if held[0] < size:
-        n = max(size, 2 * held[0])
-        held = _TABLES[key] = n, build(n, *args)
-        for a in held[1]:
+    key = (build,) + args  # the same key as (build, *args), built without a list
+    n, arrays = _TABLES.get(key, _COLD)
+    if n < size:
+        n = max(size, 2 * n)
+        arrays = build(n, *args)
+        for a in arrays:
             a.flags.writeable = False
-    return held[1]
+        _TABLES[key] = n, arrays
+    return arrays
 
 
 def _count_prime_to_6(n_max: int) -> int:

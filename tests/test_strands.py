@@ -427,8 +427,8 @@ TABLES = {
 def test_a_table_is_a_read_only_prefix_grown_at_least_twofold(cold_caches, name):
     # cold at size 0, then short, long and short: each answer is a fresh
     # build's prefix, read-only, the same object while covered (9 is past
-    # the longest request but not past the 10 held), and held under twice
-    # the longest request
+    # the longest request but not past the 10 held), rebuilt past the held
+    # n at max(size, 2 n), and held under twice the longest request
     build, args = TABLES[name]
     key, longest, last, held = (build, *args), 0, None, -1
     for size in (0, 5, 7, 9, 40, 3):
@@ -437,8 +437,9 @@ def test_a_table_is_a_read_only_prefix_grown_at_least_twofold(cold_caches, name)
             assert a.dtype == want.dtype and a[: want.size].tolist() == want.tolist(), size
             assert not a.flags.writeable
         assert (got is last) == (size <= held), size
+        grown = max(size, 2 * held) if size > held else held
         held, longest, last = qseries._TABLES[key][0], max(longest, size), got
-        assert longest <= held and (held < 2 * longest or held == 0), size
+        assert held == grown and longest <= held and (held < 2 * longest or held == 0), size
 
 
 @SETTINGS
